@@ -1,9 +1,9 @@
 //! Degree-based hashing (DBH), Xie et al., NIPS 2014.
 
-use crate::streaming::{partition_stream, DbhState};
+use crate::stream::EdgeOrder;
+use crate::streaming::{place_in_order, DbhState};
 use tlp_core::{EdgePartition, EdgePartitioner, PartitionError};
 use tlp_graph::GraphView;
-use tlp_store::CsrEdgeStream;
 
 /// Degree-based hashing: each edge is placed by hashing its *lower-degree*
 /// endpoint.
@@ -50,10 +50,8 @@ impl EdgePartitioner for DbhPartitioner {
     ) -> Result<EdgePartition, PartitionError> {
         let degrees: Vec<u32> = graph.vertices().map(|v| graph.degree(v) as u32).collect();
         let mut placer = DbhState::new(degrees, num_partitions, self.seed)?;
-        let mut stream = CsrEdgeStream::new(graph, usize::MAX);
-        partition_stream(&mut placer, &mut stream)
-            .map_err(|e| PartitionError::InvalidAssignment(e.to_string()))?
-            .into_partition()
+        let assignment = place_in_order(&mut placer, graph, EdgeOrder::Natural);
+        EdgePartition::new(num_partitions, assignment)
     }
 }
 

@@ -1,10 +1,9 @@
 //! PowerGraph's greedy streaming edge placement (Gonzalez et al., OSDI 2012).
 
-use crate::stream::{edge_order, EdgeOrder};
-use crate::streaming::{partition_stream, GreedyState};
-use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
+use crate::stream::EdgeOrder;
+use crate::streaming::{place_in_order, GreedyState};
+use tlp_core::{EdgePartition, EdgePartitioner, PartitionError};
 use tlp_graph::GraphView;
-use tlp_store::CsrEdgeStream;
 
 /// The greedy heuristic of PowerGraph's "oblivious" edge placement.
 ///
@@ -57,15 +56,7 @@ impl EdgePartitioner for GreedyPartitioner {
         num_partitions: usize,
     ) -> Result<EdgePartition, PartitionError> {
         let mut placer = GreedyState::new(graph.num_vertices(), num_partitions)?;
-        let order = edge_order(graph, self.order);
-        let mut stream = CsrEdgeStream::with_order(graph, order.clone(), usize::MAX);
-        let streamed = partition_stream(&mut placer, &mut stream)
-            .map_err(|e| PartitionError::InvalidAssignment(e.to_string()))?;
-        // Scatter arrival-order decisions back to edge ids.
-        let mut assignment = vec![0 as PartitionId; graph.num_edges()];
-        for (i, &eid) in order.iter().enumerate() {
-            assignment[eid as usize] = streamed.assignments[i];
-        }
+        let assignment = place_in_order(&mut placer, graph, self.order);
         EdgePartition::new(num_partitions, assignment)
     }
 }

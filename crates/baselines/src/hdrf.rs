@@ -1,10 +1,9 @@
 //! HDRF: High-Degree (are) Replicated First (Petroni et al., CIKM 2015).
 
-use crate::stream::{edge_order, EdgeOrder};
-use crate::streaming::{partition_stream, HdrfState};
-use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
+use crate::stream::EdgeOrder;
+use crate::streaming::{place_in_order, HdrfState};
+use tlp_core::{EdgePartition, EdgePartitioner, PartitionError};
 use tlp_graph::GraphView;
-use tlp_store::CsrEdgeStream;
 
 /// HDRF streaming edge placement.
 ///
@@ -78,15 +77,7 @@ impl EdgePartitioner for HdrfPartitioner {
         num_partitions: usize,
     ) -> Result<EdgePartition, PartitionError> {
         let mut placer = HdrfState::new(graph.num_vertices(), num_partitions, self.lambda)?;
-        let order = edge_order(graph, self.order);
-        let mut stream = CsrEdgeStream::with_order(graph, order.clone(), usize::MAX);
-        let streamed = partition_stream(&mut placer, &mut stream)
-            .map_err(|e| PartitionError::InvalidAssignment(e.to_string()))?;
-        // Scatter arrival-order decisions back to edge ids.
-        let mut assignment = vec![0 as PartitionId; graph.num_edges()];
-        for (i, &eid) in order.iter().enumerate() {
-            assignment[eid as usize] = streamed.assignments[i];
-        }
+        let assignment = place_in_order(&mut placer, graph, self.order);
         EdgePartition::new(num_partitions, assignment)
     }
 }

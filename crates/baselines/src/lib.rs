@@ -19,11 +19,11 @@
 //!
 //! The edge-streaming heuristics (Random, DBH, Greedy, HDRF) are factored
 //! into [`StreamingPlacer`] state machines in [`streaming`], so the same
-//! placement code also runs out-of-core over any [`tlp_store::EdgeStream`]
-//! (including `.tlpg` files on disk) via [`partition_stream`], holding at
-//! most a caller-chosen budget of edges in memory. Streamed and
-//! materialized runs of the same heuristic over the same arrival order are
-//! bit-identical.
+//! placement code also runs out-of-core over any
+//! [`tlp_graph::EdgeSource`] (including `.tlpg` files on disk) via
+//! [`StreamingBaseline`], holding at most the source's budget of edges in
+//! memory. Streamed and materialized runs of the same heuristic over the
+//! same arrival order are bit-identical.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,8 +50,5 @@ pub use ne::{NePartitioner, NePolicy};
 pub use pipeline::{StreamingBaseline, StreamingKind, HDRF_LAMBDA};
 pub use random::RandomPartitioner;
 pub use stream::{edge_order, vertex_order, EdgeOrder, VertexOrder};
-pub use streaming::{
-    partition_stream, DbhState, GreedyState, HdrfState, RandomState, StreamedPartition,
-    StreamingPlacer,
-};
+pub use streaming::{DbhState, GreedyState, HdrfState, RandomState, StreamingPlacer};
 pub use vertex_to_edge::{derive_edge_partition, VertexPartition};

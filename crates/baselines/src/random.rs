@@ -1,9 +1,9 @@
 //! Uniform random edge assignment (the paper's "Random" baseline).
 
-use crate::streaming::{partition_stream, RandomState};
+use crate::stream::EdgeOrder;
+use crate::streaming::{place_in_order, RandomState};
 use tlp_core::{EdgePartition, EdgePartitioner, PartitionError};
 use tlp_graph::GraphView;
-use tlp_store::CsrEdgeStream;
 
 /// Assigns every edge to a uniformly random partition.
 ///
@@ -47,10 +47,8 @@ impl EdgePartitioner for RandomPartitioner {
         num_partitions: usize,
     ) -> Result<EdgePartition, PartitionError> {
         let mut placer = RandomState::new(num_partitions, self.seed)?;
-        let mut stream = CsrEdgeStream::new(graph, usize::MAX);
-        partition_stream(&mut placer, &mut stream)
-            .map_err(|e| PartitionError::InvalidAssignment(e.to_string()))?
-            .into_partition()
+        let assignment = place_in_order(&mut placer, graph, EdgeOrder::Natural);
+        EdgePartition::new(num_partitions, assignment)
     }
 }
 

@@ -1,28 +1,32 @@
-//! Out-of-core drivers for the streaming baselines.
+//! Per-edge placement state machines for the streaming baselines.
 //!
 //! Each streaming heuristic is factored into a [`StreamingPlacer`] — the
 //! per-edge placement state machine — so the same decision code runs in two
 //! harnesses:
 //!
-//! * the materialized `EdgePartitioner::partition` paths (which now pump a
-//!   [`CsrEdgeStream`](tlp_store::CsrEdgeStream) in the requested arrival order and scatter the
-//!   decisions back to edge ids), and
-//! * [`partition_stream`], which pumps any [`EdgeStream`] — including
-//!   [`tlp_store::BinaryEdgeStream`] reading a `.tlpg` file chunk by chunk —
-//!   holding at most `budget` edges in memory.
+//! * the materialized `EdgePartitioner::partition` paths, which call
+//!   [`StreamingPlacer::place`] while walking the requested arrival order
+//!   over the in-memory graph, and
+//! * [`StreamingBaseline`](crate::StreamingBaseline), which places the
+//!   chunks of any [`EdgeSource`](tlp_graph::EdgeSource) pass — including a
+//!   `.tlpg` file read chunk by chunk — holding at most `budget` edges in
+//!   memory.
 //!
 //! Because both paths execute the identical placer over the identical
 //! arrival sequence, a streamed run is bit-identical to the materialized
 //! one at any buffer budget.
 
+use crate::stream::{edge_order, EdgeOrder};
 use crate::util::{least_loaded, splitmix64, PartitionSet};
 use tlp_core::{EdgePartition, PartitionError, PartitionId};
 use tlp_graph::{GraphView, VertexId};
-use tlp_store::{for_each_chunk, EdgeStream, StoreError, StreamMeta};
 
 /// Checks that `partition` covers exactly the edges of `graph`, the shared
 /// precondition of the `seeded_from` constructors.
-fn check_seeding_pair(graph: GraphView<'_>, partition: &EdgePartition) -> Result<(), PartitionError> {
+fn check_seeding_pair(
+    graph: GraphView<'_>,
+    partition: &EdgePartition,
+) -> Result<(), PartitionError> {
     if partition.num_edges() != graph.num_edges() {
         return Err(PartitionError::InvalidAssignment(format!(
             "partition covers {} edges but the seeding graph has {}",
@@ -45,54 +49,19 @@ pub trait StreamingPlacer {
     fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId;
 }
 
-/// Result of driving a placer over an edge stream.
-#[derive(Clone, Debug)]
-pub struct StreamedPartition {
-    /// Number of partitions.
-    pub num_partitions: usize,
-    /// Partition of each edge **in arrival order** (for natural-order
-    /// streams this is `EdgeId` order, so it doubles as an assignment).
-    pub assignments: Vec<PartitionId>,
-    /// Number of edges seen.
-    pub edges_seen: usize,
-    /// Largest chunk buffer observed — bounded by the stream's budget.
-    pub peak_buffer: usize,
-}
-
-impl StreamedPartition {
-    /// Interprets the arrival-order assignments as an [`EdgePartition`]
-    /// (valid when the stream arrived in natural `EdgeId` order).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EdgePartition::new`] validation errors.
-    pub fn into_partition(self) -> Result<EdgePartition, PartitionError> {
-        EdgePartition::new(self.num_partitions, self.assignments)
-    }
-}
-
-/// Drives `placer` over every edge of `stream`.
-///
-/// # Errors
-///
-/// Propagates stream errors ([`StoreError`]) — placement itself is total.
-pub fn partition_stream<S: EdgeStream + ?Sized>(
+/// Places every edge of `graph` in `order` and returns the decisions by
+/// edge id — the materialized partitioners' driver.
+pub(crate) fn place_in_order(
     placer: &mut dyn StreamingPlacer,
-    stream: &mut S,
-) -> Result<StreamedPartition, StoreError> {
-    let mut assignments = Vec::new();
-    let (edges_seen, peak_buffer) = for_each_chunk(stream, |chunk| {
-        for e in chunk {
-            assignments.push(placer.place(e.source(), e.target()));
-        }
-        Ok(())
-    })?;
-    Ok(StreamedPartition {
-        num_partitions: placer.num_partitions(),
-        assignments,
-        edges_seen,
-        peak_buffer,
-    })
+    graph: GraphView<'_>,
+    order: EdgeOrder,
+) -> Vec<PartitionId> {
+    let mut assignment = vec![0 as PartitionId; graph.num_edges()];
+    for eid in edge_order(graph, order) {
+        let e = graph.edge(eid);
+        assignment[eid as usize] = placer.place(e.source(), e.target());
+    }
+    assignment
 }
 
 /// HDRF placement state (see [`crate::HdrfPartitioner`] for the scoring
@@ -296,7 +265,8 @@ impl StreamingPlacer for GreedyState {
 }
 
 /// DBH placement state (see [`crate::DbhPartitioner`]). Needs the *final*
-/// vertex degrees up front, which streams provide via [`StreamMeta`].
+/// vertex degrees up front, which sources provide via
+/// [`EdgeSource::degrees_hint`](tlp_graph::EdgeSource::degrees_hint).
 #[derive(Clone, Debug)]
 pub struct DbhState {
     degrees: Vec<u32>,
@@ -323,22 +293,6 @@ impl DbhState {
             seed,
             num_partitions,
         })
-    }
-
-    /// Creates DBH state from a stream's metadata.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::MissingDegrees`] if the source cannot provide final
-    /// degrees (e.g. a one-pass text stream), plus [`DbhState::new`] errors
-    /// mapped to [`StoreError::Corrupt`].
-    pub fn from_meta(
-        meta: &StreamMeta,
-        num_partitions: usize,
-        seed: u64,
-    ) -> Result<Self, StoreError> {
-        let degrees = meta.degrees.clone().ok_or(StoreError::MissingDegrees)?;
-        DbhState::new(degrees, num_partitions, seed).map_err(|e| StoreError::Corrupt(e.to_string()))
     }
 }
 
@@ -401,23 +355,6 @@ impl StreamingPlacer for RandomState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlp_store::CsrEdgeStream;
-
-    #[test]
-    fn peak_buffer_is_bounded_by_budget() {
-        let g = tlp_graph::generators::erdos_renyi(100, 400, 3);
-        for budget in [1usize, 7, 64] {
-            let mut placer = GreedyState::new(g.num_vertices(), 4).unwrap();
-            let mut stream = CsrEdgeStream::new(&g, budget);
-            let streamed = partition_stream(&mut placer, &mut stream).unwrap();
-            assert_eq!(streamed.edges_seen, g.num_edges());
-            assert!(
-                streamed.peak_buffer <= budget,
-                "peak {} exceeds budget {budget}",
-                streamed.peak_buffer
-            );
-        }
-    }
 
     #[test]
     fn zero_partitions_rejected_everywhere() {
@@ -501,14 +438,5 @@ mod tests {
         let part = EdgePartition::new(4, (0..g.num_edges()).map(|_| 0).collect()).unwrap();
         assert!(HdrfState::seeded_from(&empty_graph, &part, 1.1).is_err());
         assert!(GreedyState::seeded_from(&empty_graph, &part).is_err());
-    }
-
-    #[test]
-    fn dbh_from_meta_requires_degrees() {
-        let meta = StreamMeta::default();
-        assert!(matches!(
-            DbhState::from_meta(&meta, 4, 0),
-            Err(StoreError::MissingDegrees)
-        ));
     }
 }

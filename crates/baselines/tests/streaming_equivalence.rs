@@ -1,17 +1,18 @@
-//! Satellite (c): the streamed baselines must be bit-identical to their
-//! materialized counterparts at every buffer budget — including when the
-//! edges come off disk through a `.tlpg` binary stream.
+//! The streamed baselines must be bit-identical to their materialized
+//! counterparts at every buffer budget — from an in-memory
+//! [`CsrSource::with_budget`] and when the edges come off disk through a
+//! `.tlpg` [`BinaryFileSource`].
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tlp_baselines::{
-    partition_stream, DbhPartitioner, DbhState, EdgeOrder, GreedyPartitioner, GreedyState,
-    HdrfPartitioner, HdrfState, RandomPartitioner, RandomState, StreamingPlacer,
+    DbhPartitioner, DbhState, EdgeOrder, GreedyPartitioner, GreedyState, HdrfPartitioner,
+    HdrfState, RandomPartitioner, RandomState, StreamingPlacer,
 };
 use tlp_core::{EdgePartition, EdgePartitioner};
 use tlp_graph::generators::{chung_lu, erdos_renyi};
-use tlp_graph::CsrGraph;
-use tlp_store::{write_graph, BinaryEdgeStream, CsrEdgeStream, EdgeStream, WriteOptions};
+use tlp_graph::{CsrGraph, CsrSource, EdgeSource};
+use tlp_store::{write_graph, BinaryFileSource, WriteOptions};
 
 const BUDGETS: [usize; 4] = [1, 64, 4096, usize::MAX];
 const P: usize = 6;
@@ -47,16 +48,23 @@ fn materialized_for(name: &str, graph: &CsrGraph) -> EdgePartition {
     }
 }
 
-fn run_stream(
-    name: &str,
-    stream: &mut dyn EdgeStream,
-    num_vertices: usize,
-) -> (EdgePartition, usize) {
-    let degrees = stream.meta().degrees.clone();
-    let mut placer = placer_for(name, num_vertices, degrees);
-    let streamed = partition_stream(placer.as_mut(), stream).unwrap();
-    let peak = streamed.peak_buffer;
-    (streamed.into_partition().unwrap(), peak)
+/// Places one pass of `source` in arrival order; returns the partition
+/// and the pass's peak chunk length.
+fn run_stream(name: &str, source: &mut dyn EdgeSource) -> (EdgePartition, usize) {
+    let num_vertices = source.num_vertices_hint().unwrap();
+    let mut placer = placer_for(name, num_vertices, source.degrees_hint());
+    let mut assignments = Vec::new();
+    let stats = source
+        .stream_pass(&mut |chunk| {
+            for e in chunk {
+                assignments.push(placer.place(e.source(), e.target()));
+            }
+        })
+        .unwrap();
+    (
+        EdgePartition::new(P, assignments).unwrap(),
+        stats.peak_buffer,
+    )
 }
 
 #[test]
@@ -69,8 +77,8 @@ fn streamed_matches_materialized_at_every_budget() {
         for name in ["hdrf", "greedy", "dbh", "random"] {
             let reference = materialized_for(name, graph);
             for budget in BUDGETS {
-                let mut stream = CsrEdgeStream::new(graph, budget);
-                let (streamed, peak) = run_stream(name, &mut stream, graph.num_vertices());
+                let mut source = CsrSource::with_budget(graph, budget);
+                let (streamed, peak) = run_stream(name, &mut source);
                 assert_eq!(
                     streamed, reference,
                     "{name} on {gname} diverged at budget {budget}"
@@ -99,8 +107,10 @@ fn streamed_from_binary_file_matches_materialized() {
     for name in ["hdrf", "greedy", "dbh", "random"] {
         let reference = materialized_for(name, &graph);
         for budget in BUDGETS {
-            let mut stream = BinaryEdgeStream::open(&path, budget).unwrap();
-            let (streamed, peak) = run_stream(name, &mut stream, graph.num_vertices());
+            let mut source = BinaryFileSource::open(&path, budget)
+                .unwrap()
+                .strict_streaming(true);
+            let (streamed, peak) = run_stream(name, &mut source);
             assert_eq!(
                 streamed, reference,
                 "{name} from disk diverged at budget {budget}"
@@ -112,9 +122,9 @@ fn streamed_from_binary_file_matches_materialized() {
 }
 
 #[test]
-fn non_natural_orders_still_roundtrip_through_the_stream_layer() {
-    // The materialized partitioners now pump CsrEdgeStream internally for
-    // every order; determinism across repeated runs must be preserved.
+fn non_natural_orders_are_deterministic() {
+    // The materialized partitioners place edges in every arrival order;
+    // determinism across repeated runs must be preserved.
     let graph = chung_lu(300, 1200, 2.1, 23);
     for order in [EdgeOrder::Natural, EdgeOrder::Random(5), EdgeOrder::Bfs] {
         let a = HdrfPartitioner::new(order, 1.1)

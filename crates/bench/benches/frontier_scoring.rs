@@ -1,13 +1,14 @@
-//! Frontier-scoring bench: incremental selection vs. full-frontier rescan.
+//! Frontier-scoring bench: lazy-heap selection vs. full-frontier rescan.
 //!
-//! Measures the three `SelectionStrategy` variants end to end on the
+//! Measures the production `StagedPolicy` against the reference
+//! `ScanPolicy` (Algorithm 1's per-step frontier scan) end to end on the
 //! Chung–Lu and R-MAT generators at p = 32 — the regime the paper calls
 //! out (§III-E) where scanning `N(P_k)` per step dominates. Beyond the
-//! criterion timings, the full run asserts the PR's headline claim — the
-//! dirty-marking `Incremental` strategy is at least 2x faster than the
-//! `LinearScan` reference on both generators — and emits the measured
-//! trajectory to `BENCH_frontier_scoring.json` at the workspace root
-//! (see EXPERIMENTS.md for the refresh procedure).
+//! criterion timings, the full run asserts that the two produce identical
+//! partitions and that `StagedPolicy` is at least 2x faster than the scan
+//! on both generators, and emits the measured trajectory to
+//! `BENCH_frontier_scoring.json` at the workspace root (see EXPERIMENTS.md
+//! for the refresh procedure).
 //!
 //! `cargo bench -p tlp-bench --bench frontier_scoring -- --test` runs a
 //! downsized smoke pass: output equality is still asserted, timings are
@@ -16,18 +17,33 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde::Serialize;
 use std::time::{Duration, Instant};
-use tlp_core::{EdgePartitioner, SelectionStrategy, TlpConfig, TwoStageLocalPartitioner};
+use tlp_core::engine::{self, ModularitySwitch, ScanPolicy, SelectionPolicy, StagedPolicy};
+use tlp_core::{EdgePartition, TlpConfig};
 use tlp_graph::generators::{chung_lu, rmat, RmatProbabilities};
 use tlp_graph::CsrGraph;
 
 const PARTITIONS: usize = 32;
 const SEED: u64 = 9;
 
-const STRATEGIES: [(&str, SelectionStrategy); 3] = [
-    ("linear_scan", SelectionStrategy::LinearScan),
-    ("indexed_heap", SelectionStrategy::IndexedHeap),
-    ("incremental", SelectionStrategy::Incremental),
-];
+/// One TLP run at p = 32 under a frontier selector.
+type Selector = fn(&CsrGraph) -> EdgePartition;
+
+const SELECTORS: [(&str, Selector); 2] = [("linear_scan", run_scan), ("indexed_heap", run_indexed)];
+
+fn run_with<P: SelectionPolicy>(graph: &CsrGraph, mut policy: P) -> EdgePartition {
+    let config = TlpConfig::new().seed(1);
+    let (partition, _) =
+        engine::run(graph, PARTITIONS, &config, &mut policy).expect("partitioning");
+    partition
+}
+
+fn run_scan(graph: &CsrGraph) -> EdgePartition {
+    run_with(graph, ScanPolicy::new(ModularitySwitch))
+}
+
+fn run_indexed(graph: &CsrGraph) -> EdgePartition {
+    run_with(graph, StagedPolicy::new(ModularitySwitch))
+}
 
 fn graphs(smoke: bool) -> Vec<(&'static str, CsrGraph)> {
     if smoke {
@@ -46,18 +62,11 @@ fn graphs(smoke: bool) -> Vec<(&'static str, CsrGraph)> {
     }
 }
 
-fn run_once(graph: &CsrGraph, strategy: SelectionStrategy) -> tlp_core::EdgePartition {
-    let config = TlpConfig::new().seed(1).selection_strategy(strategy);
-    TwoStageLocalPartitioner::new(config)
-        .partition(graph, PARTITIONS)
-        .expect("partitioning failed")
-}
-
-fn min_wall_clock(graph: &CsrGraph, strategy: SelectionStrategy, repeats: usize) -> Duration {
+fn min_wall_clock(graph: &CsrGraph, selector: Selector, repeats: usize) -> Duration {
     (0..repeats)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(run_once(graph, strategy));
+            std::hint::black_box(selector(graph));
             start.elapsed()
         })
         .min()
@@ -68,9 +77,9 @@ fn bench_frontier_scoring(c: &mut Criterion) {
     let mut group = c.benchmark_group("frontier_scoring");
     group.sample_size(5);
     for (gname, graph) in graphs(true) {
-        for (sname, strategy) in STRATEGIES {
+        for (sname, selector) in SELECTORS {
             let id = BenchmarkId::new(gname, sname);
-            group.bench_with_input(id, &strategy, |b, &s| b.iter(|| run_once(&graph, s)));
+            group.bench_function(id, |b| b.iter(|| selector(&graph)));
         }
     }
     group.finish();
@@ -84,8 +93,6 @@ struct BaselineEntry {
     edges: usize,
     linear_scan_ms: f64,
     indexed_heap_ms: f64,
-    incremental_ms: f64,
-    speedup_incremental_vs_scan: f64,
     speedup_indexed_vs_scan: f64,
 }
 
@@ -103,33 +110,28 @@ fn speedup_checks(_c: &mut Criterion) {
     let mut entries = Vec::new();
 
     for (gname, graph) in graphs(smoke_only) {
-        // The fast paths must stay bit-identical to the reference scan on
+        // The lazy heaps must stay bit-identical to the reference scan on
         // the exact workloads being timed.
-        let reference = run_once(&graph, SelectionStrategy::LinearScan);
-        for (sname, strategy) in &STRATEGIES[1..] {
-            assert_eq!(
-                reference,
-                run_once(&graph, *strategy),
-                "{gname}: {sname} diverged from linear_scan"
-            );
-        }
+        assert_eq!(
+            run_scan(&graph),
+            run_indexed(&graph),
+            "{gname}: indexed_heap diverged from linear_scan"
+        );
         if smoke_only {
             println!("bench frontier_scoring/{gname}: ok (smoke)");
             continue;
         }
 
-        let scan = min_wall_clock(&graph, SelectionStrategy::LinearScan, 3);
-        let indexed = min_wall_clock(&graph, SelectionStrategy::IndexedHeap, 3);
-        let incremental = min_wall_clock(&graph, SelectionStrategy::Incremental, 3);
-        let speedup_inc = scan.as_secs_f64() / incremental.as_secs_f64().max(f64::EPSILON);
+        let scan = min_wall_clock(&graph, run_scan, 3);
+        let indexed = min_wall_clock(&graph, run_indexed, 3);
         let speedup_idx = scan.as_secs_f64() / indexed.as_secs_f64().max(f64::EPSILON);
         println!(
-            "bench frontier_scoring/{gname}: scan {scan:?}, indexed {indexed:?}, \
-             incremental {incremental:?} ({speedup_inc:.2}x vs scan)"
+            "bench frontier_scoring/{gname}: scan {scan:?}, indexed {indexed:?} \
+             ({speedup_idx:.2}x vs scan)"
         );
         assert!(
-            speedup_inc >= 2.0,
-            "{gname}: incremental selection is only {speedup_inc:.2}x faster than the \
+            speedup_idx >= 2.0,
+            "{gname}: indexed selection is only {speedup_idx:.2}x faster than the \
              full-frontier rescan at p = {PARTITIONS}; expected >= 2x"
         );
         entries.push(BaselineEntry {
@@ -138,8 +140,6 @@ fn speedup_checks(_c: &mut Criterion) {
             edges: graph.num_edges(),
             linear_scan_ms: scan.as_secs_f64() * 1e3,
             indexed_heap_ms: indexed.as_secs_f64() * 1e3,
-            incremental_ms: incremental.as_secs_f64() * 1e3,
-            speedup_incremental_vs_scan: speedup_inc,
             speedup_indexed_vs_scan: speedup_idx,
         });
     }

@@ -1,31 +1,13 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! selection strategy (indexed vs the paper's linear scan), reseed policy,
-//! and the TLP_R stage-ratio sweep (Figs. 9-11 flavored).
+//! reseed policy, the TLP_R stage-ratio sweep (Figs. 9-11 flavored), and
+//! the frontier cap. The indexed-vs-scan selection comparison lives in the
+//! `frontier_scoring` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tlp_core::{
-    EdgePartitioner, EdgeRatioLocalPartitioner, ReseedPolicy, SelectionStrategy, TlpConfig,
-    TwoStageLocalPartitioner,
+    EdgePartitioner, EdgeRatioLocalPartitioner, ReseedPolicy, TlpConfig, TwoStageLocalPartitioner,
 };
 use tlp_graph::generators::power_law_community;
-
-fn bench_selection_strategy(c: &mut Criterion) {
-    let graph = power_law_community(4_000, 24_000, 2.1, 40, 0.25, 5);
-    let mut group = c.benchmark_group("ablation_selection_strategy");
-    group.sample_size(10);
-    for (name, strategy) in [
-        ("indexed_heap", SelectionStrategy::IndexedHeap),
-        ("linear_scan", SelectionStrategy::LinearScan),
-    ] {
-        group.bench_function(name, |b| {
-            let tlp = TwoStageLocalPartitioner::new(
-                TlpConfig::new().seed(1).selection_strategy(strategy),
-            );
-            b.iter(|| tlp.partition(&graph, 10).unwrap())
-        });
-    }
-    group.finish();
-}
 
 fn bench_reseed_policy(c: &mut Criterion) {
     // A disconnected graph stresses the frontier-exhaustion path.
@@ -86,7 +68,6 @@ fn bench_frontier_cap(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_selection_strategy,
     bench_reseed_policy,
     bench_tlp_r,
     bench_frontier_cap

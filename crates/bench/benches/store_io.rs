@@ -7,7 +7,8 @@
 //! * text parse (`read_edge_list_file`) — what every run paid before the
 //!   binary cache existed;
 //! * binary open+load (`StoreReader::read_graph`) — what cached re-runs pay;
-//! * HDRF streamed from the binary file at several budgets.
+//! * HDRF streamed from the binary file at several budgets, through the
+//!   same `BinaryFileSource` passes the pipeline uses.
 //!
 //! The full run asserts the PR's headline claim — binary open is at least
 //! 5x faster than the text parse — verifies the streamed partition is
@@ -22,11 +23,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tlp_baselines::{partition_stream, EdgeOrder, HdrfPartitioner, HdrfState};
-use tlp_core::EdgePartitioner;
+use tlp_baselines::{EdgeOrder, HdrfPartitioner, HdrfState, StreamingPlacer};
+use tlp_core::{EdgePartition, EdgePartitioner, PartitionId};
 use tlp_graph::generators::chung_lu;
-use tlp_graph::{io, CsrGraph};
-use tlp_store::{write_graph, BinaryEdgeStream, StoreReader, WriteOptions};
+use tlp_graph::{io, CsrGraph, EdgeSource};
+use tlp_store::{write_graph, BinaryFileSource, StoreReader, WriteOptions};
 
 const SEED: u64 = 9;
 const PARTITIONS: usize = 16;
@@ -78,6 +79,24 @@ fn binary_open(ws: &Workspace) -> CsrGraph {
         .graph
 }
 
+/// HDRF over one strictly streamed pass of the binary file: the decisions
+/// in arrival (= edge id) order and the pass's peak chunk length.
+fn hdrf_stream(ws: &Workspace, num_vertices: usize, budget: usize) -> (Vec<PartitionId>, usize) {
+    let mut source = BinaryFileSource::open(&ws.bin, budget)
+        .unwrap()
+        .strict_streaming(true);
+    let mut placer = HdrfState::new(num_vertices, PARTITIONS, 1.1).unwrap();
+    let mut assignments = Vec::new();
+    let stats = source
+        .stream_pass(&mut |chunk| {
+            for e in chunk {
+                assignments.push(placer.place(e.source(), e.target()));
+            }
+        })
+        .unwrap();
+    (assignments, stats.peak_buffer)
+}
+
 fn min_wall_clock<T>(repeats: usize, mut f: impl FnMut() -> T) -> Duration {
     (0..repeats)
         .map(|_| {
@@ -97,11 +116,7 @@ fn bench_store_io(c: &mut Criterion) {
     group.bench_function("text_parse", |b| b.iter(|| text_parse(&ws)));
     group.bench_function("binary_open", |b| b.iter(|| binary_open(&ws)));
     group.bench_function("hdrf_stream_64k", |b| {
-        b.iter(|| {
-            let mut stream = BinaryEdgeStream::open(&ws.bin, 65_536).unwrap();
-            let mut placer = HdrfState::new(g.num_vertices(), PARTITIONS, 1.1).unwrap();
-            partition_stream(&mut placer, &mut stream).unwrap()
-        })
+        b.iter(|| hdrf_stream(&ws, g.num_vertices(), 65_536))
     });
     group.finish();
 }
@@ -141,16 +156,10 @@ fn store_io_checks(_c: &mut Criterion) {
         .partition(&g, PARTITIONS)
         .unwrap();
     for budget in BUDGETS {
-        let mut stream = BinaryEdgeStream::open(&ws.bin, budget).unwrap();
-        let mut placer = HdrfState::new(g.num_vertices(), PARTITIONS, 1.1).unwrap();
-        let streamed = partition_stream(&mut placer, &mut stream).unwrap();
-        assert!(
-            streamed.peak_buffer <= budget,
-            "peak buffer {} exceeds budget {budget}",
-            streamed.peak_buffer
-        );
+        let (assignments, peak) = hdrf_stream(&ws, g.num_vertices(), budget);
+        assert!(peak <= budget, "peak buffer {peak} exceeds budget {budget}");
         assert_eq!(
-            streamed.into_partition().unwrap(),
+            EdgePartition::new(PARTITIONS, assignments).unwrap(),
             reference,
             "streamed HDRF diverged at budget {budget}"
         );
@@ -173,11 +182,7 @@ fn store_io_checks(_c: &mut Criterion) {
 
     let mut hdrf_by_budget = Vec::new();
     for budget in BUDGETS {
-        let t = min_wall_clock(3, || {
-            let mut stream = BinaryEdgeStream::open(&ws.bin, budget).unwrap();
-            let mut placer = HdrfState::new(g.num_vertices(), PARTITIONS, 1.1).unwrap();
-            partition_stream(&mut placer, &mut stream).unwrap()
-        });
+        let t = min_wall_clock(3, || hdrf_stream(&ws, g.num_vertices(), budget));
         hdrf_by_budget.push(StreamTiming {
             budget: budget as u64,
             hdrf_stream_ms: t.as_secs_f64() * 1e3,

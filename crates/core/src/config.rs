@@ -18,40 +18,6 @@ pub enum ReseedPolicy {
     Break,
 }
 
-/// How the optimal vertex is located inside the frontier `N(P_k)`.
-///
-/// Both strategies compute the **exact same argmax** (including tie-breaks)
-/// and therefore produce identical partitions; they differ only in cost.
-/// The paper notes (§III-E) that "the selection of the optimal vertex in
-/// `N(P_k)` requires traversing all the vertices in `N(P_k)`, which may
-/// degrade time performance when `N(P_k)` is very large" — `IndexedHeap`
-/// removes that scan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SelectionStrategy {
-    /// Priority structures over the frontier: a lazy max-heap on the Stage I
-    /// score and per-`e_in` lazy min-heaps on `e_ext` for Stage II (only the
-    /// Pareto-optimal representative of each `e_in` bucket can win, because
-    /// the Stage II objective is increasing in `e_in` and decreasing in
-    /// `e_ext`). Selection cost per step: `O(distinct e_in values + stale
-    /// entries)` instead of `O(|N(P_k)|)`. **Default.**
-    #[default]
-    IndexedHeap,
-    /// Scan every frontier vertex per step, exactly as Algorithm 1 is
-    /// written (`O(|N(P_k)|)` per step, `O(L^2 d^2)` per partition). Kept
-    /// for the complexity ablation benches and as the reference the indexed
-    /// strategy is tested against.
-    LinearScan,
-    /// Dirty-marking on top of the `IndexedHeap` structures: candidate
-    /// state changes only *mark* the vertex dirty, and all dirty
-    /// candidates are flushed into the heaps in one batch at selection
-    /// time. Between two selections a candidate contributes at most one
-    /// heap entry no matter how many edge events touched it, so hub
-    /// candidates (whose `e_in` is bumped once per admitted neighbor)
-    /// stop flooding the heaps with stale entries. Same argmax, ties
-    /// included.
-    Incremental,
-}
-
 /// Configuration shared by [`crate::TwoStageLocalPartitioner`] and the
 /// TLP_R / single-stage variants.
 ///
@@ -73,7 +39,6 @@ pub struct TlpConfig {
     capacity_factor: f64,
     reseed: ReseedPolicy,
     record_trace: bool,
-    selection: SelectionStrategy,
     frontier_cap: Option<usize>,
     trials: usize,
     threads: usize,
@@ -86,7 +51,6 @@ impl Default for TlpConfig {
             capacity_factor: 1.0,
             reseed: ReseedPolicy::default(),
             record_trace: false,
-            selection: SelectionStrategy::default(),
             frontier_cap: None,
             trials: 1,
             threads: 0,
@@ -151,18 +115,6 @@ impl TlpConfig {
     /// Whether trace recording is enabled.
     pub fn records_trace(&self) -> bool {
         self.record_trace
-    }
-
-    /// Sets the frontier selection strategy (see [`SelectionStrategy`]).
-    #[must_use]
-    pub fn selection_strategy(mut self, strategy: SelectionStrategy) -> Self {
-        self.selection = strategy;
-        self
-    }
-
-    /// The configured selection strategy.
-    pub fn selection_strategy_value(&self) -> SelectionStrategy {
-        self.selection
     }
 
     /// Caps the candidate frontier `N(P_k)` at `cap` vertices: once the

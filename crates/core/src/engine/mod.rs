@@ -23,42 +23,34 @@
 //! * an eager-admission policy keyed on residual degree gives NE
 //!   (implemented as `NePolicy` in the `tlp-baselines` crate).
 //!
-//! # Selection strategies
+//! # Frontier selection
 //!
-//! Three implementations of "pick the optimal frontier vertex" exist for
-//! the staged policies, chosen by [`SelectionStrategy`]; all compute the
-//! identical argmax (ties included) and thus identical partitions:
+//! [`StagedPolicy`] locates the stage's argmax with lazy heaps: a max-heap
+//! over the Stage I key, plus one min-heap on `e_ext` per `e_in` value for
+//! Stage II. The latter is sound because a frontier candidate's residual
+//! degree never changes while it waits (its edges are only consumed when
+//! it joins), so `e_in` grows monotonically, `e_ext = residual_degree -
+//! e_in` shrinks monotonically, and the Stage II objective is increasing
+//! in `e_in` / decreasing in `e_ext` — the bucket minimum is the only
+//! candidate of its `e_in` class that can win. Stale entries are dropped
+//! when they reach the top.
 //!
-//! * **LinearScan** — scan the whole frontier per step, exactly as written
-//!   in Algorithm 1 (`O(|N(P_k)|)` per step).
-//! * **IndexedHeap** — a lazy max-heap over the Stage I key, plus one lazy
-//!   min-heap on `e_ext` per `e_in` value for Stage II. The latter is sound
-//!   because a frontier candidate's residual degree never changes while it
-//!   waits (its edges are only consumed when it joins), so `e_in` grows
-//!   monotonically, `e_ext = residual_degree - e_in` shrinks monotonically,
-//!   and the Stage II objective is increasing in `e_in` / decreasing in
-//!   `e_ext` — the bucket minimum is the only candidate of its `e_in` class
-//!   that can win.
-//! * **Incremental** — the same heaps, fed by dirty-marking: candidate
-//!   state changes between two selections only mark the vertex, and every
-//!   pending mark is flushed as one current-state entry at selection time.
-//!   A hub touched by `d` edge events costs one heap entry instead of `d`
-//!   stale ones. The pop-time validation is unchanged, so stale entries
-//!   from earlier flushes are discarded exactly as under `IndexedHeap`.
+//! [`ScanPolicy`] is the reference: it scans the whole frontier per step,
+//! exactly as Algorithm 1 is written (`O(|N(P_k)|)` per step). The two
+//! compute the identical argmax, ties included, and therefore identical
+//! partitions; tests pin that by running both through [`run`].
 //!
-//! Independent of the strategy, Stage I scores (`mu1`) are maintained
+//! Under either policy, Stage I scores (`mu1`) are maintained
 //! incrementally by `Workspace::refresh_mu1`: when a member is admitted,
 //! only frontier vertices adjacent to it are rescored, each term is pruned
 //! by a degree upper bound when it provably cannot raise the candidate's
 //! running maximum, and intersections against the admitted member run on
 //! the loaded [`IntersectionKernel`](tlp_graph::intersect::IntersectionKernel)
 //! with per-admission memoization. All of these are value-neutral, so
-//! every strategy still sees the exact Eq. 7 scores.
+//! both policies see the exact Eq. 7 scores.
 //!
 //! All ties are broken by explicit deterministic keys, so results are
-//! reproducible across runs and platforms under any strategy.
-//!
-//! [`SelectionStrategy`]: crate::SelectionStrategy
+//! reproducible across runs and platforms.
 
 mod frontier;
 mod policy;
@@ -66,8 +58,8 @@ mod round;
 mod workspace;
 
 pub use policy::{
-    AdmissionMode, EdgeRatioSwitch, GrowthState, ModularitySwitch, Selection, SelectionPolicy,
-    StageSwitch, StagedPolicy,
+    AdmissionMode, EdgeRatioSwitch, GrowthState, ModularitySwitch, ScanPolicy, Selection,
+    SelectionPolicy, StageSwitch, StagedPolicy,
 };
 pub use round::{run, run_with_checkpoints, CheckpointSink};
 pub use workspace::Workspace;
@@ -79,15 +71,14 @@ use crate::trace::Trace;
 use crate::PartitionError;
 use tlp_graph::GraphView;
 
-/// Convenience: runs the staged (TLP-family) policy under `switch` with the
-/// configured selection strategy.
+/// Convenience: runs the staged (TLP-family) policy under `switch`.
 pub(crate) fn run_staged<'g, S: StageSwitch>(
     graph: impl Into<GraphView<'g>>,
     num_partitions: usize,
     config: &TlpConfig,
     switch: S,
 ) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
-    let mut policy = StagedPolicy::new(switch, config.selection_strategy_value());
+    let mut policy = StagedPolicy::new(switch);
     run(graph, num_partitions, config, &mut policy)
 }
 
@@ -101,6 +92,6 @@ pub(crate) fn run_staged_with_checkpoints<'g, S: StageSwitch>(
     resume: Option<&EngineCheckpoint>,
     sink: Option<CheckpointSink<'_>>,
 ) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
-    let mut policy = StagedPolicy::new(switch, config.selection_strategy_value());
+    let mut policy = StagedPolicy::new(switch);
     run_with_checkpoints(graph, num_partitions, config, &mut policy, resume, sink)
 }

@@ -4,7 +4,6 @@
 
 use super::frontier;
 use super::workspace::{StagedIndex, Workspace};
-use crate::config::SelectionStrategy;
 use crate::modularity::Modularity;
 use crate::trace::Stage;
 use tlp_graph::{ResidualGraph, VertexId};
@@ -122,21 +121,28 @@ impl StageSwitch for EdgeRatioSwitch {
     }
 }
 
+/// The [`GrowthState`]'s stage under `switch`.
+fn stage_of<S: StageSwitch>(switch: &S, state: GrowthState) -> Stage {
+    switch.choose(
+        Modularity::new(state.internal, state.external),
+        state.internal,
+        state.capacity,
+    )
+}
+
 /// The TLP-family selection policy: a [`StageSwitch`] decides the stage,
-/// then either the reference linear scan or the indexed lazy heaps pick the
-/// stage's argmax (both produce the identical vertex, ties included).
+/// then lazy heaps locate the stage's argmax without scanning the frontier
+/// (the same vertex [`ScanPolicy`] picks, ties included).
 pub struct StagedPolicy<S> {
     switch: S,
-    strategy: SelectionStrategy,
     index: StagedIndex,
 }
 
 impl<S: StageSwitch> StagedPolicy<S> {
-    /// Creates the policy with the given switching rule and strategy.
-    pub fn new(switch: S, strategy: SelectionStrategy) -> Self {
+    /// Creates the policy with the given switching rule.
+    pub fn new(switch: S) -> Self {
         StagedPolicy {
             switch,
-            strategy,
             index: StagedIndex::default(),
         }
     }
@@ -150,13 +156,7 @@ impl<S: StageSwitch> SelectionPolicy for StagedPolicy<S> {
         v: VertexId,
         round: u32,
     ) {
-        match self.strategy {
-            SelectionStrategy::IndexedHeap => {
-                self.index.push_candidate_state(ws, residual, v, round);
-            }
-            SelectionStrategy::Incremental => self.index.mark_dirty(v, round),
-            SelectionStrategy::LinearScan => {}
-        }
+        self.index.push_candidate_state(ws, residual, v, round);
     }
 
     fn select(
@@ -165,42 +165,65 @@ impl<S: StageSwitch> SelectionPolicy for StagedPolicy<S> {
         residual: &ResidualGraph<'_>,
         state: GrowthState,
     ) -> Selection {
-        let stage = self.switch.choose(
-            Modularity::new(state.internal, state.external),
-            state.internal,
-            state.capacity,
-        );
-        // Incremental: all candidate-state changes since the last selection
-        // were only *marked*; materialize each pending candidate's current
-        // state as one heap entry, then select exactly as `IndexedHeap`.
-        if self.strategy == SelectionStrategy::Incremental {
-            self.index.flush_dirty(ws, residual);
-        }
-        let vertex = match (stage, self.strategy) {
-            (Stage::One, SelectionStrategy::LinearScan) => {
-                frontier::select_stage_one_scan(ws, residual)
-            }
-            (Stage::One, SelectionStrategy::IndexedHeap | SelectionStrategy::Incremental) => {
-                frontier::select_stage_one_heap(&mut self.index, ws, residual)
-            }
-            (Stage::Two, SelectionStrategy::LinearScan) => {
-                frontier::select_stage_two_scan(ws, residual, state.internal, state.external)
-            }
-            (Stage::Two, SelectionStrategy::IndexedHeap | SelectionStrategy::Incremental) => {
-                frontier::select_stage_two_heap(
-                    &mut self.index,
-                    ws,
-                    residual,
-                    state.internal,
-                    state.external,
-                )
-            }
+        let stage = stage_of(&self.switch, state);
+        let vertex = match stage {
+            Stage::One => frontier::select_stage_one_heap(&mut self.index, ws, residual),
+            Stage::Two => frontier::select_stage_two_heap(
+                &mut self.index,
+                ws,
+                residual,
+                state.internal,
+                state.external,
+            ),
         };
         Selection { vertex, stage }
     }
 
     fn end_round(&mut self) {
         self.index.clear();
+    }
+}
+
+/// The staged policy as Algorithm 1 is written: every selection scans the
+/// whole frontier for the stage's argmax (`O(|N(P_k)|)` per step).
+///
+/// This is the reference [`StagedPolicy`] is tested against; no
+/// configuration selects it. Run it through [`run`](super::run).
+pub struct ScanPolicy<S> {
+    switch: S,
+}
+
+impl<S: StageSwitch> ScanPolicy<S> {
+    /// Creates the reference policy with the given switching rule.
+    pub fn new(switch: S) -> Self {
+        ScanPolicy { switch }
+    }
+}
+
+impl<S: StageSwitch> SelectionPolicy for ScanPolicy<S> {
+    fn on_candidate(
+        &mut self,
+        _ws: &Workspace,
+        _residual: &ResidualGraph<'_>,
+        _v: VertexId,
+        _round: u32,
+    ) {
+    }
+
+    fn select(
+        &mut self,
+        ws: &Workspace,
+        residual: &ResidualGraph<'_>,
+        state: GrowthState,
+    ) -> Selection {
+        let stage = stage_of(&self.switch, state);
+        let vertex = match stage {
+            Stage::One => frontier::select_stage_one_scan(ws, residual),
+            Stage::Two => {
+                frontier::select_stage_two_scan(ws, residual, state.internal, state.external)
+            }
+        };
+        Selection { vertex, stage }
     }
 }
 

@@ -7,7 +7,7 @@ use super::workspace::{ScoringCounters, Workspace};
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{ReseedPolicy, TlpConfig};
 use crate::partition::{EdgePartition, PartitionId};
-use crate::trace::{RoundScoring, SelectionRecord, Trace};
+use crate::trace::{SelectionRecord, Trace};
 use crate::PartitionError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -256,14 +256,6 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         }
     }
 
-    if let Some(t) = trace {
-        t.push_round_scoring(RoundScoring {
-            partition: k,
-            rescored: ws.scoring.rescored,
-            skipped: ws.scoring.skipped,
-            cache_hits: ws.scoring.cache_hits,
-        });
-    }
     if tlp_obs::is_enabled() {
         // Round-granularity flush: the per-selection hot path never emits.
         tlp_obs::counter("round.select", u64::from(step));
@@ -400,9 +392,8 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{run_staged, EdgeRatioSwitch, ModularitySwitch};
+    use super::super::{run_staged, EdgeRatioSwitch, ModularitySwitch, ScanPolicy};
     use super::*;
-    use crate::config::SelectionStrategy;
     use crate::trace::Stage;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -546,23 +537,11 @@ mod tests {
             for reseed in [ReseedPolicy::Reseed, ReseedPolicy::Break] {
                 for p in [2, 5, 9] {
                     for seed in [0u64, 1, 2] {
-                        let base = TlpConfig::new().seed(seed).reseed_policy(reseed);
-                        let scan = run_staged(
-                            graph,
-                            p,
-                            &base.selection_strategy(SelectionStrategy::LinearScan),
-                            ModularitySwitch,
-                        )
-                        .unwrap()
-                        .0;
-                        let heap = run_staged(
-                            graph,
-                            p,
-                            &base.selection_strategy(SelectionStrategy::IndexedHeap),
-                            ModularitySwitch,
-                        )
-                        .unwrap()
-                        .0;
+                        let config = TlpConfig::new().seed(seed).reseed_policy(reseed);
+                        let scan = run(graph, p, &config, &mut ScanPolicy::new(ModularitySwitch))
+                            .unwrap()
+                            .0;
+                        let heap = run_staged(graph, p, &config, ModularitySwitch).unwrap().0;
                         assert_eq!(
                             scan, heap,
                             "graph {gi}, reseed {reseed:?}, p={p}, seed={seed}"
@@ -615,37 +594,16 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Same equivalence for the TLP_R stage policy across the R sweep,
-    /// for both indexed strategies.
+    /// Same equivalence for the TLP_R stage policy across the R sweep.
     #[test]
     fn indexed_selection_equals_linear_scan_for_tlp_r() {
         let g = tlp_graph::generators::chung_lu(250, 1200, 2.2, 9);
+        let config = TlpConfig::new().seed(4);
         for r in [0.0, 0.3, 0.7, 1.0] {
             let switch = EdgeRatioSwitch { ratio: r };
-            let scan = run_staged(
-                &g,
-                6,
-                &TlpConfig::new()
-                    .seed(4)
-                    .selection_strategy(SelectionStrategy::LinearScan),
-                switch,
-            )
-            .unwrap()
-            .0;
-            for strategy in [
-                SelectionStrategy::IndexedHeap,
-                SelectionStrategy::Incremental,
-            ] {
-                let indexed = run_staged(
-                    &g,
-                    6,
-                    &TlpConfig::new().seed(4).selection_strategy(strategy),
-                    switch,
-                )
-                .unwrap()
-                .0;
-                assert_eq!(scan, indexed, "R = {r}, strategy {strategy:?}");
-            }
+            let scan = run(&g, 6, &config, &mut ScanPolicy::new(switch)).unwrap().0;
+            let indexed = run_staged(&g, 6, &config, switch).unwrap().0;
+            assert_eq!(scan, indexed, "R = {r}");
         }
     }
 

@@ -7,13 +7,16 @@ use std::collections::BinaryHeap;
 use tlp_graph::intersect::{sorted_intersection_size, IntersectionKernel};
 use tlp_graph::{EdgeId, GraphView, ResidualGraph, VertexId};
 
-/// Frontier-scoring effort counters, accumulated per round (see
-/// [`RoundScoring`](crate::trace::RoundScoring) for field semantics).
+/// Frontier-scoring effort counters, accumulated per round and flushed as
+/// the `scoring.*` obs counters. `rescored + skipped + cache_hits` is the
+/// number of closeness terms a from-scratch engine would compute with a
+/// full intersection each.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ScoringCounters {
     /// Closeness terms computed with a real intersection.
     pub(crate) rescored: u64,
-    /// Closeness terms pruned by the degree upper bound.
+    /// Closeness terms pruned by the degree upper bound (the term could
+    /// not have beaten the candidate's running maximum).
     pub(crate) skipped: u64,
     /// Closeness terms served from the admitted-member cache.
     pub(crate) cache_hits: u64,
@@ -214,13 +217,6 @@ pub(crate) struct StagedIndex {
     pub(crate) active_buckets: Vec<u32>,
     /// Round stamp marking a bucket as listed in `active_buckets`.
     pub(crate) bucket_stamp: Vec<u32>,
-    /// Dirty flag per vertex (`Incremental` strategy): state changed since
-    /// the candidate's last heap push.
-    pub(crate) dirty: Vec<bool>,
-    /// Dirty vertices awaiting a flush, deduplicated via `dirty`.
-    pub(crate) dirty_list: Vec<VertexId>,
-    /// Round the pending dirty marks belong to (for the flushed pushes).
-    pub(crate) dirty_round: u32,
 }
 
 impl StagedIndex {
@@ -253,41 +249,6 @@ impl StagedIndex {
         self.stage2_buckets[bucket].push(Reverse((res_deg - e_in, v)));
     }
 
-    /// Records that candidate `v`'s state changed (`Incremental` strategy):
-    /// instead of pushing a heap entry per event, the vertex is queued once
-    /// and its *final* state is pushed by [`flush_dirty`](Self::flush_dirty)
-    /// at selection time. Hub candidates touched by many edge events between
-    /// two selections thus cost one entry, not one per event.
-    pub(crate) fn mark_dirty(&mut self, v: VertexId, round: u32) {
-        let vi = v as usize;
-        if vi >= self.dirty.len() {
-            self.dirty.resize(vi + 1, false);
-        }
-        if !self.dirty[vi] {
-            self.dirty[vi] = true;
-            self.dirty_list.push(v);
-        }
-        self.dirty_round = round;
-    }
-
-    /// Pushes the current state of every pending dirty candidate into the
-    /// priority structures and clears the marks. After a flush the heaps
-    /// hold a valid (current-state) entry for every frontier candidate
-    /// whose state changed, so the lazy-heap selectors see exactly what
-    /// they would under `IndexedHeap`.
-    pub(crate) fn flush_dirty(&mut self, ws: &Workspace, residual: &ResidualGraph<'_>) {
-        let mut list = std::mem::take(&mut self.dirty_list);
-        for &v in &list {
-            self.dirty[v as usize] = false;
-            // Admitted while dirty: no longer a candidate, nothing to push.
-            if ws.in_frontier[v as usize] {
-                self.push_candidate_state(ws, residual, v, self.dirty_round);
-            }
-        }
-        list.clear();
-        self.dirty_list = list;
-    }
-
     /// Clears all per-round entries (bucket stamps persist; they are
     /// compared against the round index, which never repeats in a run).
     pub(crate) fn clear(&mut self) {
@@ -296,9 +257,5 @@ impl StagedIndex {
             self.stage2_buckets[b as usize].clear();
         }
         self.active_buckets.clear();
-        for &v in &self.dirty_list {
-            self.dirty[v as usize] = false;
-        }
-        self.dirty_list.clear();
     }
 }

@@ -53,7 +53,7 @@ pub mod stage1;
 pub mod stage2;
 
 pub use checkpoint::EngineCheckpoint;
-pub use config::{ReseedPolicy, SelectionStrategy, TlpConfig};
+pub use config::{ReseedPolicy, TlpConfig};
 pub use error::PartitionError;
 pub use metrics::{PartitionMetrics, StreamedMetrics};
 pub use modularity::Modularity;
@@ -71,4 +71,4 @@ pub use pipeline::{
 pub use single_stage::{StageOneOnlyPartitioner, StageTwoOnlyPartitioner};
 pub use tlp::TwoStageLocalPartitioner;
 pub use tlp_r::EdgeRatioLocalPartitioner;
-pub use trace::{RoundScoring, SelectionRecord, Stage, StageDegreeSummary, Trace};
+pub use trace::{SelectionRecord, Stage, StageDegreeSummary, Trace};

@@ -98,7 +98,10 @@ impl EdgePartition {
     ///
     /// Returns [`PartitionError::InvalidAssignment`] if the edge counts
     /// disagree.
-    pub fn validate_for<'a>(&self, graph: impl Into<tlp_graph::GraphView<'a>>) -> Result<(), PartitionError> {
+    pub fn validate_for<'a>(
+        &self,
+        graph: impl Into<tlp_graph::GraphView<'a>>,
+    ) -> Result<(), PartitionError> {
         let graph = graph.into();
         if self.assignment.len() != graph.num_edges() {
             return Err(PartitionError::InvalidAssignment(format!(

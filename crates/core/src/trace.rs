@@ -39,33 +39,12 @@ pub struct StageDegreeSummary {
     pub stage2_avg_degree: f64,
 }
 
-/// Per-round frontier-scoring effort: how much closeness work the
-/// incremental Stage I maintenance actually did versus pruned away.
-///
-/// One record per partition round. `rescored + skipped + cache_hits` is
-/// the number of closeness terms the naive engine would have computed
-/// with a full intersection each.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoundScoring {
-    /// Partition grown in this round (`0..p`).
-    pub partition: u32,
-    /// Closeness terms computed with a real neighborhood intersection.
-    pub rescored: u64,
-    /// Closeness terms pruned by the degree upper bound (the term could
-    /// not have beaten the candidate's running maximum).
-    pub skipped: u64,
-    /// Closeness terms answered from the admitted-member intersection
-    /// cache without recomputing.
-    pub cache_hits: u64,
-}
-
 /// The complete selection log of one partitioning run.
 ///
 /// Produced when [`crate::TlpConfig::record_trace`] is enabled.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     records: Vec<SelectionRecord>,
-    round_scoring: Vec<RoundScoring>,
 }
 
 impl Trace {
@@ -82,16 +61,6 @@ impl Trace {
     /// All selections in order.
     pub fn records(&self) -> &[SelectionRecord] {
         &self.records
-    }
-
-    /// Appends one round's scoring counters.
-    pub fn push_round_scoring(&mut self, scoring: RoundScoring) {
-        self.round_scoring.push(scoring);
-    }
-
-    /// Per-round frontier-scoring effort, in round order.
-    pub fn round_scoring(&self) -> &[RoundScoring] {
-        &self.round_scoring
     }
 
     /// Number of selections recorded.

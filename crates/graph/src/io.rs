@@ -4,8 +4,13 @@
 //! `#`-prefixed comment lines. Vertex ids in those files are arbitrary
 //! integers; [`read_edge_list`] densifies them to `0..n` and returns the
 //! mapping so results can be reported in original ids if needed.
+//!
+//! [`EdgeListReader`] is the one parser of the format: [`read_edge_list`]
+//! builds a graph from it, and the bounded-memory text source in
+//! `tlp-store` streams from it, so both number vertices identically and
+//! report the same errors.
 
-use crate::{CsrGraph, GraphBuilder, GraphError, VertexId};
+use crate::{CsrGraph, Edge, GraphBuilder, GraphError, VertexId};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -44,41 +49,89 @@ pub struct LoadedGraph {
 /// # Ok::<(), tlp_graph::GraphError>(())
 /// ```
 pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, GraphError> {
-    let reader = BufReader::new(reader);
-    let mut remap: HashMap<u64, VertexId> = HashMap::new();
-    let mut original_ids: Vec<u64> = Vec::new();
+    let mut edges = EdgeListReader::new(BufReader::new(reader));
     let mut builder = GraphBuilder::new();
-
-    let mut intern = |raw: u64, original_ids: &mut Vec<u64>| -> Result<VertexId, GraphError> {
-        if let Some(&id) = remap.get(&raw) {
-            return Ok(id);
-        }
-        let id = VertexId::try_from(original_ids.len())
-            .map_err(|_| GraphError::Invalid("more than u32::MAX vertices".into()))?;
-        remap.insert(raw, id);
-        original_ids.push(raw);
-        Ok(id)
-    };
-
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line_no = idx + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut fields = trimmed.split_whitespace();
-        let a = parse_field(fields.next(), line_no, "source vertex")?;
-        let b = parse_field(fields.next(), line_no, "target vertex")?;
-        let a = intern(a, &mut original_ids)?;
-        let b = intern(b, &mut original_ids)?;
-        builder.push_edge(a, b);
+    while let Some(edge) = edges.next_edge()? {
+        builder.push_edge(edge.source(), edge.target());
     }
-
+    let original_ids = edges.into_original_ids();
     Ok(LoadedGraph {
-        graph: builder.build(),
+        graph: builder.reserve_vertices(original_ids.len()).build(),
         original_ids,
     })
+}
+
+/// Line-by-line reader of a SNAP-style edge list.
+///
+/// Skips blank and comment lines, ignores extra columns, and interns raw
+/// ids to dense `0..n` in first-seen order. Both endpoints of every data
+/// line are interned before a self-loop is dropped, so a vertex seen only
+/// in a self-loop still gets its id. Duplicate edges are passed through;
+/// [`read_edge_list`] removes them when it builds the graph.
+#[derive(Debug)]
+pub struct EdgeListReader<R> {
+    reader: R,
+    line: String,
+    line_no: usize,
+    remap: HashMap<u64, VertexId>,
+    original_ids: Vec<u64>,
+}
+
+impl<R: BufRead> EdgeListReader<R> {
+    /// Wraps a buffered reader positioned at the start of the list.
+    pub fn new(reader: R) -> Self {
+        EdgeListReader {
+            reader,
+            line: String::new(),
+            line_no: 0,
+            remap: HashMap::new(),
+            original_ids: Vec::new(),
+        }
+    }
+
+    /// The next non-loop edge in dense ids, or `Ok(None)` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::Io`] on read failure, [`GraphError::Parse`] on a
+    /// malformed line, [`GraphError::Invalid`] past `u32::MAX` vertices.
+    pub fn next_edge(&mut self) -> Result<Option<Edge>, GraphError> {
+        loop {
+            self.line.clear();
+            if self.reader.read_line(&mut self.line)? == 0 {
+                return Ok(None);
+            }
+            self.line_no += 1;
+            let trimmed = self.line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
+                continue;
+            }
+            let mut fields = trimmed.split_whitespace();
+            let a = parse_field(fields.next(), self.line_no, "source vertex")?;
+            let b = parse_field(fields.next(), self.line_no, "target vertex")?;
+            let a = self.intern(a)?;
+            let b = self.intern(b)?;
+            if a != b {
+                return Ok(Some(Edge::new(a, b)));
+            }
+        }
+    }
+
+    /// The raw id of each dense vertex, in first-seen order.
+    pub fn into_original_ids(self) -> Vec<u64> {
+        self.original_ids
+    }
+
+    fn intern(&mut self, raw: u64) -> Result<VertexId, GraphError> {
+        if let Some(&id) = self.remap.get(&raw) {
+            return Ok(id);
+        }
+        let id = VertexId::try_from(self.original_ids.len())
+            .map_err(|_| GraphError::Invalid("more than u32::MAX vertices".into()))?;
+        self.remap.insert(raw, id);
+        self.original_ids.push(raw);
+        Ok(id)
+    }
 }
 
 fn parse_field(field: Option<&str>, line: usize, what: &str) -> Result<u64, GraphError> {
@@ -142,6 +195,21 @@ mod tests {
         let loaded = read_edge_list(data.as_bytes()).unwrap();
         assert_eq!(loaded.graph.num_edges(), 1);
         assert_eq!(loaded.graph.num_vertices(), 2);
+    }
+
+    #[test]
+    fn self_loop_endpoints_are_numbered_before_the_loop_is_dropped() {
+        let data = "5 5\n1 2\n2 3\n";
+        let mut reader = EdgeListReader::new(data.as_bytes());
+        let mut edges = Vec::new();
+        while let Some(edge) = reader.next_edge().unwrap() {
+            edges.push(edge);
+        }
+        assert_eq!(edges, vec![Edge::new(1, 2), Edge::new(2, 3)]);
+        assert_eq!(reader.into_original_ids(), vec![5, 1, 2, 3]);
+        let loaded = read_edge_list(data.as_bytes()).unwrap();
+        assert_eq!(loaded.graph.num_vertices(), 4);
+        assert_eq!(loaded.graph.edges().to_vec(), edges);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use csr::CsrGraph;
 pub use edge::{Edge, EdgeId, VertexId};
 pub use error::GraphError;
 pub use residual::ResidualGraph;
-pub use source::{CsrSource, EdgeSource, PassStats, SourceError};
+pub use source::{ChunkedSink, CsrSource, EdgeSource, PassStats, SourceError};
 pub use view::{EdgeTable, GraphView};
 
 // Parallel trial runners share one `CsrGraph` across worker threads and

@@ -9,10 +9,12 @@
 //!   edge sequence with a bounded buffer (the streaming baselines and the
 //!   streamed metrics accumulator).
 //!
-//! `EdgeSource` is the common handle over both. An in-memory [`CsrGraph`]
-//! implements it directly (random access is free, a streaming pass walks
-//! the edge table in natural `EdgeId` order); the on-disk sources in
-//! `tlp-store` implement it over the bounded-memory `EdgeStream` family,
+//! `EdgeSource` is the common handle over both, and the only edge-streaming
+//! interface in the workspace. An in-memory [`CsrGraph`] implements it
+//! directly (random access is free, a streaming pass walks the edge table
+//! in natural `EdgeId` order); [`CsrSource`] does the same for a shared
+//! graph, with an optional chunk budget; the on-disk sources in
+//! `tlp-store` decode `.tlpg` and text files in budget-bounded chunks,
 //! reporting [`supports_random_access`](EdgeSource::supports_random_access)
 //! `false` when a strict memory budget forbids materialization. The
 //! pipeline layer in `tlp-core` dispatches on that capability instead of
@@ -24,7 +26,7 @@
 //! pair its second sweep with the assignments recorded in the first.
 
 use crate::view::EdgeTable;
-use crate::{CsrGraph, Edge, GraphView};
+use crate::{CsrGraph, Edge, GraphError, GraphView};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -86,6 +88,17 @@ impl From<std::io::Error> for SourceError {
     }
 }
 
+/// An I/O failure stays [`SourceError::Io`]; a malformed or oversized
+/// input becomes [`SourceError::Corrupt`] with the graph error's message.
+impl From<GraphError> for SourceError {
+    fn from(e: GraphError) -> Self {
+        match e {
+            GraphError::Io(io) => SourceError::Io(io),
+            other => SourceError::Corrupt(other.to_string()),
+        }
+    }
+}
+
 /// What one completed streaming pass observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PassStats {
@@ -142,64 +155,73 @@ pub trait EdgeSource {
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError>;
 }
 
-/// Chunk length an in-memory source uses for streaming passes. Chunking an
-/// in-memory slice costs nothing and keeps sink call patterns comparable
-/// to the disk sources.
+/// Default chunk length an in-memory source uses for streaming passes.
+/// Chunking an in-memory slice costs nothing and keeps sink call patterns
+/// comparable to the disk sources.
 const CSR_PASS_CHUNK: usize = 1 << 16;
 
-fn csr_pass<'a>(graph: impl Into<GraphView<'a>>, sink: &mut dyn FnMut(&[Edge])) -> PassStats {
-    let graph = graph.into();
-    let mut peak = 0usize;
-    match graph.edge_table() {
-        // The CSR backing already holds canonical edge structs: lend
-        // slices of it directly, no copies.
-        EdgeTable::Structs(edges) => {
-            for chunk in edges.chunks(CSR_PASS_CHUNK.max(1)) {
-                peak = peak.max(chunk.len());
-                sink(chunk);
-            }
-        }
-        // The arena backing stores raw endpoint words; assemble bounded
-        // chunks of `Edge` structs so sinks see the same call pattern.
-        EdgeTable::Pairs(_) => {
-            let mut buffer = Vec::with_capacity(CSR_PASS_CHUNK.min(graph.num_edges()).max(1));
-            for edge in graph.edge_iter() {
-                buffer.push(edge);
-                if buffer.len() == CSR_PASS_CHUNK.max(1) {
-                    peak = peak.max(buffer.len());
-                    sink(&buffer);
-                    buffer.clear();
-                }
-            }
-            if !buffer.is_empty() {
-                peak = peak.max(buffer.len());
-                sink(&buffer);
-            }
+/// Hands a pass's edges to its sink in chunks of at most `budget` edges
+/// and tallies the [`PassStats`] — the chunking every [`EdgeSource`]
+/// shares.
+///
+/// A full chunk is handed over only when the next edge arrives, and the
+/// last one only by [`finish`](Self::finish), so a source can still fail
+/// the pass after decoding its final edge (e.g. on a checksum) without
+/// the sink having seen it.
+pub struct ChunkedSink<'s> {
+    sink: &'s mut dyn FnMut(&[Edge]),
+    chunk: Vec<Edge>,
+    budget: usize,
+    edges: usize,
+    peak: usize,
+}
+
+impl<'s> ChunkedSink<'s> {
+    /// Chunks for `sink`, at most `budget` (at least 1) edges at a time.
+    pub fn new(sink: &'s mut dyn FnMut(&[Edge]), budget: usize) -> Self {
+        ChunkedSink {
+            sink,
+            chunk: Vec::new(),
+            budget: budget.max(1),
+            edges: 0,
+            peak: 0,
         }
     }
-    PassStats {
-        edges: graph.num_edges(),
-        peak_buffer: peak,
+
+    /// Appends the next edge, first handing over the pending chunk if it
+    /// is full.
+    pub fn push(&mut self, edge: Edge) {
+        if self.chunk.len() == self.budget {
+            self.flush();
+        }
+        self.chunk.push(edge);
+    }
+
+    /// Hands over the last chunk and returns the pass's statistics.
+    pub fn finish(mut self) -> PassStats {
+        self.flush();
+        PassStats {
+            edges: self.edges,
+            peak_buffer: self.peak,
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.chunk.is_empty() {
+            self.edges += self.chunk.len();
+            self.peak = self.peak.max(self.chunk.len());
+            (self.sink)(&self.chunk);
+            self.chunk.clear();
+        }
     }
 }
 
-fn csr_degrees<'a>(graph: impl Into<GraphView<'a>>) -> Vec<u32> {
-    let graph = graph.into();
-    graph
-        .vertices()
-        .map(|v| graph.degree(v) as u32)
-        .collect::<Vec<_>>()
-}
-
-/// An owned in-memory graph as an [`EdgeSource`]: random access is free,
-/// streaming passes walk the edge table in natural `EdgeId` order.
+/// An owned in-memory graph as an [`EdgeSource`]: the same source as
+/// [`CsrSource::new`] over it (random access is free, streaming passes
+/// walk the edge table in natural `EdgeId` order).
 impl EdgeSource for CsrGraph {
     fn describe(&self) -> String {
-        format!(
-            "csr({} vertices, {} edges)",
-            self.num_vertices(),
-            self.num_edges()
-        )
+        CsrSource::new(self).describe()
     }
 
     fn num_vertices_hint(&self) -> Option<usize> {
@@ -211,7 +233,7 @@ impl EdgeSource for CsrGraph {
     }
 
     fn degrees_hint(&self) -> Option<Vec<u32>> {
-        Some(csr_degrees(self))
+        CsrSource::new(self).degrees_hint()
     }
 
     fn supports_random_access(&self) -> bool {
@@ -223,7 +245,7 @@ impl EdgeSource for CsrGraph {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        Ok(csr_pass(self.view(), sink))
+        CsrSource::new(&*self).stream_pass(sink)
     }
 }
 
@@ -236,13 +258,23 @@ impl EdgeSource for CsrGraph {
 #[derive(Debug)]
 pub struct CsrSource<'a> {
     graph: GraphView<'a>,
+    budget: usize,
 }
 
 impl<'a> CsrSource<'a> {
     /// Wraps a shared graph reference or view.
     pub fn new(graph: impl Into<GraphView<'a>>) -> Self {
+        Self::with_budget(graph, CSR_PASS_CHUNK)
+    }
+
+    /// Wraps a shared graph with a per-pass chunk budget: random access
+    /// is still free, but passes hand the sink at most `budget` edges at
+    /// a time, so a streaming algorithm's reported peak buffer honors the
+    /// same `--stream-budget` bound as the disk sources.
+    pub fn with_budget(graph: impl Into<GraphView<'a>>, budget: usize) -> Self {
         CsrSource {
             graph: graph.into(),
+            budget,
         }
     }
 }
@@ -265,7 +297,8 @@ impl EdgeSource for CsrSource<'_> {
     }
 
     fn degrees_hint(&self) -> Option<Vec<u32>> {
-        Some(csr_degrees(self.graph))
+        let graph = self.graph;
+        Some(graph.vertices().map(|v| graph.degree(v) as u32).collect())
     }
 
     fn supports_random_access(&self) -> bool {
@@ -276,8 +309,30 @@ impl EdgeSource for CsrSource<'_> {
         Ok(self.graph)
     }
 
+    /// One pass in natural order, in chunks of at most `budget` edges.
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        Ok(csr_pass(self.graph, sink))
+        match self.graph.edge_table() {
+            // The CSR backing already holds canonical edge structs: lend
+            // slices of it directly, no copies.
+            EdgeTable::Structs(edges) => {
+                let mut peak = 0usize;
+                for slice in edges.chunks(self.budget.max(1)) {
+                    peak = peak.max(slice.len());
+                    sink(slice);
+                }
+                Ok(PassStats {
+                    edges: edges.len(),
+                    peak_buffer: peak,
+                })
+            }
+            // The arena backing stores raw endpoint words; assemble bounded
+            // chunks of `Edge` structs so sinks see the same call pattern.
+            EdgeTable::Pairs(_) => {
+                let mut out = ChunkedSink::new(sink, self.budget);
+                self.graph.edge_iter().for_each(|edge| out.push(edge));
+                Ok(out.finish())
+            }
+        }
     }
 }
 
@@ -331,6 +386,35 @@ mod tests {
         assert_eq!(seen, g.edges().to_vec());
         let view = shared.random_access().unwrap();
         assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+    }
+
+    #[test]
+    fn budgeted_source_bounds_chunks() {
+        let g = crate::generators::chung_lu(200, 900, 2.2, 3);
+        for budget in [1usize, 17, usize::MAX] {
+            let mut source = CsrSource::with_budget(&g, budget);
+            let mut seen = Vec::new();
+            let stats = source
+                .stream_pass(&mut |chunk| {
+                    assert!(chunk.len() <= budget);
+                    seen.extend_from_slice(chunk);
+                })
+                .unwrap();
+            assert_eq!(seen, g.edges().to_vec());
+            assert_eq!(stats.peak_buffer, budget.min(g.num_edges()));
+        }
+    }
+
+    #[test]
+    fn graph_errors_map_to_source_errors() {
+        let parse = GraphError::Parse {
+            line: 2,
+            message: "bad".into(),
+        };
+        let message = parse.to_string();
+        assert!(matches!(SourceError::from(parse), SourceError::Corrupt(m) if m == message));
+        let io = GraphError::Io(std::io::Error::other("disk"));
+        assert!(matches!(SourceError::from(io), SourceError::Io(_)));
     }
 
     #[test]

@@ -450,10 +450,13 @@ mod tests {
                 .is_err()
         );
         let decreasing = [0u64, 5, 3, v.adj_vertex().len() as u64];
-        assert!(
-            GraphView::from_sections(&decreasing, v.adj_vertex(), v.adj_edge(), v.edge_table())
-                .is_err()
-        );
+        assert!(GraphView::from_sections(
+            &decreasing,
+            v.adj_vertex(),
+            v.adj_edge(),
+            v.edge_table()
+        )
+        .is_err());
         let short_end = {
             let mut o = v.offsets().to_vec();
             *o.last_mut().unwrap() -= 1;
@@ -466,10 +469,13 @@ mod tests {
                 .is_err()
         );
         let truncated_ids = &v.adj_edge()[..v.adj_edge().len() - 1];
-        assert!(
-            GraphView::from_sections(v.offsets(), v.adj_vertex(), truncated_ids, v.edge_table())
-                .is_err()
-        );
+        assert!(GraphView::from_sections(
+            v.offsets(),
+            v.adj_vertex(),
+            truncated_ids,
+            v.edge_table()
+        )
+        .is_err());
         let odd_pairs = [0u32, 1, 2];
         assert!(GraphView::from_sections(
             v.offsets(),

@@ -12,9 +12,8 @@ use crate::ExperimentContext;
 use serde::{Deserialize, Serialize};
 use tlp_core::{observed_parallel_map, AlgoConfig, AlgorithmRegistry, RunArtifact};
 use tlp_datasets::DatasetId;
-use tlp_graph::{CsrGraph, CsrSource, EdgeSource};
+use tlp_graph::{CsrGraph, CsrSource};
 use tlp_pipeline::builtin_registry;
-use tlp_store::BudgetedCsrSource;
 
 /// The paper's Fig. 8 line-up, as registry names.
 pub const PAPER_LINEUP: [&str; 5] = ["tlp", "metis", "ldg", "dbh", "random"];
@@ -66,29 +65,14 @@ pub fn run_one(
     seed: u64,
     stream_budget: Option<usize>,
 ) -> RfRecord {
-    let config = AlgoConfig::seeded(seed);
-    let artifact = match stream_budget {
-        Some(budget) => {
-            let mut source = BudgetedCsrSource::new(graph, budget);
-            run_spec(registry, &mut source, spec, &config, p)
-        }
-        None => {
-            let mut source = CsrSource::new(graph);
-            run_spec(registry, &mut source, spec, &config, p)
-        }
-    }
-    .unwrap_or_else(|e| panic!("{spec} failed on {dataset}: {e}"));
+    let mut source = match stream_budget {
+        Some(budget) => CsrSource::with_budget(graph, budget),
+        None => CsrSource::new(graph),
+    };
+    let artifact = registry
+        .run(spec, &AlgoConfig::seeded(seed), &mut source, p)
+        .unwrap_or_else(|e| panic!("{spec} failed on {dataset}: {e}"));
     RfRecord::from_artifact(dataset, &artifact)
-}
-
-fn run_spec(
-    registry: &AlgorithmRegistry,
-    source: &mut dyn EdgeSource,
-    spec: &str,
-    config: &AlgoConfig,
-    p: usize,
-) -> Result<RunArtifact, tlp_core::PipelineError> {
-    registry.run(spec, config, source, p)
 }
 
 /// Runs the full `(p, algorithm)` matrix for one graph across

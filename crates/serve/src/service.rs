@@ -846,7 +846,11 @@ mod tests {
             },
             Request::Stats,
         ] {
-            assert_eq!(arena.handle(&request), rebuilt.handle(&request), "{request:?}");
+            assert_eq!(
+                arena.handle(&request),
+                rebuilt.handle(&request),
+                "{request:?}"
+            );
         }
 
         // A graph that does not match the store is rejected, not served.
@@ -856,11 +860,11 @@ mod tests {
             .build();
         let other_path = dir.join("other.tlpg");
         tlp_store::write_graph(&other_path, &other, &tlp_store::WriteOptions::default()).unwrap();
-        let err = match PartitionService::open_store_with_graph(&store_dir, &other_path, "greedy", 128)
-        {
-            Ok(_) => panic!("a graph that does not match the store was accepted"),
-            Err(err) => err,
-        };
+        let err =
+            match PartitionService::open_store_with_graph(&store_dir, &other_path, "greedy", 128) {
+                Ok(_) => panic!("a graph that does not match the store was accepted"),
+                Err(err) => err,
+            };
         assert!(
             matches!(err, ServiceError::Store(StoreError::Corrupt(_))),
             "{err:?}"

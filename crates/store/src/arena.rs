@@ -44,7 +44,10 @@ fn fetch(
     upto: usize,
     what: &'static str,
 ) -> Result<(), StoreError> {
-    debug_assert!(upto % 8 == 0, "section boundaries are word-aligned");
+    debug_assert!(
+        upto.is_multiple_of(8),
+        "section boundaries are word-aligned"
+    );
     let from = storage.len() * 8;
     storage.resize(upto / 8, 0);
     let bytes = bytemuck::cast_slice_mut::<u64, u8>(storage);
@@ -268,8 +271,8 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use crate::writer::{write_graph, WriteOptions};
     use crate::format::FormatVersion;
+    use crate::writer::{write_graph, WriteOptions};
     use tlp_graph::{CsrGraph, GraphBuilder};
 
     fn graph() -> CsrGraph {

@@ -49,9 +49,6 @@ pub enum StoreError {
         /// What was wrong with it.
         message: String,
     },
-    /// The stream source cannot supply the exact degrees this consumer
-    /// needs (e.g. DBH over a one-pass text stream).
-    MissingDegrees,
     /// Reconstructing the in-memory graph from stored blocks failed.
     Graph(GraphError),
     /// A partition store held segment data but no readable commit record
@@ -88,9 +85,6 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(message) => write!(f, "corrupt store file: {message}"),
             StoreError::Manifest { line, message } => {
                 write!(f, "manifest parse error at line {line}: {message}")
-            }
-            StoreError::MissingDegrees => {
-                write!(f, "stream source does not supply exact vertex degrees")
             }
             StoreError::Graph(e) => write!(f, "graph reconstruction failed: {e}"),
             StoreError::TornStore { quarantined, cause } => write!(
@@ -153,7 +147,6 @@ mod tests {
                 line: 3,
                 message: "bad field".into(),
             },
-            StoreError::MissingDegrees,
             StoreError::TornStore {
                 quarantined: "store.quarantine".into(),
                 cause: Box::new(StoreError::Truncated { what: "manifest" }),

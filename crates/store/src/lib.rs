@@ -15,14 +15,13 @@
 //!   [`tlp_graph::CsrGraph`] bit-identical to the one written.
 //!   `tlp-convert` (this crate's binary) converts text edge lists to and
 //!   from the format and upgrades v1 files in place.
-//! * **Edge streaming** — the [`EdgeStream`] trait delivers a graph's
-//!   canonical edge sequence in chunks no larger than a caller-chosen
-//!   buffer budget. Sources: [`CsrEdgeStream`] (in-memory, any visit
-//!   order), [`BinaryEdgeStream`] (sequential disk reads from a `.tlpg`
-//!   file, never materializing the edge table), and [`TextEdgeStream`]
-//!   (parse-as-you-go over a text edge list). Streaming partitioners in
-//!   `tlp-baselines` consume this trait, so their peak edge-buffer memory
-//!   is `O(budget)` instead of `O(m)`.
+//! * **Edge sources** — [`BinaryFileSource`] (sequential disk reads from a
+//!   `.tlpg` file, never materializing the edge table) and
+//!   [`TextFileSource`] (parse-as-you-go over a text edge list) implement
+//!   [`tlp_graph::EdgeSource`], delivering a graph's edge sequence in
+//!   chunks no larger than a caller-chosen buffer budget. The streaming
+//!   partitioners consume sources through the pipeline, so their peak
+//!   edge-buffer memory is `O(budget)` instead of `O(m)`.
 //! * **Partition store** — [`write_partition_store`] persists a finished
 //!   partition as per-partition edge segments plus a `MANIFEST.tlp`
 //!   replica/ownership manifest; [`PartitionStoreReader`] recomputes
@@ -68,7 +67,6 @@ mod loaded;
 mod partition_store;
 mod reader;
 mod sources;
-mod stream;
 mod wal;
 mod writer;
 
@@ -80,17 +78,12 @@ pub use atomic::atomic_write;
 pub use checkpoint::{read_checkpoint, write_checkpoint, CHECKPOINT_NAME};
 pub use error::StoreError;
 pub use faults::{FaultFile, FaultKind, FaultSchedule};
-pub use format::{
-    FormatVersion, Header, SourceStamp, CHUNK_EDGES, MAGIC, VERSION, VERSION_V2,
-};
+pub use format::{FormatVersion, Header, SourceStamp, CHUNK_EDGES, MAGIC, VERSION, VERSION_V2};
 pub use loaded::LoadedGraph;
 pub use partition_store::{
     write_partition_store, PartitionManifest, PartitionStoreReader, SegmentEntry, MANIFEST_NAME,
 };
 pub use reader::{SectionInfo, StoreReader, StoredGraph};
-pub use sources::{BinaryFileSource, BudgetedCsrSource, TextFileSource};
-pub use stream::{
-    for_each_chunk, BinaryEdgeStream, CsrEdgeStream, EdgeStream, StreamMeta, TextEdgeStream,
-};
+pub use sources::{BinaryFileSource, TextFileSource};
 pub use wal::{read_wal, PlacementWal, WalRecord, WalReplay, WAL_MAGIC, WAL_NAME, WAL_RECORD_LEN};
 pub use writer::{write_graph, WriteOptions};

@@ -109,25 +109,23 @@ impl StoreReader {
         let n = header.num_vertices;
         let m = header.num_edges;
         let mut pos = HEADER_LEN as u64;
-        let mut section = |tag: u32,
-                           what: &'static str,
-                           expected_len: u64|
-         -> Result<SectionAt, StoreError> {
-            reader.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
-            let frame = SectionFrame::read_expecting(&mut reader, tag, what)?;
-            if frame.payload_len != expected_len {
-                return Err(StoreError::Corrupt(format!(
-                    "{what} section declares {} bytes, expected {expected_len}",
-                    frame.payload_len
-                )));
-            }
-            let payload_pos = pos + SECTION_FRAME_LEN as u64;
-            pos = payload_pos + frame.payload_len;
-            if pos > file_len {
-                return Err(StoreError::Truncated { what });
-            }
-            Ok(SectionAt { frame, payload_pos })
-        };
+        let mut section =
+            |tag: u32, what: &'static str, expected_len: u64| -> Result<SectionAt, StoreError> {
+                reader.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
+                let frame = SectionFrame::read_expecting(&mut reader, tag, what)?;
+                if frame.payload_len != expected_len {
+                    return Err(StoreError::Corrupt(format!(
+                        "{what} section declares {} bytes, expected {expected_len}",
+                        frame.payload_len
+                    )));
+                }
+                let payload_pos = pos + SECTION_FRAME_LEN as u64;
+                pos = payload_pos + frame.payload_len;
+                if pos > file_len {
+                    return Err(StoreError::Truncated { what });
+                }
+                Ok(SectionAt { frame, payload_pos })
+            };
 
         let layout = if header.version == VERSION {
             let degrees = section(TAG_DEGREES, "degrees", 4 * n)?;

@@ -1,20 +1,22 @@
-//! Disk-backed [`EdgeSource`] implementations over the [`EdgeStream`]
-//! family, plus a budgeted wrapper for in-memory graphs.
+//! Disk-backed [`EdgeSource`] implementations.
 //!
-//! These adapters are what lets the unified pipeline run any streaming
+//! These sources are what lets the unified pipeline run any streaming
 //! algorithm out-of-core: a `.tlpg` file or text edge list becomes an
-//! `EdgeSource` whose passes are bounded-memory [`BinaryEdgeStream`] /
-//! [`TextEdgeStream`] sweeps, while random access (for CSR-only
-//! algorithms) either materializes the graph once and caches it, or — in
-//! strict streaming mode — refuses with
-//! [`SourceError::NeedsRandomAccess`] so capability violations surface as
-//! typed errors instead of silent memory blow-ups.
+//! `EdgeSource` whose passes decode the file in chunks of at most `budget`
+//! edges, while random access (for CSR-only algorithms) either
+//! materializes the graph once and caches it, or — in strict streaming
+//! mode — refuses with [`SourceError::NeedsRandomAccess`] so capability
+//! violations surface as typed errors instead of silent memory blow-ups.
 
+use crate::faults::FaultFile;
+use crate::format::{read_exact_or_truncated, CHUNK_EDGES};
 use crate::loaded::LoadedGraph;
-use crate::stream::{for_each_chunk, BinaryEdgeStream, CsrEdgeStream, EdgeStream, TextEdgeStream};
+use crate::reader::{decode_edge, StoreReader};
 use crate::StoreError;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use tlp_graph::{CsrGraph, Edge, EdgeSource, GraphView, PassStats, SourceError};
+use tlp_graph::io::EdgeListReader;
+use tlp_graph::{ChunkedSink, CsrGraph, Edge, EdgeSource, GraphView, PassStats, SourceError};
 
 impl From<StoreError> for SourceError {
     fn from(e: StoreError) -> Self {
@@ -25,33 +27,23 @@ impl From<StoreError> for SourceError {
     }
 }
 
-fn run_pass<S: EdgeStream + ?Sized>(
-    stream: &mut S,
-    sink: &mut dyn FnMut(&[Edge]),
-) -> Result<PassStats, SourceError> {
-    let (edges, peak_buffer) = for_each_chunk(stream, |chunk| {
-        sink(chunk);
-        Ok(())
-    })?;
-    Ok(PassStats { edges, peak_buffer })
-}
-
 /// A `.tlpg` binary graph file as an [`EdgeSource`].
 ///
-/// Streaming passes re-open a fresh [`BinaryEdgeStream`] each time, so the
-/// canonical edge order replays identically (checksums verified per pass).
-/// Random access opens the file as a [`LoadedGraph`] once and caches it —
-/// a v2 file is held as a zero-copy arena whose view borrows the file
-/// bytes directly, a v1 file is decoded into an owned CSR — unless the
-/// source was opened [`strict_streaming`](Self::strict_streaming), in
-/// which case random access is refused and only bounded-memory passes are
-/// allowed.
+/// Each streaming pass reads the edge section sequentially off disk, so
+/// the canonical edge order replays identically. Edges are validated
+/// (canonical form, endpoint bounds, global order) as they are decoded,
+/// and the section checksum is verified before the last chunk reaches the
+/// sink, so a flipped byte surfaces as a typed error before the pass
+/// completes. Random access opens the file as a [`LoadedGraph`] once and
+/// caches it — a v2 file is held as a zero-copy arena whose view borrows
+/// the file bytes directly, a v1 file is decoded into an owned CSR —
+/// unless the source was opened [`strict_streaming`](Self::strict_streaming),
+/// in which case random access is refused and only bounded-memory passes
+/// are allowed.
 #[derive(Debug)]
 pub struct BinaryFileSource {
-    path: PathBuf,
+    store: StoreReader,
     budget: usize,
-    num_vertices: usize,
-    num_edges: usize,
     degrees: Vec<u32>,
     strict: bool,
     cached: Option<LoadedGraph>,
@@ -64,16 +56,11 @@ impl BinaryFileSource {
     ///
     /// Any [`StoreError`] from validating the file.
     pub fn open(path: &Path, budget: usize) -> Result<Self, StoreError> {
-        let stream = BinaryEdgeStream::open(path, budget)?;
-        let meta = stream.meta();
-        let num_vertices = meta.num_vertices.unwrap_or(0);
-        let num_edges = meta.num_edges.unwrap_or(0);
-        let degrees = meta.degrees.clone().unwrap_or_default();
+        let store = StoreReader::open(path)?;
+        let degrees = store.read_degrees()?;
         Ok(BinaryFileSource {
-            path: path.to_path_buf(),
-            budget,
-            num_vertices,
-            num_edges,
+            store,
+            budget: budget.max(1),
             degrees,
             strict: false,
             cached: None,
@@ -90,15 +77,15 @@ impl BinaryFileSource {
 
 impl EdgeSource for BinaryFileSource {
     fn describe(&self) -> String {
-        format!("tlpg:{}", self.path.display())
+        format!("tlpg:{}", self.store.path().display())
     }
 
     fn num_vertices_hint(&self) -> Option<usize> {
-        Some(self.num_vertices)
+        Some(self.store.header().num_vertices as usize)
     }
 
     fn num_edges_hint(&self) -> Option<usize> {
-        Some(self.num_edges)
+        Some(self.store.header().num_edges as usize)
     }
 
     fn degrees_hint(&self) -> Option<Vec<u32>> {
@@ -116,7 +103,7 @@ impl EdgeSource for BinaryFileSource {
             });
         }
         if self.cached.is_none() {
-            self.cached = Some(LoadedGraph::open(&self.path)?);
+            self.cached = Some(LoadedGraph::open(self.store.path())?);
         }
         Ok(self
             .cached
@@ -126,19 +113,53 @@ impl EdgeSource for BinaryFileSource {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut stream = BinaryEdgeStream::open(&self.path, self.budget)?;
-        run_pass(&mut stream, sink)
+        let num_vertices = self.store.header().num_vertices as usize;
+        let mut remaining = self.store.header().num_edges as usize;
+        let mut reader = self.store.reader_at(self.store.edges_payload_pos())?;
+        let mut checksum = self.store.section_hasher();
+        let mut io_buf = vec![0u8; 8 * self.budget.min(CHUNK_EDGES)];
+        let mut out = ChunkedSink::new(sink, self.budget);
+        let mut prev = None;
+        while remaining > 0 {
+            let batch = remaining.min(io_buf.len() / 8);
+            let bytes = &mut io_buf[..8 * batch];
+            read_exact_or_truncated(&mut reader, bytes, "edge block")?;
+            checksum.update(bytes);
+            for pair in bytes.chunks_exact(8) {
+                let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
+                let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
+                let edge = decode_edge(u, v, num_vertices, prev)?;
+                prev = Some(edge);
+                out.push(edge);
+            }
+            remaining -= batch;
+        }
+        // The last chunk is still held back: verify the section checksum
+        // so corruption fails the pass before that chunk is handed over.
+        let (expected, actual) = (self.store.edges_checksum(), checksum.value());
+        if actual != expected {
+            return Err(StoreError::ChecksumMismatch {
+                section: "edges",
+                expected,
+                actual,
+            }
+            .into());
+        }
+        Ok(out.finish())
     }
 }
 
 /// A SNAP-style text edge list as an [`EdgeSource`].
 ///
-/// Passes parse the file on the fly via [`TextEdgeStream`] (first-seen
-/// vertex interning; duplicate edges and self-loops are **not** removed,
-/// matching the raw stream semantics). Vertex/edge counts are unknown up
-/// front, so consumers that need them must either materialize (random
-/// access parses through the canonical deduplicating reader) or fail with
-/// [`SourceError::MissingMeta`].
+/// Passes parse the file on the fly through
+/// [`tlp_graph::io::EdgeListReader`], the same parser random access
+/// materializes with, so both number vertices identically and report a
+/// malformed line as the same [`SourceError::Corrupt`]. Passes drop
+/// self-loops but **not** duplicate edges, which a one-pass
+/// bounded-memory stream cannot detect; convert to the binary format first
+/// (`tlp-convert`) for exact parity with the materialized graph.
+/// Vertex/edge counts are unknown up front, so consumers that need them
+/// must either materialize or fail with [`SourceError::MissingMeta`].
 #[derive(Debug)]
 pub struct TextFileSource {
     path: PathBuf,
@@ -180,9 +201,7 @@ impl EdgeSource for TextFileSource {
 
     fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
         if self.cached.is_none() {
-            let loaded = tlp_graph::io::read_edge_list_file(&self.path)
-                .map_err(|e| SourceError::Corrupt(e.to_string()))?;
-            self.cached = Some(loaded.graph);
+            self.cached = Some(tlp_graph::io::read_edge_list_file(&self.path)?.graph);
         }
         Ok(self
             .cached
@@ -192,71 +211,12 @@ impl EdgeSource for TextFileSource {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut stream = TextEdgeStream::open(&self.path, self.budget)?;
-        run_pass(&mut stream, sink)
-    }
-}
-
-/// An in-memory graph exposed with budget-bounded passes.
-///
-/// Random access is free (the graph is already resident), but streaming
-/// passes go through [`CsrEdgeStream`] with the given budget, so chunk
-/// sizes — and therefore a streaming algorithm's reported peak buffer —
-/// honor the same `--stream-budget` bound as the disk sources.
-#[derive(Debug)]
-pub struct BudgetedCsrSource<'a> {
-    graph: GraphView<'a>,
-    budget: usize,
-}
-
-impl<'a> BudgetedCsrSource<'a> {
-    /// Wraps a shared graph (or view) with a per-pass chunk budget.
-    pub fn new(graph: impl Into<GraphView<'a>>, budget: usize) -> Self {
-        BudgetedCsrSource {
-            graph: graph.into(),
-            budget,
+        let mut edges = EdgeListReader::new(BufReader::new(FaultFile::open(&self.path)?));
+        let mut out = ChunkedSink::new(sink, self.budget);
+        while let Some(edge) = edges.next_edge()? {
+            out.push(edge);
         }
-    }
-}
-
-impl EdgeSource for BudgetedCsrSource<'_> {
-    fn describe(&self) -> String {
-        format!(
-            "csr({} vertices, {} edges, budget {})",
-            self.graph.num_vertices(),
-            self.graph.num_edges(),
-            self.budget
-        )
-    }
-
-    fn num_vertices_hint(&self) -> Option<usize> {
-        Some(self.graph.num_vertices())
-    }
-
-    fn num_edges_hint(&self) -> Option<usize> {
-        Some(self.graph.num_edges())
-    }
-
-    fn degrees_hint(&self) -> Option<Vec<u32>> {
-        Some(
-            self.graph
-                .vertices()
-                .map(|v| self.graph.degree(v) as u32)
-                .collect(),
-        )
-    }
-
-    fn supports_random_access(&self) -> bool {
-        true
-    }
-
-    fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
-        Ok(self.graph)
-    }
-
-    fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut stream = CsrEdgeStream::new(self.graph, self.budget);
-        run_pass(&mut stream, sink)
+        Ok(out.finish())
     }
 }
 
@@ -264,7 +224,6 @@ impl EdgeSource for BudgetedCsrSource<'_> {
 mod tests {
     use super::*;
     use crate::{write_graph, WriteOptions};
-    use std::io::Write as _;
     use tlp_graph::generators::chung_lu;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -325,42 +284,80 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn text_source_streams_and_materializes() {
-        let dir = temp_dir("text");
+    /// Writes `contents` to a fresh text file and returns its source.
+    fn text_source(tag: &str, contents: &str, budget: usize) -> (PathBuf, TextFileSource) {
+        let dir = temp_dir(tag);
         let path = dir.join("g.txt");
-        {
-            let mut f = std::fs::File::create(&path).expect("create");
-            writeln!(f, "# comment").expect("write");
-            for (u, v) in [(10, 20), (20, 30), (30, 10), (10, 40)] {
-                writeln!(f, "{u}\t{v}").expect("write");
-            }
+        std::fs::write(&path, contents).expect("write");
+        let source = TextFileSource::new(&path, budget);
+        (dir, source)
+    }
+
+    #[test]
+    fn text_pass_numbers_vertices_like_the_materialized_view() {
+        // Comments, an extra column, and self-loops — one of them on a
+        // vertex no other line mentions before it. The data lines are in
+        // canonical order, so the view's edge order is the file's.
+        let contents = "# header\n% note\n5 5\n1 2 999\n1 3\n2 3\n3 3\n\n2 7 1\n";
+        for budget in [1usize, 2, 64] {
+            let (dir, mut source) = text_source("parity", contents, budget);
+            assert_eq!(source.num_vertices_hint(), None);
+            let mut passed = Vec::new();
+            let stats = source
+                .stream_pass(&mut |chunk| passed.extend_from_slice(chunk))
+                .expect("pass");
+            assert!(stats.peak_buffer <= budget);
+            assert_eq!(stats.edges, passed.len());
+            let view = source.random_access().expect("materialize");
+            assert_eq!(passed, view.edge_iter().collect::<Vec<_>>());
+            assert_eq!(view.num_vertices(), 5);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let mut source = TextFileSource::new(&path, 2);
-        assert_eq!(source.num_vertices_hint(), None);
-        let mut count = 0usize;
-        let stats = source
-            .stream_pass(&mut |chunk| count += chunk.len())
-            .expect("pass");
-        assert_eq!(count, 4);
-        assert!(stats.peak_buffer <= 2);
-        let graph = source.random_access().expect("materialize");
-        assert_eq!(graph.num_edges(), 4);
-        assert_eq!(graph.num_vertices(), 4);
+    }
+
+    #[test]
+    fn malformed_text_line_is_the_same_error_on_both_paths() {
+        let (dir, mut source) = text_source("malformed", "1 2\nnot numbers\n", 16);
+        let streamed = source.stream_pass(&mut |_| {}).expect_err("pass must fail");
+        let materialized = source.random_access().expect_err("parse must fail");
+        match (&streamed, &materialized) {
+            (SourceError::Corrupt(a), SourceError::Corrupt(b)) => {
+                assert_eq!(a, b);
+                assert!(a.starts_with("parse error at line 2"), "{a}");
+            }
+            other => panic!("expected two Corrupt errors, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn budgeted_csr_source_bounds_chunks() {
-        let g = chung_lu(200, 900, 2.2, 3);
-        let mut source = BudgetedCsrSource::new(&g, 17);
-        let mut seen = Vec::new();
-        let stats = source
-            .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
-            .expect("pass");
-        assert_eq!(seen, g.edges().to_vec());
-        assert!(stats.peak_buffer <= 17);
-        let view = source.random_access().expect("ra");
-        assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+    fn edge_checksum_is_verified_before_the_last_chunk_reaches_the_sink() {
+        // Vertex 3 is isolated, so rewriting the last edge (0, 2) as
+        // (0, 3) keeps it canonical, in order, and in bounds: only the
+        // section checksum can catch it.
+        let g = tlp_graph::GraphBuilder::new()
+            .reserve_vertices(4)
+            .add_edges([(0, 1), (0, 2)])
+            .build();
+        let dir = temp_dir("checksum");
+        let path = dir.join("g.tlpg");
+        write_graph(&path, &g, &WriteOptions::default()).expect("write graph");
+        let mut source = BinaryFileSource::open(&path, 1).expect("open");
+        let target = source.store.edges_payload_pos() as usize + 8 + 4;
+        let mut bytes = std::fs::read(&path).expect("read");
+        assert_eq!(bytes[target], 2);
+        bytes[target] = 3;
+        std::fs::write(&path, &bytes).expect("write");
+
+        let mut delivered = Vec::new();
+        let err = source
+            .stream_pass(&mut |chunk| delivered.extend_from_slice(chunk))
+            .expect_err("corruption must fail the pass");
+        assert!(
+            err.to_string().contains("checksum mismatch in edges"),
+            "{err}"
+        );
+        assert_eq!(delivered, vec![Edge::new(0, 1)]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -255,8 +255,7 @@ mod tests {
         let mut seen = Vec::new();
         while pos + SECTION_FRAME_LEN <= bytes.len() {
             let tag = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-            let len =
-                u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap()) as usize;
+            let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap()) as usize;
             let payload_pos = pos + SECTION_FRAME_LEN;
             assert_eq!(payload_pos % 8, 0, "section {tag:#x} payload misaligned");
             assert_eq!(len % 8, 0, "section {tag:#x} payload length not 8-aligned");

@@ -27,8 +27,7 @@ use tlp::graph::io;
 use tlp::graph::CsrSource;
 use tlp::pipeline::builtin_registry;
 use tlp::store::{
-    read_checkpoint, write_checkpoint, write_partition_store, BinaryFileSource, BudgetedCsrSource,
-    LoadedGraph, MAGIC,
+    read_checkpoint, write_checkpoint, write_partition_store, BinaryFileSource, LoadedGraph, MAGIC,
 };
 
 fn main() -> ExitCode {
@@ -248,9 +247,9 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         InputFormat::Text => {
             InputGraph::Text(io::read_edge_list_file(input).map_err(|e| e.to_string())?)
         }
-        InputFormat::Bin => InputGraph::Bin(
-            LoadedGraph::open(Path::new(input)).map_err(|e| e.to_string())?,
-        ),
+        InputFormat::Bin => {
+            InputGraph::Bin(LoadedGraph::open(Path::new(input)).map_err(|e| e.to_string())?)
+        }
     };
     let graph = loaded.view();
     eprintln!(
@@ -288,7 +287,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
                         .map_err(|e| e.to_string())?
                 }
                 InputFormat::Text => {
-                    let mut source = BudgetedCsrSource::new(graph, budget);
+                    let mut source = CsrSource::with_budget(graph, budget);
                     registry
                         .run(algorithm, &config, &mut source, p)
                         .map_err(|e| e.to_string())?

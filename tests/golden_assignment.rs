@@ -12,9 +12,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use tlp::baselines::NePartitioner;
+use tlp::core::engine::{self, ModularitySwitch, ScanPolicy};
 use tlp::core::{
-    EdgePartitioner, EdgeRatioLocalPartitioner, SelectionStrategy, TlpConfig,
-    TwoStageLocalPartitioner,
+    EdgePartition, EdgePartitioner, EdgeRatioLocalPartitioner, TlpConfig, TwoStageLocalPartitioner,
 };
 use tlp::graph::generators::{chung_lu, genealogy};
 use tlp::graph::CsrGraph;
@@ -40,7 +40,12 @@ fn check_golden(file: &str, graph: &CsrGraph, algo: &dyn EdgePartitioner, p: usi
     let partition = algo
         .partition(graph, p)
         .unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()));
-    let rendered = render(algo.name(), p, partition.assignments());
+    check_golden_partition(file, algo.name(), &partition);
+}
+
+fn check_golden_partition(file: &str, algo_name: &str, partition: &EdgePartition) {
+    let p = partition.num_partitions();
+    let rendered = render(algo_name, p, partition.assignments());
     let path = golden_path(file);
     if std::env::var_os("TLP_GOLDEN_UPDATE").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -61,7 +66,7 @@ fn check_golden(file: &str, graph: &CsrGraph, algo: &dyn EdgePartitioner, p: usi
         panic!(
             "{} output diverged from golden {} (first differing line: {:?}); \
              if the change is intentional, regenerate with TLP_GOLDEN_UPDATE=1",
-            algo.name(),
+            algo_name,
             path.display(),
             first_diff,
         );
@@ -83,17 +88,19 @@ fn tlp_indexed_heap_matches_golden() {
     );
 }
 
+/// The reference frontier scan (Algorithm 1 as written) through the
+/// engine, against its own checked-in golden.
 #[test]
 fn tlp_linear_scan_matches_golden() {
-    let config = TlpConfig::new()
-        .seed(42)
-        .selection_strategy(SelectionStrategy::LinearScan);
-    check_golden(
-        "tlp_linear_chung_lu.txt",
+    let config = TlpConfig::new().seed(42);
+    let (partition, _) = engine::run(
         &chung_lu_graph(),
-        &TwoStageLocalPartitioner::new(config),
         8,
-    );
+        &config,
+        &mut ScanPolicy::new(ModularitySwitch),
+    )
+    .expect("TLP scan failed");
+    check_golden_partition("tlp_linear_chung_lu.txt", "TLP", &partition);
 }
 
 #[test]

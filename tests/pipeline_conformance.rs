@@ -6,7 +6,7 @@
 
 use tlp::core::{AlgoConfig, Capability, PipelineError};
 use tlp::graph::generators::chung_lu;
-use tlp::graph::CsrSource;
+use tlp::graph::{CsrGraph, CsrSource, Edge, EdgeSource, GraphView, PassStats, SourceError};
 use tlp::pipeline::{builtin_names, builtin_registry};
 use tlp::store::{write_graph, BinaryFileSource, WriteOptions};
 
@@ -93,4 +93,55 @@ fn every_algorithm_conforms_from_csr_and_disk_sources() {
     assert_eq!(refused, 8, "csr-only row count drifted");
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A pass-only source that knows its vertex count but not its degrees —
+/// like a one-pass stream with a header and nothing else.
+struct PassOnly(CsrGraph);
+
+impl EdgeSource for PassOnly {
+    fn describe(&self) -> String {
+        "pass-only".to_string()
+    }
+
+    fn num_vertices_hint(&self) -> Option<usize> {
+        Some(self.0.num_vertices())
+    }
+
+    fn num_edges_hint(&self) -> Option<usize> {
+        Some(self.0.num_edges())
+    }
+
+    fn degrees_hint(&self) -> Option<Vec<u32>> {
+        None
+    }
+
+    fn supports_random_access(&self) -> bool {
+        false
+    }
+
+    fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
+        Err(SourceError::NeedsRandomAccess {
+            source: self.describe(),
+        })
+    }
+
+    fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
+        self.0.stream_pass(sink)
+    }
+}
+
+#[test]
+fn dbh_without_degrees_or_random_access_reports_missing_degrees() {
+    let mut source = PassOnly(chung_lu(200, 800, 2.2, 3));
+    let err = builtin_registry()
+        .run("dbh", &AlgoConfig::seeded(1), &mut source, P)
+        .expect_err("dbh cannot place edges without final degrees");
+    match err {
+        PipelineError::Source(SourceError::MissingMeta { what, source }) => {
+            assert_eq!(what, "degrees");
+            assert_eq!(source, "pass-only");
+        }
+        other => panic!("expected MissingMeta {{ what: \"degrees\" }}, got {other}"),
+    }
 }

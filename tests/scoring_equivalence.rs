@@ -1,18 +1,18 @@
-//! Scan-vs-incremental differential suite.
+//! Scan-vs-indexed differential suite.
 //!
-//! The engine's fast paths — the lazy-heap selectors, the dirty-marking
-//! `Incremental` strategy, the intersection kernels, the degree-bound
-//! pruning, and the per-admission count cache — are all claimed to be
-//! *value-neutral*: they must change cost only, never a selection. These
-//! tests pin that claim by running the reference `LinearScan` strategy
-//! (Algorithm 1 as written, with from-scratch frontier scans) against both
-//! indexed strategies across every generator family, both reseed policies,
-//! and p ∈ {4, 8, 32}, asserting bit-identical assignments; the kernels
-//! are additionally checked pairwise on real adjacency slices.
+//! The engine's fast paths — the lazy-heap selectors, the intersection
+//! kernels, the degree-bound pruning, and the per-admission count cache —
+//! are all claimed to be *value-neutral*: they must change cost only,
+//! never a selection. These tests pin that claim by running the reference
+//! [`ScanPolicy`] (Algorithm 1 as written, with from-scratch frontier
+//! scans) against the production [`TwoStageLocalPartitioner`] across every
+//! generator family, both reseed policies, and p ∈ {4, 8, 32}, asserting
+//! bit-identical assignments; the kernels are additionally checked
+//! pairwise on real adjacency slices.
 
+use tlp::core::engine::{self, ModularitySwitch, ScanPolicy};
 use tlp::core::{
-    EdgePartition, EdgePartitioner, ReseedPolicy, SelectionStrategy, TlpConfig,
-    TwoStageLocalPartitioner,
+    EdgePartition, EdgePartitioner, ReseedPolicy, TlpConfig, TwoStageLocalPartitioner,
 };
 use tlp::graph::generators::{
     barabasi_albert, chung_lu, erdos_renyi, genealogy, power_law_community, rmat, RmatProbabilities,
@@ -22,9 +22,10 @@ use tlp::graph::intersect::{
     IntersectionKernel,
 };
 use tlp::graph::CsrGraph;
+use tlp::obs::{EventKind, RecordingObserver};
 
 /// One representative per generator family, small enough that the full
-/// strategy × reseed × p matrix stays fast.
+/// policy × reseed × p matrix stays fast.
 fn generator_zoo() -> Vec<(&'static str, CsrGraph)> {
     vec![
         ("chung_lu", chung_lu(300, 1500, 2.1, 5)),
@@ -39,42 +40,35 @@ fn generator_zoo() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
-fn run_with(
-    graph: &CsrGraph,
-    p: usize,
-    seed: u64,
-    reseed: ReseedPolicy,
-    strategy: SelectionStrategy,
-) -> EdgePartition {
-    let config = TlpConfig::new()
-        .seed(seed)
-        .reseed_policy(reseed)
-        .selection_strategy(strategy);
-    TwoStageLocalPartitioner::new(config)
+/// The reference run: Algorithm 1's frontier scan through the engine.
+fn run_scan(graph: &CsrGraph, p: usize, config: &TlpConfig) -> EdgePartition {
+    engine::run(graph, p, config, &mut ScanPolicy::new(ModularitySwitch))
+        .expect("partitioning failed")
+        .0
+}
+
+/// The production run: the lazy-heap selector behind the public API.
+fn run_indexed(graph: &CsrGraph, p: usize, config: &TlpConfig) -> EdgePartition {
+    TwoStageLocalPartitioner::new(*config)
         .partition(graph, p)
         .expect("partitioning failed")
 }
 
 /// The full differential matrix: every generator family, both reseed
-/// policies, p ∈ {4, 8, 32}, both indexed strategies against the scan.
+/// policies, p ∈ {4, 8, 32}, the indexed selector against the scan.
 #[test]
 fn indexed_strategies_are_bit_identical_to_scan() {
     for (name, graph) in generator_zoo() {
         for reseed in [ReseedPolicy::Reseed, ReseedPolicy::Break] {
             for p in [4, 8, 32] {
                 for seed in [0u64, 1] {
-                    let scan = run_with(&graph, p, seed, reseed, SelectionStrategy::LinearScan);
-                    for strategy in [
-                        SelectionStrategy::IndexedHeap,
-                        SelectionStrategy::Incremental,
-                    ] {
-                        let fast = run_with(&graph, p, seed, reseed, strategy);
-                        assert_eq!(
-                            scan, fast,
-                            "{name}: {strategy:?} diverged from LinearScan \
-                             (reseed {reseed:?}, p={p}, seed={seed})"
-                        );
-                    }
+                    let config = TlpConfig::new().seed(seed).reseed_policy(reseed);
+                    assert_eq!(
+                        run_scan(&graph, p, &config),
+                        run_indexed(&graph, p, &config),
+                        "{name}: StagedPolicy diverged from ScanPolicy \
+                         (reseed {reseed:?}, p={p}, seed={seed})"
+                    );
                 }
             }
         }
@@ -116,39 +110,55 @@ fn kernels_agree_on_generated_adjacency() {
     }
 }
 
-/// The per-round trace counters must show the degree-bound pruning and the
-/// admission cache actually cutting work on a non-trivial graph — and the
-/// counters must be identical across strategies (scoring is shared engine
-/// state, independent of how the argmax is located).
+/// The `scoring.*` counters a run emits, in emission order (one triple of
+/// counters per round, zero deltas suppressed).
+fn scoring_counters(run: impl FnOnce()) -> Vec<(String, u64)> {
+    let ((), recorder) = tlp::obs::with_observer(RecordingObserver::default(), run);
+    recorder
+        .events
+        .into_iter()
+        .filter_map(|event| match event.kind {
+            EventKind::Counter { name, delta } if name.starts_with("scoring.") => {
+                Some((name, delta))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn total(counters: &[(String, u64)], name: &str) -> u64 {
+    counters
+        .iter()
+        .filter(|(n, _)| n == name)
+        .map(|(_, delta)| delta)
+        .sum()
+}
+
+/// The per-round `scoring.*` obs counters must show the degree-bound
+/// pruning and the admission cache actually cutting work on a non-trivial
+/// graph — and the counters must be identical for both policies (scoring
+/// is shared engine state, independent of how the argmax is located).
 #[test]
 fn trace_counters_show_pruned_and_cached_work() {
     let graph = chung_lu(400, 2400, 2.1, 4);
-    let mut per_strategy = Vec::new();
-    for strategy in [
-        SelectionStrategy::LinearScan,
-        SelectionStrategy::IndexedHeap,
-        SelectionStrategy::Incremental,
-    ] {
-        let config = TlpConfig::new().seed(2).selection_strategy(strategy);
-        let (_, trace) = TwoStageLocalPartitioner::new(config)
-            .partition_with_trace(&graph, 4)
-            .expect("partitioning failed");
-        let rounds = trace.round_scoring().to_vec();
-        assert!(!rounds.is_empty(), "no per-round scoring recorded");
-        let rescored: u64 = rounds.iter().map(|r| r.rescored).sum();
-        let skipped: u64 = rounds.iter().map(|r| r.skipped).sum();
-        let cache_hits: u64 = rounds.iter().map(|r| r.cache_hits).sum();
-        assert!(rescored > 0, "{strategy:?}: no terms were ever computed");
-        assert!(
-            skipped > 0,
-            "{strategy:?}: degree-bound pruning never fired on a non-trivial graph"
-        );
-        assert!(
-            cache_hits > 0,
-            "{strategy:?}: admission cache never hit on a non-trivial graph"
-        );
-        per_strategy.push(rounds);
-    }
-    assert_eq!(per_strategy[0], per_strategy[1]);
-    assert_eq!(per_strategy[0], per_strategy[2]);
+    let config = TlpConfig::new().seed(2);
+    let scan = scoring_counters(|| {
+        run_scan(&graph, 4, &config);
+    });
+    let indexed = scoring_counters(|| {
+        run_indexed(&graph, 4, &config);
+    });
+    assert!(
+        total(&scan, "scoring.rescored") > 0,
+        "no terms were ever computed"
+    );
+    assert!(
+        total(&scan, "scoring.skipped") > 0,
+        "degree-bound pruning never fired on a non-trivial graph"
+    );
+    assert!(
+        total(&scan, "scoring.cache_hits") > 0,
+        "admission cache never hit on a non-trivial graph"
+    );
+    assert_eq!(scan, indexed);
 }

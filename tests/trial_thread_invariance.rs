@@ -3,10 +3,9 @@
 //! PR 1 promised that `--threads` is a throughput knob only: the winning
 //! trial (ties broken by lowest trial index), its partition, and the full
 //! per-trial RF vector are a function of the seed matrix alone. This pins
-//! that promise over a seed × trials matrix at 1 vs. N worker threads, for
-//! both selection-strategy fast paths.
+//! that promise over a seed × trials matrix at 1 vs. N worker threads.
 
-use tlp::core::{ParallelTrialRunner, SelectionStrategy, TlpConfig};
+use tlp::core::{ParallelTrialRunner, TlpConfig};
 use tlp::graph::generators::{chung_lu, rmat, RmatProbabilities};
 use tlp::graph::CsrGraph;
 
@@ -20,30 +19,20 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
 #[test]
 fn trial_results_are_invariant_under_thread_count() {
     for (name, graph) in graphs() {
-        for strategy in [
-            SelectionStrategy::IndexedHeap,
-            SelectionStrategy::Incremental,
-        ] {
-            for seed in [0u64, 7, 42] {
-                for trials in [2usize, 5] {
-                    let base = TlpConfig::new()
-                        .seed(seed)
-                        .trials(trials)
-                        .selection_strategy(strategy);
-                    let single = ParallelTrialRunner::new(base.threads(1))
+        for seed in [0u64, 7, 42] {
+            for trials in [2usize, 5] {
+                let base = TlpConfig::new().seed(seed).trials(trials);
+                let single = ParallelTrialRunner::new(base.threads(1))
+                    .run(&graph, 6)
+                    .expect("single-threaded run failed");
+                for threads in [2usize, 4, 0] {
+                    let multi = ParallelTrialRunner::new(base.threads(threads))
                         .run(&graph, 6)
-                        .expect("single-threaded run failed");
-                    for threads in [2usize, 4, 0] {
-                        let multi = ParallelTrialRunner::new(base.threads(threads))
-                            .run(&graph, 6)
-                            .expect("multi-threaded run failed");
-                        let label = format!(
-                            "{name} {strategy:?} seed={seed} trials={trials} threads={threads}"
-                        );
-                        assert_eq!(single.best_trial, multi.best_trial, "{label}: winner");
-                        assert_eq!(single.partition, multi.partition, "{label}: partition");
-                        assert_eq!(single.trial_rfs, multi.trial_rfs, "{label}: RF vector");
-                    }
+                        .expect("multi-threaded run failed");
+                    let label = format!("{name} seed={seed} trials={trials} threads={threads}");
+                    assert_eq!(single.best_trial, multi.best_trial, "{label}: winner");
+                    assert_eq!(single.partition, multi.partition, "{label}: partition");
+                    assert_eq!(single.trial_rfs, multi.trial_rfs, "{label}: RF vector");
                 }
             }
         }
