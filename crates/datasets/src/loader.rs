@@ -224,17 +224,17 @@ pub fn load_with<P: AsRef<Path>>(
             }
         }
         TEXT_PARSES.fetch_add(1, Ordering::Relaxed);
-        let loaded = io::read_edge_list_file(&path)?;
+        let list = io::read_edge_list_file(&path)?;
         if policy != CachePolicy::TextOnly {
             let options = WriteOptions {
-                original_ids: Some(loaded.original_ids),
+                original_ids: Some(list.original_ids),
                 source: SourceStamp::of_file(&path).ok(),
                 version: FormatVersion::V2,
             };
-            let _ = write_graph(&cache_path(&path), &loaded.graph, &options);
+            let _ = write_graph(&cache_path(&path), &list.graph, &options);
         }
         return Ok(LoadedDataset {
-            graph: loaded.graph,
+            graph: list.graph,
             provenance: Provenance::Real(path),
             outcome,
         });

@@ -15,9 +15,9 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-/// Result of loading an edge list: the graph plus the original-id mapping.
+/// A parsed edge list: the graph plus the original-id mapping.
 #[derive(Clone, Debug)]
-pub struct LoadedGraph {
+pub struct EdgeList {
     /// The parsed, deduplicated, loop-free graph.
     pub graph: CsrGraph,
     /// `original_ids[v]` is the id vertex `v` had in the input file.
@@ -42,20 +42,20 @@ pub struct LoadedGraph {
 /// use tlp_graph::io::read_edge_list;
 ///
 /// let data = "# comment\n10 20\n20 30\n10 20\n";
-/// let loaded = read_edge_list(data.as_bytes())?;
-/// assert_eq!(loaded.graph.num_vertices(), 3);
-/// assert_eq!(loaded.graph.num_edges(), 2);
-/// assert_eq!(loaded.original_ids, vec![10, 20, 30]);
+/// let list = read_edge_list(data.as_bytes())?;
+/// assert_eq!(list.graph.num_vertices(), 3);
+/// assert_eq!(list.graph.num_edges(), 2);
+/// assert_eq!(list.original_ids, vec![10, 20, 30]);
 /// # Ok::<(), tlp_graph::GraphError>(())
 /// ```
-pub fn read_edge_list<R: Read>(reader: R) -> Result<LoadedGraph, GraphError> {
+pub fn read_edge_list<R: Read>(reader: R) -> Result<EdgeList, GraphError> {
     let mut edges = EdgeListReader::new(BufReader::new(reader));
     let mut builder = GraphBuilder::new();
     while let Some(edge) = edges.next_edge()? {
         builder.push_edge(edge.source(), edge.target());
     }
     let original_ids = edges.into_original_ids();
-    Ok(LoadedGraph {
+    Ok(EdgeList {
         graph: builder.reserve_vertices(original_ids.len()).build(),
         original_ids,
     })
@@ -151,7 +151,7 @@ fn parse_field(field: Option<&str>, line: usize, what: &str) -> Result<u64, Grap
 ///
 /// Returns [`GraphError::Io`] if the file cannot be opened or read, and
 /// [`GraphError::Parse`] on malformed content.
-pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, GraphError> {
+pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphError> {
     let file = std::fs::File::open(path)?;
     read_edge_list(file)
 }

@@ -2,17 +2,22 @@
 //!
 //! A v2 file embeds the CSR arrays verbatim, 8-byte-aligned. `GraphBuf`
 //! opens such a file with **one streaming pass** into an 8-byte-aligned
-//! arena (a `Vec<u64>` viewed as bytes): the file is read in cache-sized
-//! chunks and each section checksum folds over the chunk just read while
-//! it is still hot, so the data is swept exactly once. Header, section
-//! framing, and per-section checksums are all validated during that pass;
-//! afterwards `GraphBuf` lends [`GraphView`]s that borrow the arena
-//! directly — no per-edge decode, no CSR construction, no copies.
+//! arena (a `Vec<u64>` viewed as bytes): it walks the same section table
+//! as [`crate::StoreReader`], reading the file in cache-sized chunks, and
+//! each section checksum folds over the chunk just read while it is still
+//! hot, so the data is swept exactly once. Header, section framing, and
+//! per-section checksums are all validated during that pass; afterwards
+//! `GraphBuf` lends [`GraphView`]s that borrow the arena directly — no
+//! per-edge decode, no CSR construction, no copies.
 //!
-//! Structural validation of the CSR arrays (offset monotonicity, parallel
-//! array lengths, edge-table shape) runs exactly once at open via
+//! Structural validation of the CSR arrays runs exactly once at open via
 //! [`GraphView::from_sections`]; subsequent [`GraphBuf::view`] calls
-//! re-slice the arena through the trusted constructor in O(1).
+//! re-slice the arena through the trusted constructor in O(1). That
+//! validation checks shape only (offsets start at 0, never decrease and
+//! end at `2m`; the parallel arrays have equal lengths; `EDGE` holds `m`
+//! pairs). Ids inside `ADJV`, `ADJE` and `EDGE` are **not** range-checked:
+//! doing so would add per-byte work to the open, so a file whose checksums
+//! are consistent but whose ids are out of range opens and fails later.
 //!
 //! The cast from arena bytes to `u64`/`u32` slices assumes a little-endian
 //! host (asserted in the vendored `bytemuck` tests); the write path stays
@@ -20,9 +25,10 @@
 
 use crate::faults::FaultFile;
 use crate::format::{
-    read_exact_or_truncated, Header, SectionFrame, SectionHasher, HEADER_LEN, SECTION_FRAME_LEN,
-    TAG_ADJ_EDGE, TAG_ADJ_VERTEX, TAG_EDGES, TAG_OFFSETS, TAG_ORIGINAL_IDS, VERSION_V2,
+    check_checksum, read_exact_or_truncated, walk_sections, FrameBytes, Header, Section, SectionAt,
+    SectionHasher, SectionSource, HEADER_LEN, SECTION_FRAME_LEN, VERSION_V2,
 };
+use crate::reader::open_header;
 use crate::StoreError;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -34,24 +40,51 @@ use tlp_graph::{EdgeTable, GraphView};
 /// multiple of 64 so chunk boundaries land on whole checksum blocks.
 const STREAM_CHUNK: usize = 256 << 10;
 
-/// Zero-extends `storage` through byte `upto` and fills the new bytes
-/// from `file`. The incremental zeroing is deliberate: it replaces one
-/// arena-wide memset with per-chunk clears of memory the following read
-/// immediately overwrites while it is still in cache.
-fn fetch(
-    storage: &mut Vec<u64>,
-    file: &mut FaultFile,
-    upto: usize,
-    what: &'static str,
-) -> Result<(), StoreError> {
-    debug_assert!(
-        upto.is_multiple_of(8),
-        "section boundaries are word-aligned"
-    );
-    let from = storage.len() * 8;
-    storage.resize(upto / 8, 0);
-    let bytes = bytemuck::cast_slice_mut::<u64, u8>(storage);
-    read_exact_or_truncated(file, &mut bytes[from..upto], what)
+/// The arena while the file streams into it.
+struct Fill {
+    storage: Vec<u64>,
+    file: FaultFile,
+}
+
+impl Fill {
+    /// Zero-extends the arena through byte `upto` and fills the new bytes
+    /// from the file. The incremental zeroing is deliberate: it replaces
+    /// one arena-wide memset with per-chunk clears of memory the following
+    /// read immediately overwrites while it is still in cache.
+    fn fetch(&mut self, upto: usize, what: &'static str) -> Result<&[u8], StoreError> {
+        debug_assert!(
+            upto.is_multiple_of(8),
+            "section boundaries are word-aligned"
+        );
+        let from = self.storage.len() * 8;
+        self.storage.resize(upto / 8, 0);
+        let bytes = bytemuck::cast_slice_mut::<u64, u8>(&mut self.storage);
+        read_exact_or_truncated(&mut self.file, &mut bytes[from..upto], what)?;
+        Ok(&bytes[from..upto])
+    }
+}
+
+/// The arena's walk reads every payload as it goes, folding each chunk
+/// into the section checksum right after it lands, while it is still
+/// cache-hot.
+impl SectionSource for Fill {
+    fn frame(&mut self, pos: u64, what: &'static str) -> Result<FrameBytes, StoreError> {
+        let bytes = self.fetch(pos as usize + SECTION_FRAME_LEN, what)?;
+        Ok(bytes.try_into().expect("one frame"))
+    }
+
+    fn payload(&mut self, at: &SectionAt) -> Result<(), StoreError> {
+        let what = at.section.what();
+        let mut hasher = SectionHasher::for_version(VERSION_V2);
+        let Range { start, end } = at.payload();
+        let mut cur = start;
+        while cur < end {
+            let next = (cur + STREAM_CHUNK).min(end);
+            hasher.update(self.fetch(next, what)?);
+            cur = next;
+        }
+        check_checksum(what, at.frame.checksum, hasher.value())
+    }
 }
 
 /// An owned, aligned, checksum-verified arena holding a `.tlpg` v2 file.
@@ -94,157 +127,69 @@ impl GraphBuf {
     /// rejected with [`StoreError::Corrupt`] (open v1 files through
     /// [`crate::StoreReader`] or [`crate::LoadedGraph`] instead).
     pub fn open(path: &Path) -> Result<GraphBuf, StoreError> {
-        let mut file = FaultFile::open(path).map_err(StoreError::Io)?;
-        let file_len = file.metadata().map_err(StoreError::Io)?.len() as usize;
-        if file_len < HEADER_LEN {
-            return Err(StoreError::Truncated { what: "header" });
-        }
+        let (file, header) = open_header(path)?;
+        GraphBuf::with_header(path, file, header)
+    }
 
-        // The arena grows in cache-sized chunks as the file streams in,
-        // and each section checksum folds over the chunk just read while
-        // it is still cache-hot — one pass over the data, no arena-wide
-        // memset, no second checksum sweep from DRAM.
-        let mut storage: Vec<u64> = Vec::with_capacity(file_len.div_ceil(8));
-        fetch(&mut storage, &mut file, HEADER_LEN, "header")?;
-        let mut header_bytes = [0u8; HEADER_LEN];
-        header_bytes.copy_from_slice(&bytemuck::cast_slice::<u64, u8>(&storage)[..HEADER_LEN]);
-        let header = Header::decode(&header_bytes)?;
+    /// Finishes [`GraphBuf::open`] on a file whose header `open_header`
+    /// has already read.
+    pub(crate) fn with_header(
+        path: &Path,
+        file: FaultFile,
+        header: Header,
+    ) -> Result<GraphBuf, StoreError> {
         if header.version != VERSION_V2 {
             return Err(StoreError::Corrupt(format!(
                 "arena open requires format v2, file is v{} (use StoreReader)",
                 header.version
             )));
         }
-
-        let n = header.num_vertices;
-        let m = header.num_edges;
-        let mut pos = HEADER_LEN;
-        let mut section = |storage: &mut Vec<u64>,
-                           file: &mut FaultFile,
-                           tag: u32,
-                           what: &'static str,
-                           expected_len: u64|
-         -> Result<Range<usize>, StoreError> {
-            if pos + SECTION_FRAME_LEN > file_len {
-                return Err(StoreError::Truncated { what });
-            }
-            fetch(storage, file, pos + SECTION_FRAME_LEN, what)?;
-            let bytes = bytemuck::cast_slice::<u64, u8>(storage.as_slice());
-            let mut frame_bytes = &bytes[pos..pos + SECTION_FRAME_LEN];
-            let frame = SectionFrame::read_expecting(&mut frame_bytes, tag, what)?;
-            if frame.payload_len != expected_len {
-                return Err(StoreError::Corrupt(format!(
-                    "{what} section declares {} bytes, expected {expected_len}",
-                    frame.payload_len
-                )));
-            }
-            let start = pos + SECTION_FRAME_LEN;
-            let end = start + frame.payload_len as usize;
-            if end > file_len {
-                return Err(StoreError::Truncated { what });
-            }
-            // Fold each chunk into the section checksum right after it
-            // lands in the arena, while it is still cache-hot.
-            let mut hasher = SectionHasher::for_version(VERSION_V2);
-            let mut cur = start;
-            while cur < end {
-                let next = (cur + STREAM_CHUNK).min(end);
-                fetch(storage, file, next, what)?;
-                hasher.update(&bytemuck::cast_slice::<u64, u8>(storage.as_slice())[cur..next]);
-                cur = next;
-            }
-            let actual = hasher.value();
-            if actual != frame.checksum {
-                return Err(StoreError::ChecksumMismatch {
-                    section: what,
-                    expected: frame.checksum,
-                    actual,
-                });
-            }
-            pos = end;
-            Ok(start..end)
-        };
-
-        let offsets = section(&mut storage, &mut file, TAG_OFFSETS, "offsets", 8 * (n + 1))?;
-        let adj_vertex = section(
-            &mut storage,
-            &mut file,
-            TAG_ADJ_VERTEX,
-            "adjacency vertices",
-            8 * m,
-        )?;
-        let adj_edge = section(
-            &mut storage,
-            &mut file,
-            TAG_ADJ_EDGE,
-            "adjacency edges",
-            8 * m,
-        )?;
-        let edges = section(&mut storage, &mut file, TAG_EDGES, "edges", 8 * m)?;
-        let original_ids = if header.has_original_ids {
-            Some(section(
-                &mut storage,
-                &mut file,
-                TAG_ORIGINAL_IDS,
-                "original ids",
-                8 * n,
-            )?)
-        } else {
-            None
-        };
-        drop(file);
-
+        let file_len = file.metadata().map_err(StoreError::Io)?.len();
+        // The arena grows in cache-sized chunks as the file streams in —
+        // one pass over the data, no arena-wide memset, no second checksum
+        // sweep from DRAM. The header was decoded already, so its words
+        // stay zero.
+        let mut storage = Vec::with_capacity((file_len as usize).div_ceil(8));
+        storage.resize(HEADER_LEN / 8, 0);
+        let mut fill = Fill { storage, file };
+        let sections = walk_sections(&header, file_len, &mut fill)?;
+        let range = |section| Some(sections.iter().find(|at| at.section == section)?.payload());
+        let csr = |section| range(section).expect("every v2 file has the CSR sections");
         let buf = GraphBuf {
-            storage,
             path: path.to_path_buf(),
             header,
-            offsets,
-            adj_vertex,
-            adj_edge,
-            edges,
-            original_ids,
+            offsets: csr(Section::Offsets),
+            adj_vertex: csr(Section::AdjVertex),
+            adj_edge: csr(Section::AdjEdge),
+            edges: csr(Section::Edges),
+            original_ids: range(Section::OriginalIds),
+            storage: fill.storage,
         };
         // Structural validation of the CSR arrays, exactly once; later
         // `view()` calls go through the trusted constructor.
-        GraphView::from_sections(
-            buf.offsets_slice(),
-            buf.adj_vertex_slice(),
-            buf.adj_edge_slice(),
-            EdgeTable::Pairs(buf.edges_slice()),
-        )
-        .map_err(|e| StoreError::Corrupt(format!("embedded CSR is inconsistent: {e}")))?;
+        let (offsets, adj_vertex, adj_edge, edges) = buf.csr();
+        GraphView::from_sections(offsets, adj_vertex, adj_edge, edges)
+            .map_err(|e| StoreError::Corrupt(format!("embedded CSR is inconsistent: {e}")))?;
         Ok(buf)
     }
 
-    fn bytes(&self) -> &[u8] {
-        bytemuck::cast_slice::<u64, u8>(&self.storage)
+    /// The arena bytes in `range`, cast to `T`.
+    fn slice<T: bytemuck::Pod>(&self, range: &Range<usize>) -> &[T] {
+        bytemuck::cast_slice(&bytemuck::cast_slice::<u64, u8>(&self.storage)[range.clone()])
     }
 
-    fn offsets_slice(&self) -> &[u64] {
-        bytemuck::cast_slice(&self.bytes()[self.offsets.clone()])
-    }
-
-    fn adj_vertex_slice(&self) -> &[u32] {
-        bytemuck::cast_slice(&self.bytes()[self.adj_vertex.clone()])
-    }
-
-    fn adj_edge_slice(&self) -> &[u32] {
-        bytemuck::cast_slice(&self.bytes()[self.adj_edge.clone()])
-    }
-
-    fn edges_slice(&self) -> &[u32] {
-        bytemuck::cast_slice(&self.bytes()[self.edges.clone()])
+    /// The CSR sections in the order [`GraphView`]'s constructors take.
+    fn csr(&self) -> (&[u64], &[u32], &[u32], EdgeTable<'_>) {
+        let edges = EdgeTable::Pairs(self.slice(&self.edges));
+        let (offsets, adj_vertex) = (self.slice(&self.offsets), self.slice(&self.adj_vertex));
+        (offsets, adj_vertex, self.slice(&self.adj_edge), edges)
     }
 
     /// Lends a [`GraphView`] borrowing the arena directly. O(1): no
     /// validation, no decoding, no allocation.
     pub fn view(&self) -> GraphView<'_> {
-        GraphView::from_sections_trusted(
-            self.offsets_slice(),
-            self.adj_vertex_slice(),
-            self.adj_edge_slice(),
-            EdgeTable::Pairs(self.edges_slice()),
-        )
+        let (offsets, adj_vertex, adj_edge, edges) = self.csr();
+        GraphView::from_sections_trusted(offsets, adj_vertex, adj_edge, edges)
     }
 
     /// The decoded file header.
@@ -260,9 +205,7 @@ impl GraphBuf {
     /// Original vertex ids (`original_ids[v]` = id of `v` in the text
     /// source), when the file carries them — borrowed from the arena.
     pub fn original_ids(&self) -> Option<&[u64]> {
-        self.original_ids
-            .clone()
-            .map(|r| bytemuck::cast_slice(&self.bytes()[r]))
+        self.original_ids.as_ref().map(|range| self.slice(range))
     }
 }
 
@@ -289,6 +232,7 @@ mod tests {
 
     #[test]
     fn arena_view_matches_written_graph() {
+        let _guard = crate::faults::test_lock();
         let g = graph();
         let path = tmp("match");
         write_graph(&path, &g, &WriteOptions::default()).unwrap();
@@ -310,6 +254,7 @@ mod tests {
 
     #[test]
     fn arena_preserves_original_ids() {
+        let _guard = crate::faults::test_lock();
         let g = graph();
         let ids: Vec<u64> = (0..g.num_vertices() as u64).map(|v| v * 10 + 7).collect();
         let path = tmp("oids");
@@ -325,6 +270,7 @@ mod tests {
 
     #[test]
     fn arena_rejects_v1_files() {
+        let _guard = crate::faults::test_lock();
         let g = graph();
         let path = tmp("v1");
         let options = WriteOptions {
@@ -339,6 +285,7 @@ mod tests {
 
     #[test]
     fn arena_detects_bit_flips_in_every_section() {
+        let _guard = crate::faults::test_lock();
         let g = graph();
         let path = tmp("flip");
         write_graph(&path, &g, &WriteOptions::default()).unwrap();
@@ -371,6 +318,7 @@ mod tests {
 
     #[test]
     fn arena_reports_truncation() {
+        let _guard = crate::faults::test_lock();
         let g = graph();
         let path = tmp("trunc");
         write_graph(&path, &g, &WriteOptions::default()).unwrap();

@@ -39,27 +39,30 @@ fn main() -> ExitCode {
 }
 
 fn to_bin(input: &Path, output: &Path) -> Result<(), String> {
-    let loaded = tlp_graph::io::read_edge_list_file(input)
+    let list = tlp_graph::io::read_edge_list_file(input)
         .map_err(|e| format!("reading {}: {e}", input.display()))?;
     let options = WriteOptions {
-        original_ids: Some(loaded.original_ids),
+        original_ids: Some(list.original_ids),
         source: SourceStamp::of_file(input).ok(),
         version: FormatVersion::V2,
     };
-    write_graph(output, &loaded.graph, &options)
+    write_graph(output, &list.graph, &options)
         .map_err(|e| format!("writing {}: {e}", output.display()))?;
     println!(
         "wrote {} ({} vertices, {} edges, format v{VERSION_V2})",
         output.display(),
-        loaded.graph.num_vertices(),
-        loaded.graph.num_edges()
+        list.graph.num_vertices(),
+        list.graph.num_edges()
     );
     Ok(())
 }
 
+fn open(input: &Path) -> Result<StoreReader, String> {
+    StoreReader::open(input).map_err(|e| format!("opening {}: {e}", input.display()))
+}
+
 fn to_text(input: &Path, output: &Path) -> Result<(), String> {
-    let reader =
-        StoreReader::open(input).map_err(|e| format!("opening {}: {e}", input.display()))?;
+    let reader = open(input)?;
     let stored = reader
         .read_graph()
         .map_err(|e| format!("reading {}: {e}", input.display()))?;
@@ -81,8 +84,7 @@ fn to_text(input: &Path, output: &Path) -> Result<(), String> {
 /// mid-upgrade leaves the original file intact. Already-v2 files are left
 /// untouched.
 fn upgrade(input: &Path) -> Result<(), String> {
-    let reader =
-        StoreReader::open(input).map_err(|e| format!("opening {}: {e}", input.display()))?;
+    let reader = open(input)?;
     let version = reader.version();
     if version >= VERSION_V2 {
         println!("{} is already format v{version}", input.display());
@@ -109,8 +111,7 @@ fn upgrade(input: &Path) -> Result<(), String> {
 }
 
 fn info(input: &Path) -> Result<(), String> {
-    let reader =
-        StoreReader::open(input).map_err(|e| format!("opening {}: {e}", input.display()))?;
+    let reader = open(input)?;
     let header = reader.header();
     println!("file:         {}", input.display());
     println!("format:       tlpg v{}", reader.version());

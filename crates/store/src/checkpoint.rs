@@ -25,7 +25,7 @@
 
 use crate::atomic::atomic_write;
 use crate::faults::FaultFile;
-use crate::format::Checksum;
+use crate::format::{check_magic, checksummed, le_u32, le_u64, seal};
 use crate::StoreError;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -76,8 +76,8 @@ pub fn write_checkpoint(dir: &Path, ckpt: &EngineCheckpoint) -> Result<(), Store
         }
     }
     bytes.extend_from_slice(&bitmap);
-    let checksum = Checksum::of(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 8]);
+    seal(&mut bytes);
 
     atomic_write(&dir.join(CHECKPOINT_NAME), |out| {
         out.write_all(&bytes).map_err(StoreError::Io)
@@ -106,45 +106,10 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<EngineCheckpoint>, StoreErro
     if bytes.len() < FIXED_LEN + 8 {
         return Err(StoreError::Truncated { what: "checkpoint" });
     }
-    if bytes[0..8] != CHECKPOINT_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[0..8]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let payload = &bytes[..bytes.len() - 8];
-    let declared = u64::from_le_bytes(
-        bytes[bytes.len() - 8..]
-            .try_into()
-            .map_err(|_| StoreError::Truncated { what: "checkpoint" })?,
-    );
-    let actual = Checksum::of(payload);
-    if declared != actual {
-        return Err(StoreError::ChecksumMismatch {
-            section: "checkpoint",
-            expected: declared,
-            actual,
-        });
-    }
+    check_magic(&bytes, &CHECKPOINT_MAGIC)?;
+    checksummed(&bytes, "checkpoint")?;
 
-    let u64_at = |off: usize| -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[off..off + 8]);
-        u64::from_le_bytes(b)
-    };
-    let seed = u64_at(8);
-    let num_partitions = u64_at(16) as usize;
-    let next_round = u32::from_le_bytes(
-        bytes[24..28]
-            .try_into()
-            .map_err(|_| StoreError::Truncated { what: "checkpoint" })?,
-    );
-    let mut rng_state = [0u64; 4];
-    for (i, word) in rng_state.iter_mut().enumerate() {
-        *word = u64_at(32 + 8 * i);
-    }
-    let num_vertices = u64_at(64) as usize;
-    let num_edges = u64_at(72) as usize;
-
+    let num_edges = le_u64(&bytes, 72) as usize;
     if bytes.len() != encoded_len(num_edges) {
         return Err(StoreError::Corrupt(format!(
             "checkpoint is {} bytes, {} edges imply {}",
@@ -153,26 +118,20 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<EngineCheckpoint>, StoreErro
             encoded_len(num_edges)
         )));
     }
-    let mut assignment = Vec::with_capacity(num_edges);
-    for pair in bytes[FIXED_LEN..FIXED_LEN + 4 * num_edges].chunks_exact(4) {
-        assignment.push(u32::from_le_bytes(
-            pair.try_into()
-                .map_err(|_| StoreError::Truncated { what: "checkpoint" })?,
-        ));
-    }
     let bitmap = &bytes[FIXED_LEN + 4 * num_edges..bytes.len() - 8];
-    let allocated: Vec<bool> = (0..num_edges)
-        .map(|e| bitmap[e / 8] & (1 << (e % 8)) != 0)
-        .collect();
-
     Ok(Some(EngineCheckpoint {
-        seed,
-        num_partitions,
-        next_round,
-        rng_state,
-        assignment,
-        allocated,
-        num_vertices,
+        seed: le_u64(&bytes, 8),
+        num_partitions: le_u64(&bytes, 16) as usize,
+        next_round: le_u32(&bytes, 24),
+        rng_state: std::array::from_fn(|i| le_u64(&bytes, 32 + 8 * i)),
+        assignment: bytes[FIXED_LEN..FIXED_LEN + 4 * num_edges]
+            .chunks_exact(4)
+            .map(|pid| le_u32(pid, 0))
+            .collect(),
+        allocated: (0..num_edges)
+            .map(|e| bitmap[e / 8] & (1 << (e % 8)) != 0)
+            .collect(),
+        num_vertices: le_u64(&bytes, 64) as usize,
         num_edges,
     }))
 }

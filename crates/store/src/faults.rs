@@ -161,6 +161,18 @@ fn next_action() -> Action {
     }
 }
 
+/// Consults the injector for an operation that moves no bytes (open,
+/// create, sync): it can only pass or fail-stop.
+fn gate() -> io::Result<()> {
+    match next_action() {
+        Action::Fail(e) => Err(e),
+        // A torn-write schedule landing on a non-write operation still
+        // fail-stops there (there is no buffer to tear).
+        Action::Short => Err(io::Error::other("injected fault: simulated crash")),
+        Action::Pass | Action::Flip(_) => Ok(()),
+    }
+}
+
 /// A [`File`] that routes every read and write through the fault injector.
 ///
 /// All store I/O (graph writer/reader, edge streams, partition segments,
@@ -180,13 +192,7 @@ impl FaultFile {
     /// Propagates [`File::create`] errors; an armed fail-stop schedule can
     /// also fail the creation itself (it counts as an operation).
     pub fn create(path: &Path) -> io::Result<FaultFile> {
-        match next_action() {
-            Action::Fail(e) => return Err(e),
-            // A torn-write schedule landing on a non-write operation still
-            // fail-stops there (there is no buffer to tear).
-            Action::Short => return Err(io::Error::other("injected fault: simulated crash")),
-            Action::Pass | Action::Flip(_) => {}
-        }
+        gate()?;
         Ok(FaultFile {
             inner: File::create(path)?,
         })
@@ -201,13 +207,7 @@ impl FaultFile {
     /// Propagates [`std::fs::OpenOptions::open`] errors; an armed
     /// fail-stop schedule can also fail the open itself.
     pub fn append(path: &Path) -> io::Result<FaultFile> {
-        match next_action() {
-            Action::Fail(e) => return Err(e),
-            // A torn-write schedule landing on a non-write operation still
-            // fail-stops there (there is no buffer to tear).
-            Action::Short => return Err(io::Error::other("injected fault: simulated crash")),
-            Action::Pass | Action::Flip(_) => {}
-        }
+        gate()?;
         Ok(FaultFile {
             inner: std::fs::OpenOptions::new()
                 .create(true)
@@ -223,13 +223,7 @@ impl FaultFile {
     /// Propagates [`File::open`] errors; an armed fail-stop schedule can
     /// also fail the open itself.
     pub fn open(path: &Path) -> io::Result<FaultFile> {
-        match next_action() {
-            Action::Fail(e) => return Err(e),
-            // A torn-write schedule landing on a non-write operation still
-            // fail-stops there (there is no buffer to tear).
-            Action::Short => return Err(io::Error::other("injected fault: simulated crash")),
-            Action::Pass | Action::Flip(_) => {}
-        }
+        gate()?;
         Ok(FaultFile {
             inner: File::open(path)?,
         })
@@ -241,13 +235,7 @@ impl FaultFile {
     ///
     /// Propagates `fsync` errors; counts as an injectable operation.
     pub fn sync_all(&self) -> io::Result<()> {
-        match next_action() {
-            Action::Fail(e) => return Err(e),
-            // A torn-write schedule landing on a non-write operation still
-            // fail-stops there (there is no buffer to tear).
-            Action::Short => return Err(io::Error::other("injected fault: simulated crash")),
-            Action::Pass | Action::Flip(_) => {}
-        }
+        gate()?;
         tlp_obs::counter("store.fsync", 1);
         self.inner.sync_all()
     }

@@ -1,6 +1,13 @@
-//! The `.tlpg` binary graph format: constants, header layout, checksums.
+//! The framing every `tlp-store` binary file shares — the `.tlpg` graph,
+//! the checkpoint, the partition-store segments and the placement WAL —
+//! and the `.tlpg` layout. Each file opens with an 8-byte magic, stores
+//! little-endian fixed fields (`le_u32`/`le_u64`) and guards a byte range
+//! with a checksum; `check_magic`, `checksummed`/`seal` and
+//! `check_checksum` are the only code that raises [`StoreError::BadMagic`]
+//! or [`StoreError::ChecksumMismatch`]. Each file keeps its own field
+//! layout and checksum scope.
 //!
-//! # Layout (all integers little-endian)
+//! # `.tlpg` layout (all integers little-endian)
 //!
 //! ```text
 //! [ 0.. 8)  magic           b"TLPSTORE"
@@ -19,7 +26,9 @@
 //! tag u32 | reserved u32 | payload_len u64 | payload_checksum u64 | payload
 //! ```
 //!
-//! **Version 1** sections, in fixed order: `DEGS` (one `u32` degree per
+//! Sections, order and lengths are one table per version (`Section`),
+//! which the writer emits and every reader walks (`walk_sections`).
+//! **Version 1**: `DEGS` (one `u32` degree per
 //! vertex — the CSR offset array in delta form), `EDGE` (the canonical
 //! sorted edge table, one `(u: u32, v: u32)` pair per undirected edge,
 //! written and read in bounded-size chunks of [`CHUNK_EDGES`]), and
@@ -29,7 +38,7 @@
 //!
 //! **Version 2** embeds the CSR arrays themselves so opening is one bulk
 //! read plus checksum validation — zero per-edge decode, no CSR rebuild.
-//! Fixed section order: `OFFS` (`(n+1) × u64` vertex offsets — degrees are
+//! `OFFS` (`(n+1) × u64` vertex offsets — degrees are
 //! derived by differencing, so `DEGS` is dropped), `ADJV` (`2m × u32`
 //! neighbor ids, sorted ascending per vertex), `ADJE` (`2m × u32` arc edge
 //! ids, parallel to `ADJV`), `EDGE` (identical payload to v1, which keeps
@@ -50,6 +59,7 @@
 
 use crate::StoreError;
 use std::io::Read;
+use tlp_graph::Edge;
 
 /// File magic for the binary graph format.
 pub const MAGIC: [u8; 8] = *b"TLPSTORE";
@@ -417,8 +427,7 @@ impl Header {
         out[24..32].copy_from_slice(&self.num_edges.to_le_bytes());
         out[32..40].copy_from_slice(&self.source.len.to_le_bytes());
         out[40..48].copy_from_slice(&self.source.mtime.to_le_bytes());
-        let checksum = Checksum::of(&out[0..48]);
-        out[48..56].copy_from_slice(&checksum.to_le_bytes());
+        seal(&mut out);
         out
     }
 
@@ -429,35 +438,34 @@ impl Header {
     /// [`StoreError::BadMagic`], [`StoreError::UnsupportedVersion`], or
     /// [`StoreError::ChecksumMismatch`] for the respective defects.
     pub fn decode(bytes: &[u8; HEADER_LEN]) -> Result<Header, StoreError> {
-        if bytes[0..8] != MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&bytes[0..8]);
-            return Err(StoreError::BadMagic { found });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        check_magic(bytes, &MAGIC)?;
+        let version = le_u32(bytes, 8);
         if version != VERSION && version != VERSION_V2 {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
-        let expected = u64::from_le_bytes(bytes[48..56].try_into().expect("8 bytes"));
-        let actual = Checksum::of(&bytes[0..48]);
-        if expected != actual {
-            return Err(StoreError::ChecksumMismatch {
-                section: "header",
-                expected,
-                actual,
-            });
-        }
-        let flags = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+        checksummed(bytes, "header")?;
         Ok(Header {
             version,
-            num_vertices: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-            num_edges: u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")),
-            has_original_ids: flags & FLAG_ORIGINAL_IDS != 0,
+            num_vertices: le_u64(bytes, 16),
+            num_edges: le_u64(bytes, 24),
+            has_original_ids: le_u32(bytes, 12) & FLAG_ORIGINAL_IDS != 0,
             source: SourceStamp {
-                len: u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes")),
-                mtime: u64::from_le_bytes(bytes[40..48].try_into().expect("8 bytes")),
+                len: le_u64(bytes, 32),
+                mtime: le_u64(bytes, 40),
             },
         })
+    }
+
+    /// The sections a file with this header holds, in file order: the
+    /// version's table, then `OIDS` when the header flags it.
+    pub(crate) fn sections(&self) -> impl Iterator<Item = Section> {
+        let table = if self.version == VERSION {
+            V1_SECTIONS
+        } else {
+            V2_SECTIONS
+        };
+        let oids = self.has_original_ids.then_some(Section::OriginalIds);
+        table.iter().copied().chain(oids)
     }
 }
 
@@ -468,7 +476,8 @@ pub struct SectionFrame {
     pub tag: u32,
     /// Payload length in bytes.
     pub payload_len: u64,
-    /// Declared FNV-1a 64 checksum of the payload.
+    /// Declared checksum of the payload: a [`Checksum`] in a v1 file, a
+    /// [`WideChecksum`] in a v2 file (see [`SectionHasher`]).
     pub checksum: u64,
 }
 
@@ -498,7 +507,7 @@ impl SectionFrame {
     ) -> Result<SectionFrame, StoreError> {
         let mut bytes = [0u8; SECTION_FRAME_LEN];
         read_exact_or_truncated(reader, &mut bytes, what)?;
-        let tag = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
+        let tag = le_u32(&bytes, 0);
         if tag != expected_tag {
             return Err(StoreError::Corrupt(format!(
                 "expected section {:?}, found tag {tag:#010x}",
@@ -507,8 +516,8 @@ impl SectionFrame {
         }
         Ok(SectionFrame {
             tag,
-            payload_len: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-            checksum: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
+            payload_len: le_u64(&bytes, 8),
+            checksum: le_u64(&bytes, 16),
         })
     }
 }
@@ -524,6 +533,198 @@ pub fn tag_name(tag: u32) -> &'static str {
         TAG_ADJ_EDGE => "ADJE",
         _ => "unknown",
     }
+}
+
+/// One kind of `.tlpg` section.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Section {
+    Degrees,
+    Offsets,
+    AdjVertex,
+    AdjEdge,
+    Edges,
+    OriginalIds,
+}
+
+/// Version 1 sections in file order (before the optional `OIDS`).
+const V1_SECTIONS: &[Section] = &[Section::Degrees, Section::Edges];
+/// Version 2 sections in file order (before the optional `OIDS`).
+const V2_SECTIONS: &[Section] = &[
+    Section::Offsets,
+    Section::AdjVertex,
+    Section::AdjEdge,
+    Section::Edges,
+];
+
+impl Section {
+    /// The table row: tag, the name errors use, and the payload length as
+    /// bytes per vertex, per edge, and fixed.
+    fn row(self) -> (u32, &'static str, [u64; 3]) {
+        match self {
+            Section::Degrees => (TAG_DEGREES, "degrees", [4, 0, 0]),
+            Section::Offsets => (TAG_OFFSETS, "offsets", [8, 0, 8]),
+            Section::AdjVertex => (TAG_ADJ_VERTEX, "adjacency vertices", [0, 8, 0]),
+            Section::AdjEdge => (TAG_ADJ_EDGE, "adjacency edges", [0, 8, 0]),
+            Section::Edges => (TAG_EDGES, "edges", [0, 8, 0]),
+            Section::OriginalIds => (TAG_ORIGINAL_IDS, "original ids", [8, 0, 0]),
+        }
+    }
+
+    /// The on-disk tag.
+    pub(crate) fn tag(self) -> u32 {
+        self.row().0
+    }
+
+    /// The name errors about this section use.
+    pub(crate) fn what(self) -> &'static str {
+        self.row().1
+    }
+
+    /// Payload bytes for `n` vertices and `m` edges (saturating, so a
+    /// hostile header fails the length check instead of overflowing).
+    fn len(self, n: u64, m: u64) -> u64 {
+        let [per_vertex, per_edge, fixed] = self.row().2;
+        n.saturating_mul(per_vertex)
+            .saturating_add(m.saturating_mul(per_edge))
+            .saturating_add(fixed)
+    }
+}
+
+/// A section located by [`walk_sections`]: its kind, its checked frame,
+/// and where its payload starts in the file.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SectionAt {
+    pub(crate) section: Section,
+    pub(crate) frame: SectionFrame,
+    pub(crate) payload_pos: u64,
+}
+
+impl SectionAt {
+    /// The payload's byte range in the file.
+    pub(crate) fn payload(&self) -> std::ops::Range<usize> {
+        self.payload_pos as usize..(self.payload_pos + self.frame.payload_len) as usize
+    }
+}
+
+/// The bytes of one encoded section frame.
+pub(crate) type FrameBytes = [u8; SECTION_FRAME_LEN];
+
+/// Where a section walk gets its bytes from.
+pub(crate) trait SectionSource {
+    /// The frame bytes at file offset `pos` ([`StoreError::Truncated`]
+    /// with `what` when the file ends first).
+    fn frame(&mut self, pos: u64, what: &'static str) -> Result<FrameBytes, StoreError>;
+
+    /// Called once a section's frame is checked; readers that fetch
+    /// payloads lazily do nothing here.
+    fn payload(&mut self, _at: &SectionAt) -> Result<(), StoreError> {
+        Ok(())
+    }
+}
+
+/// The one walk over a `.tlpg` file's sections: for each row of `header`'s
+/// table, fetches the frame from `source`, checks tag and length against
+/// the row and that the payload fits in `file_len` (else
+/// [`StoreError::Corrupt`] / [`StoreError::Truncated`]), then hands the
+/// section to [`SectionSource::payload`].
+pub(crate) fn walk_sections(
+    header: &Header,
+    file_len: u64,
+    source: &mut impl SectionSource,
+) -> Result<Vec<SectionAt>, StoreError> {
+    let mut pos = HEADER_LEN as u64;
+    header
+        .sections()
+        .map(|section| {
+            let what = section.what();
+            let bytes = source.frame(pos, what)?;
+            let frame = SectionFrame::read_expecting(&mut &bytes[..], section.tag(), what)?;
+            let expected = section.len(header.num_vertices, header.num_edges);
+            if frame.payload_len != expected {
+                return Err(StoreError::Corrupt(format!(
+                    "{what} section declares {} bytes, expected {expected}",
+                    frame.payload_len
+                )));
+            }
+            let at = SectionAt {
+                section,
+                frame,
+                payload_pos: pos + SECTION_FRAME_LEN as u64,
+            };
+            pos = at.payload_pos.saturating_add(expected);
+            if pos > file_len {
+                return Err(StoreError::Truncated { what });
+            }
+            source.payload(&at)?;
+            Ok(at)
+        })
+        .collect()
+}
+
+/// Checks that `bytes` (at least 8 long) opens with `magic`.
+pub(crate) fn check_magic(bytes: &[u8], magic: &[u8; 8]) -> Result<(), StoreError> {
+    match bytes.first_chunk::<8>() {
+        Some(found) if found != magic => Err(StoreError::BadMagic { found: *found }),
+        _ => Ok(()),
+    }
+}
+
+/// Compares the checksum a file declares for `section` with the one
+/// computed over the bytes it covers.
+pub(crate) fn check_checksum(
+    section: &'static str,
+    expected: u64,
+    actual: u64,
+) -> Result<(), StoreError> {
+    if expected != actual {
+        return Err(StoreError::ChecksumMismatch {
+            section,
+            expected,
+            actual,
+        });
+    }
+    Ok(())
+}
+
+/// Verifies that the last 8 bytes of `bytes` (at least 8 long) hold the
+/// [`Checksum`] of the rest, and returns the rest.
+pub(crate) fn checksummed<'a>(
+    bytes: &'a [u8],
+    section: &'static str,
+) -> Result<&'a [u8], StoreError> {
+    let (covered, stored) = bytes.split_at(bytes.len() - 8);
+    check_checksum(section, le_u64(stored, 0), Checksum::of(covered))?;
+    Ok(covered)
+}
+
+/// The write side of [`checksummed`]: fills the last 8 bytes of `bytes`
+/// with the [`Checksum`] of the rest.
+pub(crate) fn seal(bytes: &mut [u8]) {
+    let (covered, trailer) = bytes.split_at_mut(bytes.len() - 8);
+    trailer.copy_from_slice(&Checksum::of(covered).to_le_bytes());
+}
+
+/// The little-endian `u32` at byte `at` of `bytes`.
+pub(crate) fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// The little-endian `u64` at byte `at` of `bytes`.
+pub(crate) fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// One edge as stored in an edge payload: `u` then `v`, little-endian.
+pub(crate) fn edge_pair(edge: Edge) -> [u8; 8] {
+    let (u, v) = edge.endpoints();
+    (u64::from(u) | (u64::from(v) << 32)).to_le_bytes()
+}
+
+/// The `(u, v)` pairs of an edge payload (8 bytes per edge).
+pub(crate) fn edge_pairs(bytes: &[u8]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|pair| (le_u32(pair, 0), le_u32(pair, 4)))
 }
 
 /// `read_exact` that reports a short read as [`StoreError::Truncated`]

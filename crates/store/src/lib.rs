@@ -6,28 +6,29 @@
 //!   for canonical CSR graphs. Format v2 (the default) embeds the CSR
 //!   arrays themselves, 8-byte-aligned and individually checksummed, so
 //!   [`GraphBuf`] opens a graph with one bulk read and lends zero-copy
-//!   [`tlp_graph::GraphView`]s — no per-edge decode, no CSR rebuild.
-//!   Legacy v1 files (degree + edge blocks) stay readable through the
-//!   decode-then-build path; [`LoadedGraph::open`] dispatches on the
-//!   header version so callers never care which they have. [`write_graph`]
-//!   emits either version in bounded-size chunks; [`StoreReader`]
-//!   validates magic, version, and per-section checksums and rebuilds a
-//!   [`tlp_graph::CsrGraph`] bit-identical to the one written.
-//!   `tlp-convert` (this crate's binary) converts text edge lists to and
-//!   from the format and upgrades v1 files in place.
+//!   [`tlp_graph::GraphView`]s. Legacy v1 files (degree + edge blocks) are
+//!   decoded and rebuilt by [`StoreReader`]; [`LoadedGraph::open`] reads
+//!   the header once and dispatches on its version. [`write_graph`] emits
+//!   either version; `tlp-convert` (this crate's binary) converts text
+//!   edge lists to and from the format and upgrades v1 files in place.
 //! * **Edge sources** — [`BinaryFileSource`] (sequential disk reads from a
 //!   `.tlpg` file, never materializing the edge table) and
 //!   [`TextFileSource`] (parse-as-you-go over a text edge list) implement
 //!   [`tlp_graph::EdgeSource`], delivering a graph's edge sequence in
-//!   chunks no larger than a caller-chosen buffer budget. The streaming
-//!   partitioners consume sources through the pipeline, so their peak
-//!   edge-buffer memory is `O(budget)` instead of `O(m)`.
+//!   chunks no larger than a caller-chosen buffer budget, so streaming
+//!   partitioners hold `O(budget)` edges instead of `O(m)`.
 //! * **Partition store** — [`write_partition_store`] persists a finished
 //!   partition as per-partition edge segments plus a `MANIFEST.tlp`
 //!   replica/ownership manifest; [`PartitionStoreReader`] recomputes
 //!   replication factor and balance from the manifest alone and the full
 //!   metrics (including Claim 1 modularity) from the segments,
 //!   bit-identically to the live run.
+//!
+//! Every binary file here — graph, segment, checkpoint, WAL — is framed
+//! the same way by [`format`](mod@format): an 8-byte magic, little-endian fixed
+//! fields, and checksummed byte ranges whose failures are typed
+//! [`StoreError`]s. The `.tlpg` sections are one table per version that
+//! the writer emits and every reader walks.
 //!
 //! # Fault tolerance
 //!

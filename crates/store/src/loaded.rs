@@ -3,14 +3,15 @@
 //! Callers that just want "the graph at this path" shouldn't care whether
 //! the file is a v1 `.tlpg` (degrees + edge pairs, decoded into a fresh
 //! [`CsrGraph`]) or a v2 `.tlpg` (embedded CSR, lent zero-copy from a
-//! [`GraphBuf`] arena). `LoadedGraph::open` peeks the header version and
-//! dispatches, then serves a uniform [`GraphView`] either way.
+//! [`GraphBuf`] arena). `LoadedGraph::open` reads the header once,
+//! dispatches on its version, and hands the open file to the chosen
+//! reader, which walks the same section table either way; the result
+//! serves a uniform [`GraphView`].
 
 use crate::arena::GraphBuf;
-use crate::format::{Header, HEADER_LEN, VERSION_V2};
-use crate::reader::StoreReader;
+use crate::format::VERSION_V2;
+use crate::reader::{open_header, StoreReader};
 use crate::StoreError;
-use std::io::Read;
 use std::path::Path;
 use tlp_graph::{CsrGraph, GraphView};
 
@@ -39,10 +40,12 @@ impl LoadedGraph {
     ///
     /// Any [`StoreError`] from header validation or the chosen read path.
     pub fn open(path: &Path) -> Result<LoadedGraph, StoreError> {
-        if peek_version(path)? == VERSION_V2 {
-            Ok(LoadedGraph::Arena(GraphBuf::open(path)?))
+        let (file, header) = open_header(path)?;
+        if header.version == VERSION_V2 {
+            let buf = GraphBuf::with_header(path, file, header)?;
+            Ok(LoadedGraph::Arena(buf))
         } else {
-            let reader = StoreReader::open(path)?;
+            let reader = StoreReader::with_header(path, file, header)?;
             let stored = reader.read_graph()?;
             Ok(LoadedGraph::Decoded {
                 graph: stored.graph,
@@ -79,22 +82,6 @@ impl LoadedGraph {
     }
 }
 
-/// Reads just the header and returns the validated format version.
-pub(crate) fn peek_version(path: &Path) -> Result<u32, StoreError> {
-    let mut file = crate::faults::FaultFile::open(path).map_err(StoreError::Io)?;
-    let mut bytes = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        match file.read(&mut bytes[filled..]) {
-            Ok(0) => return Err(StoreError::Truncated { what: "header" }),
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(StoreError::Io(e)),
-        }
-    }
-    Ok(Header::decode(&bytes)?.version)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -113,6 +100,7 @@ mod tests {
 
     #[test]
     fn open_dispatches_on_version_and_views_agree() {
+        let _guard = crate::faults::test_lock();
         let g = GraphBuilder::new()
             .add_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
             .build();

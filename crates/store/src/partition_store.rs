@@ -28,7 +28,7 @@
 //! never silently shadows a later rewrite.
 
 use crate::atomic::atomic_write;
-use crate::format::Checksum;
+use crate::format::{check_magic, checksummed, edge_pair, edge_pairs, le_u32, le_u64, Checksum};
 use crate::StoreError;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -41,6 +41,9 @@ pub const MANIFEST_NAME: &str = "MANIFEST.tlp";
 const MANIFEST_HEADER: &str = "tlp-partition-store v1";
 /// Magic prefix of a segment file.
 const SEGMENT_MAGIC: [u8; 8] = *b"TLPSEG\x00\x01";
+/// Segment header: magic, partition id `u32`, reserved `u32`, edge count
+/// `u64`. The edge pairs and a [`Checksum`] over them follow.
+const SEGMENT_HEADER_LEN: usize = 24;
 
 /// One per-partition edge segment as recorded in the manifest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -257,21 +260,18 @@ pub fn write_partition_store<'a>(
         let mut checksum = Checksum::new();
 
         atomic_write(&seg_path, |out| {
-            out.write_all(&SEGMENT_MAGIC).map_err(StoreError::Io)?;
-            out.write_all(&(k as u32).to_le_bytes())
-                .map_err(StoreError::Io)?;
-            out.write_all(&0u32.to_le_bytes()).map_err(StoreError::Io)?;
-            out.write_all(&(edge_count as u64).to_le_bytes())
-                .map_err(StoreError::Io)?;
+            let mut head = [0u8; SEGMENT_HEADER_LEN];
+            head[0..8].copy_from_slice(&SEGMENT_MAGIC);
+            head[8..12].copy_from_slice(&(k as u32).to_le_bytes());
+            head[16..24].copy_from_slice(&(edge_count as u64).to_le_bytes());
+            out.write_all(&head).map_err(StoreError::Io)?;
 
             let mut written = 0usize;
             for (eid, edge) in graph.edge_iter().enumerate() {
                 if partition.partition_of(eid as u32) as usize != k {
                     continue;
                 }
-                let mut pair = [0u8; 8];
-                pair[0..4].copy_from_slice(&edge.source().to_le_bytes());
-                pair[4..8].copy_from_slice(&edge.target().to_le_bytes());
+                let pair = edge_pair(edge);
                 checksum.update(&pair);
                 out.write_all(&pair).map_err(StoreError::Io)?;
                 written += 1;
@@ -501,49 +501,34 @@ impl PartitionStoreReader {
         out: &mut Vec<(Edge, PartitionId)>,
     ) -> Result<(), StoreError> {
         let bytes = std::fs::read(self.dir.join(&entry.file)).map_err(StoreError::Io)?;
-        let expected_len = 8 + 4 + 4 + 8 + 8 * entry.edges + 8;
-        if bytes.len() < 24 {
+        if bytes.len() < SEGMENT_HEADER_LEN {
             return Err(StoreError::Truncated {
                 what: "segment header",
             });
         }
-        if bytes[0..8] != SEGMENT_MAGIC {
-            let mut found = [0u8; 8];
-            found.copy_from_slice(&bytes[0..8]);
-            return Err(StoreError::BadMagic { found });
-        }
-        let partition = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+        check_magic(&bytes, &SEGMENT_MAGIC)?;
+        let partition = le_u32(&bytes, 8);
         if partition != entry.partition {
             return Err(StoreError::Corrupt(format!(
                 "segment file {} labels itself partition {partition}, manifest says {}",
                 entry.file, entry.partition
             )));
         }
-        let count = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
+        let count = le_u64(&bytes, 16) as usize;
         if count != entry.edges {
             return Err(StoreError::Corrupt(format!(
                 "segment {} holds {count} edges, manifest says {}",
                 entry.file, entry.edges
             )));
         }
-        if bytes.len() != expected_len {
+        if bytes.len() != SEGMENT_HEADER_LEN + 8 * count + 8 {
             return Err(StoreError::Truncated {
                 what: "segment payload",
             });
         }
-        let payload = &bytes[24..24 + 8 * count];
-        let declared = u64::from_le_bytes(bytes[expected_len - 8..].try_into().expect("8 bytes"));
-        let actual = Checksum::of(payload);
-        if declared != actual {
-            return Err(StoreError::ChecksumMismatch {
-                section: "segment",
-                expected: declared,
-                actual,
-            });
-        }
-        for pair in payload.chunks_exact(8) {
-            let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-            let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
+        // The checksum covers the edge pairs only, not the header.
+        let pairs = checksummed(&bytes[SEGMENT_HEADER_LEN..], "segment")?;
+        for (u, v) in edge_pairs(pairs) {
             if u >= v || v as usize >= self.manifest.num_vertices {
                 return Err(StoreError::Corrupt(format!(
                     "segment {} contains invalid edge ({u}, {v})",
@@ -580,6 +565,7 @@ mod tests {
 
     #[test]
     fn write_load_roundtrip_is_exact() {
+        let _guard = crate::faults::test_lock();
         let (g, part) = graph_and_partition();
         let dir = temp_dir("rt");
         let manifest = write_partition_store(&dir, &g, &part).unwrap();
@@ -600,6 +586,7 @@ mod tests {
 
     #[test]
     fn manifest_text_roundtrip() {
+        let _guard = crate::faults::test_lock();
         let (g, part) = graph_and_partition();
         let dir = temp_dir("mt");
         let manifest = write_partition_store(&dir, &g, &part).unwrap();
@@ -610,6 +597,7 @@ mod tests {
 
     #[test]
     fn manifest_rejects_malformed_input() {
+        let _guard = crate::faults::test_lock();
         assert!(matches!(
             PartitionManifest::parse("not a manifest\n"),
             Err(StoreError::Manifest { line: 1, .. })
@@ -630,6 +618,7 @@ mod tests {
 
     #[test]
     fn segment_corruption_is_typed() {
+        let _guard = crate::faults::test_lock();
         let (g, part) = graph_and_partition();
         let dir = temp_dir("sc");
         write_partition_store(&dir, &g, &part).unwrap();
@@ -653,6 +642,7 @@ mod tests {
 
     #[test]
     fn truncated_segment_is_typed() {
+        let _guard = crate::faults::test_lock();
         let (g, part) = graph_and_partition();
         let dir = temp_dir("ts");
         write_partition_store(&dir, &g, &part).unwrap();

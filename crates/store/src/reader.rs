@@ -1,10 +1,12 @@
-//! Reading `.tlpg` binary graph files (v1 and v2).
+//! Reading `.tlpg` binary graph files (v1 and v2): [`StoreReader::open`]
+//! walks the section table without reading payloads, and every later
+//! section read goes through one chunked read-and-verify routine.
 
 use crate::faults::FaultFile;
 use crate::format::{
-    read_exact_or_truncated, tag_name, Header, SectionFrame, SectionHasher, CHUNK_EDGES,
-    HEADER_LEN, SECTION_FRAME_LEN, TAG_ADJ_EDGE, TAG_ADJ_VERTEX, TAG_DEGREES, TAG_EDGES,
-    TAG_OFFSETS, TAG_ORIGINAL_IDS, VERSION,
+    check_checksum, edge_pairs, le_u32, le_u64, read_exact_or_truncated, tag_name, walk_sections,
+    FrameBytes, Header, Section, SectionAt, SectionHasher, SectionSource, CHUNK_EDGES, HEADER_LEN,
+    SECTION_FRAME_LEN, VERSION,
 };
 use crate::StoreError;
 use std::io::{BufReader, Seek, SeekFrom};
@@ -20,30 +22,6 @@ pub struct StoredGraph {
     pub original_ids: Option<Vec<u64>>,
 }
 
-/// Section location inside an open store file.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SectionAt {
-    pub(crate) frame: SectionFrame,
-    pub(crate) payload_pos: u64,
-}
-
-/// Per-version section table of an open store.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Layout {
-    /// v1: per-vertex degrees + canonical edge pairs.
-    V1 {
-        degrees: SectionAt,
-        edges: SectionAt,
-    },
-    /// v2: the CSR arrays verbatim, then the canonical edge pairs.
-    V2 {
-        offsets: SectionAt,
-        adj_vertex: SectionAt,
-        adj_edge: SectionAt,
-        edges: SectionAt,
-    },
-}
-
 /// Descriptive metadata for one section of an open store, as reported by
 /// [`StoreReader::section_infos`] (e.g. for `tlp-convert info`).
 #[derive(Clone, Copy, Debug)]
@@ -56,6 +34,25 @@ pub struct SectionInfo {
     pub checksum: u64,
     /// Byte offset of the payload in the file.
     pub payload_pos: u64,
+}
+
+/// Opens `path` and reads its validated header: the start every graph
+/// reader shares, so a dispatching caller reads the header only once.
+pub(crate) fn open_header(path: &Path) -> Result<(FaultFile, Header), StoreError> {
+    let mut file = FaultFile::open(path).map_err(StoreError::Io)?;
+    let mut bytes = [0u8; HEADER_LEN];
+    read_exact_or_truncated(&mut file, &mut bytes, "header")?;
+    Ok((file, Header::decode(&bytes)?))
+}
+
+/// The reader's walk reads only the frames, seeking to each one.
+impl SectionSource for BufReader<FaultFile> {
+    fn frame(&mut self, pos: u64, what: &'static str) -> Result<FrameBytes, StoreError> {
+        self.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
+        let mut bytes = [0u8; SECTION_FRAME_LEN];
+        read_exact_or_truncated(self, &mut bytes, what)?;
+        Ok(bytes)
+    }
 }
 
 /// An opened (header-validated) binary graph store.
@@ -85,8 +82,7 @@ pub struct SectionInfo {
 pub struct StoreReader {
     path: PathBuf,
     header: Header,
-    pub(crate) layout: Layout,
-    pub(crate) original_ids: Option<SectionAt>,
+    sections: Vec<SectionAt>,
 }
 
 impl StoreReader {
@@ -98,62 +94,23 @@ impl StoreReader {
     /// [`StoreError::ChecksumMismatch`] (header), [`StoreError::Truncated`],
     /// or [`StoreError::Corrupt`] for structural defects.
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        let file = FaultFile::open(path).map_err(StoreError::Io)?;
+        let (file, header) = open_header(path)?;
+        StoreReader::with_header(path, file, header)
+    }
+
+    /// Finishes [`StoreReader::open`] on a file whose header `open_header`
+    /// has already read.
+    pub(crate) fn with_header(
+        path: &Path,
+        file: FaultFile,
+        header: Header,
+    ) -> Result<StoreReader, StoreError> {
         let file_len = file.metadata().map_err(StoreError::Io)?.len();
-        let mut reader = BufReader::new(file);
-
-        let mut header_bytes = [0u8; HEADER_LEN];
-        read_exact_or_truncated(&mut reader, &mut header_bytes, "header")?;
-        let header = Header::decode(&header_bytes)?;
-
-        let n = header.num_vertices;
-        let m = header.num_edges;
-        let mut pos = HEADER_LEN as u64;
-        let mut section =
-            |tag: u32, what: &'static str, expected_len: u64| -> Result<SectionAt, StoreError> {
-                reader.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
-                let frame = SectionFrame::read_expecting(&mut reader, tag, what)?;
-                if frame.payload_len != expected_len {
-                    return Err(StoreError::Corrupt(format!(
-                        "{what} section declares {} bytes, expected {expected_len}",
-                        frame.payload_len
-                    )));
-                }
-                let payload_pos = pos + SECTION_FRAME_LEN as u64;
-                pos = payload_pos + frame.payload_len;
-                if pos > file_len {
-                    return Err(StoreError::Truncated { what });
-                }
-                Ok(SectionAt { frame, payload_pos })
-            };
-
-        let layout = if header.version == VERSION {
-            let degrees = section(TAG_DEGREES, "degrees", 4 * n)?;
-            let edges = section(TAG_EDGES, "edges", 8 * m)?;
-            Layout::V1 { degrees, edges }
-        } else {
-            let offsets = section(TAG_OFFSETS, "offsets", 8 * (n + 1))?;
-            let adj_vertex = section(TAG_ADJ_VERTEX, "adjacency vertices", 8 * m)?;
-            let adj_edge = section(TAG_ADJ_EDGE, "adjacency edges", 8 * m)?;
-            let edges = section(TAG_EDGES, "edges", 8 * m)?;
-            Layout::V2 {
-                offsets,
-                adj_vertex,
-                adj_edge,
-                edges,
-            }
-        };
-        let original_ids = if header.has_original_ids {
-            Some(section(TAG_ORIGINAL_IDS, "original ids", 8 * n)?)
-        } else {
-            None
-        };
-
+        let sections = walk_sections(&header, file_len, &mut BufReader::new(file))?;
         Ok(StoreReader {
             path: path.to_path_buf(),
             header,
-            layout,
-            original_ids,
+            sections,
         })
     }
 
@@ -174,91 +131,112 @@ impl StoreReader {
 
     /// Name, size, and checksum of every section, in file order.
     pub fn section_infos(&self) -> Vec<SectionInfo> {
-        let info = |at: &SectionAt| SectionInfo {
-            name: tag_name(at.frame.tag),
-            payload_len: at.frame.payload_len,
-            checksum: at.frame.checksum,
-            payload_pos: at.payload_pos,
-        };
-        let mut out = match &self.layout {
-            Layout::V1 { degrees, edges } => vec![info(degrees), info(edges)],
-            Layout::V2 {
-                offsets,
-                adj_vertex,
-                adj_edge,
-                edges,
-            } => vec![info(offsets), info(adj_vertex), info(adj_edge), info(edges)],
-        };
-        if let Some(oids) = &self.original_ids {
-            out.push(info(oids));
-        }
-        out
+        self.sections
+            .iter()
+            .map(|at| SectionInfo {
+                name: tag_name(at.frame.tag),
+                payload_len: at.frame.payload_len,
+                checksum: at.frame.checksum,
+                payload_pos: at.payload_pos,
+            })
+            .collect()
     }
 
-    /// A fresh section hasher matching this file's format version.
-    pub(crate) fn section_hasher(&self) -> SectionHasher {
-        SectionHasher::for_version(self.header.version)
+    /// Where `section` lives, if this file has it.
+    pub(crate) fn find(&self, section: Section) -> Option<&SectionAt> {
+        self.sections.iter().find(|at| at.section == section)
+    }
+
+    /// The one chunked read of a section payload: reads `section` in reads
+    /// of at most `chunk_bytes` (a short file is `Truncated { what }`),
+    /// folds each chunk into the checksum, hands it to `visit`, and
+    /// verifies the checksum before returning `Ok` — so output a caller
+    /// still holds back never comes from an unverified payload.
+    pub(crate) fn read_section(
+        &self,
+        section: Section,
+        chunk_bytes: usize,
+        what: &'static str,
+        mut visit: impl FnMut(&[u8]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let at = self
+            .find(section)
+            .expect("callers read only sections the header declares");
+        let mut reader = BufReader::new(FaultFile::open(&self.path).map_err(StoreError::Io)?);
+        reader
+            .seek(SeekFrom::Start(at.payload_pos))
+            .map_err(StoreError::Io)?;
+        let mut hasher = SectionHasher::for_version(self.header.version);
+        let mut remaining = at.frame.payload_len as usize;
+        let mut buf = vec![0u8; chunk_bytes.min(remaining)];
+        while remaining > 0 {
+            let bytes = &mut buf[..chunk_bytes.min(remaining)];
+            read_exact_or_truncated(&mut reader, bytes, what)?;
+            hasher.update(bytes);
+            visit(bytes)?;
+            remaining -= bytes.len();
+        }
+        check_checksum(section.what(), at.frame.checksum, hasher.value())
     }
 
     /// Reads and checksums per-vertex degrees: the `DEGS` section of a v1
     /// file, or consecutive differences of the `OFFS` array of a v2 file.
     ///
+    /// The section is checked against the header, in O(n) and with no
+    /// extra read: the degrees must sum to `2m`, and `OFFS` must start at
+    /// 0, never decrease, end at `2m`, and have every gap fit a `u32`. A
+    /// corruption that preserves those (say, one offset shifted between
+    /// two vertices) is caught only by the cross-check against `EDGE` in
+    /// [`StoreReader::read_graph`].
+    ///
     /// # Errors
     ///
-    /// [`StoreError::ChecksumMismatch`] or I/O/truncation errors.
+    /// [`StoreError::ChecksumMismatch`], [`StoreError::Corrupt`] when the
+    /// section disagrees with the header, or I/O/truncation errors.
     pub fn read_degrees(&self) -> Result<Vec<u32>, StoreError> {
-        match &self.layout {
-            Layout::V1 { degrees, .. } => {
-                let mut reader = self.reader_at(degrees.payload_pos)?;
-                let n = self.header.num_vertices as usize;
-                let mut out = Vec::with_capacity(n);
-                let mut checksum = self.section_hasher();
-                let mut remaining = n;
-                let mut buf = vec![0u8; 4 * CHUNK_EDGES.min(n.max(1))];
-                while remaining > 0 {
-                    let take = remaining.min(CHUNK_EDGES);
-                    let bytes = &mut buf[..4 * take];
-                    read_exact_or_truncated(&mut reader, bytes, "degrees")?;
-                    checksum.update(bytes);
-                    for chunk in bytes.chunks_exact(4) {
-                        out.push(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
-                    }
-                    remaining -= take;
-                }
-                self.check(&degrees.frame, checksum.value(), "degrees")?;
-                Ok(out)
-            }
-            Layout::V2 { offsets, .. } => {
-                let mut reader = self.reader_at(offsets.payload_pos)?;
-                let n = self.header.num_vertices as usize;
-                let mut out = Vec::with_capacity(n);
-                let mut checksum = self.section_hasher();
-                let mut remaining = n + 1;
-                let mut prev: Option<u64> = None;
-                let mut buf = vec![0u8; 8 * CHUNK_EDGES.min(n + 1)];
-                while remaining > 0 {
-                    let take = remaining.min(CHUNK_EDGES);
-                    let bytes = &mut buf[..8 * take];
-                    read_exact_or_truncated(&mut reader, bytes, "offsets")?;
-                    checksum.update(bytes);
-                    for chunk in bytes.chunks_exact(8) {
-                        let off = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                        if let Some(p) = prev {
-                            let degree = off.checked_sub(p).ok_or_else(|| {
-                                StoreError::Corrupt(format!(
-                                    "offsets section not monotone: {p} then {off}"
-                                ))
-                            })?;
-                            out.push(degree as u32);
+        let mut degrees = Vec::with_capacity(self.header.num_vertices as usize);
+        let section = if self.header.version == VERSION {
+            self.read_section(Section::Degrees, 4 * CHUNK_EDGES, "degrees", |bytes| {
+                degrees.extend(bytes.chunks_exact(4).map(|d| le_u32(d, 0)));
+                Ok(())
+            })?;
+            Section::Degrees
+        } else {
+            let mut prev: Option<u64> = None;
+            self.read_section(Section::Offsets, 8 * CHUNK_EDGES, "offsets", |bytes| {
+                for off in bytes.chunks_exact(8).map(|word| le_u64(word, 0)) {
+                    let Some(p) = prev.replace(off) else {
+                        if off != 0 {
+                            let message = format!("offsets section starts at {off}, not 0");
+                            return Err(StoreError::Corrupt(message));
                         }
-                        prev = Some(off);
-                    }
-                    remaining -= take;
+                        continue;
+                    };
+                    let gap = off.checked_sub(p).ok_or_else(|| {
+                        StoreError::Corrupt(format!("offsets section not monotone: {p} then {off}"))
+                    })?;
+                    let degree = u32::try_from(gap).map_err(|_| {
+                        let v = degrees.len();
+                        StoreError::Corrupt(format!(
+                            "offsets section gives vertex {v} degree {gap}"
+                        ))
+                    })?;
+                    degrees.push(degree);
                 }
-                self.check(&offsets.frame, checksum.value(), "offsets")?;
-                Ok(out)
-            }
+                Ok(())
+            })?;
+            Section::Offsets
+        };
+        // With OFFS[0] = 0 and no gap truncated, the degrees sum to OFFS[n].
+        let total: u64 = degrees.iter().map(|&d| u64::from(d)).sum();
+        let arcs = self.header.num_edges.saturating_mul(2);
+        if total != arcs {
+            return Err(StoreError::Corrupt(format!(
+                "{} section implies {total} arcs, header implies 2m = {arcs}",
+                section.what()
+            )));
         }
+        Ok(degrees)
     }
 
     /// Reads the whole store back into memory: edge blocks are read in
@@ -273,30 +251,15 @@ impl StoreReader {
     /// Any [`StoreError`] variant matching the defect found.
     pub fn read_graph(&self) -> Result<StoredGraph, StoreError> {
         let n = self.header.num_vertices as usize;
-        let m = self.header.num_edges as usize;
         let stored_degrees = self.read_degrees()?;
 
-        let edges_at = self.edges_at();
-        let mut reader = self.reader_at(edges_at.payload_pos)?;
-        let mut edges: Vec<Edge> = Vec::with_capacity(m);
-        let mut checksum = self.section_hasher();
-        let mut remaining = m;
-        let mut buf = vec![0u8; 8 * CHUNK_EDGES.min(m.max(1))];
-        while remaining > 0 {
-            let take = remaining.min(CHUNK_EDGES);
-            let bytes = &mut buf[..8 * take];
-            read_exact_or_truncated(&mut reader, bytes, "edges")?;
-            checksum.update(bytes);
-            // Validation (canonical form, bounds, strict order) happens once,
-            // in `from_sorted_canonical_edges` below, after the checksum gate.
-            for pair in bytes.chunks_exact(8) {
-                let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-                let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-                edges.push(Edge::new(u, v));
-            }
-            remaining -= take;
-        }
-        self.check(&edges_at.frame, checksum.value(), "edges")?;
+        let mut edges: Vec<Edge> = Vec::with_capacity(self.header.num_edges as usize);
+        // Validation (canonical form, bounds, strict order) happens once,
+        // in `from_sorted_canonical_edges` below, after the checksum gate.
+        self.read_section(Section::Edges, 8 * CHUNK_EDGES, "edges", |bytes| {
+            edges.extend(edge_pairs(bytes).map(|(u, v)| Edge::new(u, v)));
+            Ok(())
+        })?;
 
         let graph = CsrGraph::from_sorted_canonical_edges(n, edges)?;
         for (v, &stored) in stored_degrees.iter().enumerate() {
@@ -323,70 +286,16 @@ impl StoreReader {
     ///
     /// [`StoreError::ChecksumMismatch`] or I/O/truncation errors.
     pub(crate) fn read_original_ids(&self) -> Result<Option<Vec<u64>>, StoreError> {
-        let n = self.header.num_vertices as usize;
-        match &self.original_ids {
-            None => Ok(None),
-            Some(section) => {
-                let mut reader = self.reader_at(section.payload_pos)?;
-                let mut ids = Vec::with_capacity(n);
-                let mut checksum = self.section_hasher();
-                let mut remaining = n;
-                let mut buf = vec![0u8; 8 * CHUNK_EDGES.min(n.max(1))];
-                while remaining > 0 {
-                    let take = remaining.min(CHUNK_EDGES);
-                    let bytes = &mut buf[..8 * take];
-                    read_exact_or_truncated(&mut reader, bytes, "original ids")?;
-                    checksum.update(bytes);
-                    for chunk in bytes.chunks_exact(8) {
-                        ids.push(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-                    }
-                    remaining -= take;
-                }
-                self.check(&section.frame, checksum.value(), "original ids")?;
-                Ok(Some(ids))
-            }
+        if !self.header.has_original_ids {
+            return Ok(None);
         }
-    }
-
-    /// A fresh buffered reader positioned at `pos` in the store file.
-    pub(crate) fn reader_at(&self, pos: u64) -> Result<BufReader<FaultFile>, StoreError> {
-        let mut reader = BufReader::new(FaultFile::open(&self.path).map_err(StoreError::Io)?);
-        reader.seek(SeekFrom::Start(pos)).map_err(StoreError::Io)?;
-        Ok(reader)
-    }
-
-    /// Location of the canonical edge-pair section (shared by v1 and v2).
-    pub(crate) fn edges_at(&self) -> SectionAt {
-        match self.layout {
-            Layout::V1 { edges, .. } => edges,
-            Layout::V2 { edges, .. } => edges,
-        }
-    }
-
-    /// Byte offset of the edge payload (for streaming readers).
-    pub(crate) fn edges_payload_pos(&self) -> u64 {
-        self.edges_at().payload_pos
-    }
-
-    /// Declared checksum of the edge payload (for streaming readers).
-    pub(crate) fn edges_checksum(&self) -> u64 {
-        self.edges_at().frame.checksum
-    }
-
-    pub(crate) fn check(
-        &self,
-        frame: &SectionFrame,
-        actual: u64,
-        section: &'static str,
-    ) -> Result<(), StoreError> {
-        if frame.checksum != actual {
-            return Err(StoreError::ChecksumMismatch {
-                section,
-                expected: frame.checksum,
-                actual,
-            });
-        }
-        Ok(())
+        let mut ids = Vec::with_capacity(self.header.num_vertices as usize);
+        let oids = Section::OriginalIds;
+        self.read_section(oids, 8 * CHUNK_EDGES, oids.what(), |bytes| {
+            ids.extend(bytes.chunks_exact(8).map(|id| le_u64(id, 0)));
+            Ok(())
+        })?;
+        Ok(Some(ids))
     }
 }
 

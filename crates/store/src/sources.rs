@@ -9,7 +9,7 @@
 //! violations surface as typed errors instead of silent memory blow-ups.
 
 use crate::faults::FaultFile;
-use crate::format::{read_exact_or_truncated, CHUNK_EDGES};
+use crate::format::{edge_pairs, Section, CHUNK_EDGES};
 use crate::loaded::LoadedGraph;
 use crate::reader::{decode_edge, StoreReader};
 use crate::StoreError;
@@ -114,37 +114,21 @@ impl EdgeSource for BinaryFileSource {
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
         let num_vertices = self.store.header().num_vertices as usize;
-        let mut remaining = self.store.header().num_edges as usize;
-        let mut reader = self.store.reader_at(self.store.edges_payload_pos())?;
-        let mut checksum = self.store.section_hasher();
-        let mut io_buf = vec![0u8; 8 * self.budget.min(CHUNK_EDGES)];
         let mut out = ChunkedSink::new(sink, self.budget);
         let mut prev = None;
-        while remaining > 0 {
-            let batch = remaining.min(io_buf.len() / 8);
-            let bytes = &mut io_buf[..8 * batch];
-            read_exact_or_truncated(&mut reader, bytes, "edge block")?;
-            checksum.update(bytes);
-            for pair in bytes.chunks_exact(8) {
-                let u = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-                let v = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-                let edge = decode_edge(u, v, num_vertices, prev)?;
-                prev = Some(edge);
-                out.push(edge);
-            }
-            remaining -= batch;
-        }
-        // The last chunk is still held back: verify the section checksum
-        // so corruption fails the pass before that chunk is handed over.
-        let (expected, actual) = (self.store.edges_checksum(), checksum.value());
-        if actual != expected {
-            return Err(StoreError::ChecksumMismatch {
-                section: "edges",
-                expected,
-                actual,
-            }
-            .into());
-        }
+        let chunk_bytes = 8 * self.budget.min(CHUNK_EDGES);
+        self.store
+            .read_section(Section::Edges, chunk_bytes, "edge block", |bytes| {
+                for (u, v) in edge_pairs(bytes) {
+                    let edge = decode_edge(u, v, num_vertices, prev)?;
+                    prev = Some(edge);
+                    out.push(edge);
+                }
+                Ok(())
+            })?;
+        // `read_section` verified the checksum before returning, and the
+        // last chunk is still held back: corruption fails the pass before
+        // that chunk is handed over.
         Ok(out.finish())
     }
 }
@@ -234,6 +218,7 @@ mod tests {
 
     #[test]
     fn binary_source_streams_the_canonical_order_and_materializes() {
+        let _guard = crate::faults::test_lock();
         let g = chung_lu(400, 1600, 2.2, 5);
         let dir = temp_dir("bin");
         let path = dir.join("g.tlpg");
@@ -267,6 +252,7 @@ mod tests {
 
     #[test]
     fn strict_streaming_refuses_random_access() {
+        let _guard = crate::faults::test_lock();
         let g = chung_lu(100, 400, 2.2, 9);
         let dir = temp_dir("strict");
         let path = dir.join("g.tlpg");
@@ -295,6 +281,7 @@ mod tests {
 
     #[test]
     fn text_pass_numbers_vertices_like_the_materialized_view() {
+        let _guard = crate::faults::test_lock();
         // Comments, an extra column, and self-loops — one of them on a
         // vertex no other line mentions before it. The data lines are in
         // canonical order, so the view's edge order is the file's.
@@ -317,6 +304,7 @@ mod tests {
 
     #[test]
     fn malformed_text_line_is_the_same_error_on_both_paths() {
+        let _guard = crate::faults::test_lock();
         let (dir, mut source) = text_source("malformed", "1 2\nnot numbers\n", 16);
         let streamed = source.stream_pass(&mut |_| {}).expect_err("pass must fail");
         let materialized = source.random_access().expect_err("parse must fail");
@@ -332,6 +320,7 @@ mod tests {
 
     #[test]
     fn edge_checksum_is_verified_before_the_last_chunk_reaches_the_sink() {
+        let _guard = crate::faults::test_lock();
         // Vertex 3 is isolated, so rewriting the last edge (0, 2) as
         // (0, 3) keeps it canonical, in order, and in bounds: only the
         // section checksum can catch it.
@@ -343,7 +332,8 @@ mod tests {
         let path = dir.join("g.tlpg");
         write_graph(&path, &g, &WriteOptions::default()).expect("write graph");
         let mut source = BinaryFileSource::open(&path, 1).expect("open");
-        let target = source.store.edges_payload_pos() as usize + 8 + 4;
+        let edges = source.store.find(Section::Edges).expect("edge section");
+        let target = edges.payload_pos as usize + 8 + 4;
         let mut bytes = std::fs::read(&path).expect("read");
         assert_eq!(bytes[target], 2);
         bytes[target] = 3;

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use crate::atomic::atomic_write;
 use crate::faults::FaultFile;
-use crate::format::Checksum;
+use crate::format::{check_magic, checksummed, le_u32, seal};
 use crate::StoreError;
 
 /// Name of the placement WAL inside a partition store directory.
@@ -60,8 +60,7 @@ impl WalRecord {
         out[0..4].copy_from_slice(&self.u.to_le_bytes());
         out[4..8].copy_from_slice(&self.v.to_le_bytes());
         out[8..12].copy_from_slice(&self.partition.to_le_bytes());
-        let checksum = Checksum::of(&out[0..12]);
-        out[12..20].copy_from_slice(&checksum.to_le_bytes());
+        seal(&mut out);
         out
     }
 
@@ -73,22 +72,14 @@ impl WalRecord {
     /// [`StoreError::ChecksumMismatch`] if the stored checksum disagrees
     /// with the payload (a flipped byte anywhere in the record).
     pub fn decode(bytes: &[u8]) -> Result<WalRecord, StoreError> {
-        if bytes.len() < WAL_RECORD_LEN {
-            return Err(StoreError::Truncated { what: "wal record" });
-        }
-        let expected = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let actual = Checksum::of(&bytes[0..12]);
-        if expected != actual {
-            return Err(StoreError::ChecksumMismatch {
-                section: "wal record",
-                expected,
-                actual,
-            });
-        }
+        let record = bytes
+            .get(..WAL_RECORD_LEN)
+            .ok_or(StoreError::Truncated { what: "wal record" })?;
+        let payload = checksummed(record, "wal record")?;
         Ok(WalRecord {
-            u: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
-            v: u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")),
-            partition: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
+            u: le_u32(payload, 0),
+            v: le_u32(payload, 4),
+            partition: le_u32(payload, 8),
         })
     }
 }
@@ -128,20 +119,11 @@ pub fn read_wal(path: &Path) -> Result<WalReplay, StoreError> {
             torn_tail_bytes: bytes.len(),
         });
     }
-    if bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[..8]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let body = &bytes[WAL_MAGIC.len()..];
-    let full = body.len() / WAL_RECORD_LEN;
-    let torn_tail_bytes = body.len() % WAL_RECORD_LEN;
-    let mut records = Vec::with_capacity(full);
-    for i in 0..full {
-        records.push(WalRecord::decode(&body[i * WAL_RECORD_LEN..])?);
-    }
+    check_magic(&bytes, &WAL_MAGIC)?;
+    let body = bytes[WAL_MAGIC.len()..].chunks_exact(WAL_RECORD_LEN);
+    let torn_tail_bytes = body.remainder().len();
     Ok(WalReplay {
-        records,
+        records: body.map(WalRecord::decode).collect::<Result<_, _>>()?,
         torn_tail_bytes,
     })
 }

@@ -1,9 +1,8 @@
 //! Writing `.tlpg` binary graph files (v1 and v2).
 
 use crate::format::{
-    FormatVersion, Header, SectionFrame, SectionHasher, SourceStamp, CHUNK_EDGES,
-    SECTION_FRAME_LEN, TAG_ADJ_EDGE, TAG_ADJ_VERTEX, TAG_DEGREES, TAG_EDGES, TAG_OFFSETS,
-    TAG_ORIGINAL_IDS,
+    edge_pair, FormatVersion, Header, Section, SectionFrame, SectionHasher, SourceStamp,
+    CHUNK_EDGES, SECTION_FRAME_LEN,
 };
 use crate::StoreError;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -79,54 +78,22 @@ fn write_graph_payload<W: Write + Seek>(
     };
     out.write_all(&header.encode()).map_err(StoreError::Io)?;
 
-    match options.version {
-        FormatVersion::V1 => {
-            // DEGS: one u32 per vertex, chunked.
-            write_section(out, version, TAG_DEGREES, |sink| {
-                let mut buf = Vec::with_capacity(4 * CHUNK_EDGES.min(graph.num_vertices().max(1)));
-                for v in graph.vertices() {
-                    buf.extend_from_slice(&(graph.degree(v) as u32).to_le_bytes());
-                    if buf.len() >= 4 * CHUNK_EDGES {
-                        sink.write(&buf)?;
-                        buf.clear();
-                    }
-                }
-                sink.write(&buf)
-            })?;
-        }
-        FormatVersion::V2 => {
-            // OFFS: the CSR offset array verbatim, (n+1) × u64.
-            write_section(out, version, TAG_OFFSETS, |sink| {
-                write_u64s(sink, graph.offsets().iter().copied())
-            })?;
-            // ADJV / ADJE: the adjacency arrays verbatim, 2m × u32 each.
-            write_section(out, version, TAG_ADJ_VERTEX, |sink| {
-                write_u32s(sink, graph.adj_vertex().iter().copied())
-            })?;
-            write_section(out, version, TAG_ADJ_EDGE, |sink| {
-                write_u32s(sink, graph.adj_edge().iter().copied())
-            })?;
-        }
-    }
-
-    // EDGE: canonical sorted (u, v) pairs, chunked — identical payload in
-    // both versions, which keeps sequential edge streaming format-agnostic.
-    write_section(out, version, TAG_EDGES, |sink| {
-        let mut buf = Vec::with_capacity(8 * CHUNK_EDGES.min(graph.num_edges().max(1)));
-        for e in graph.edge_iter() {
-            buf.extend_from_slice(&e.source().to_le_bytes());
-            buf.extend_from_slice(&e.target().to_le_bytes());
-            if buf.len() >= 8 * CHUNK_EDGES {
-                sink.write(&buf)?;
-                buf.clear();
+    let degree = |v| (graph.degree(v) as u32).to_le_bytes();
+    let ids = options.original_ids.as_deref().unwrap_or_default();
+    for section in header.sections() {
+        write_section(out, version, section.tag(), |sink| match section {
+            // DEGS (v1): one u32 per vertex.
+            Section::Degrees => write_items(sink, graph.vertices().map(degree)),
+            // OFFS / ADJV / ADJE (v2): the CSR arrays verbatim.
+            Section::Offsets => write_items(sink, graph.offsets().iter().map(|x| x.to_le_bytes())),
+            Section::AdjVertex => {
+                write_items(sink, graph.adj_vertex().iter().map(|x| x.to_le_bytes()))
             }
-        }
-        sink.write(&buf)
-    })?;
-
-    if let Some(ids) = &options.original_ids {
-        write_section(out, version, TAG_ORIGINAL_IDS, |sink| {
-            write_u64s(sink, ids.iter().copied())
+            Section::AdjEdge => write_items(sink, graph.adj_edge().iter().map(|x| x.to_le_bytes())),
+            // EDGE: canonical sorted (u, v) pairs — identical payload in
+            // both versions, which keeps edge streaming format-agnostic.
+            Section::Edges => write_items(sink, graph.edge_iter().map(edge_pair)),
+            Section::OriginalIds => write_items(sink, ids.iter().map(|x| x.to_le_bytes())),
         })?;
     }
 
@@ -134,29 +101,15 @@ fn write_graph_payload<W: Write + Seek>(
     Ok(())
 }
 
-fn write_u32s<W: Write + Seek>(
+/// Streams `N`-byte items through `sink`, `CHUNK_EDGES` items per write.
+fn write_items<const N: usize, W: Write + Seek>(
     sink: &mut SectionSink<'_, BufWriter<W>>,
-    values: impl Iterator<Item = u32>,
+    items: impl Iterator<Item = [u8; N]>,
 ) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(4 * CHUNK_EDGES);
-    for x in values {
-        buf.extend_from_slice(&x.to_le_bytes());
-        if buf.len() >= 4 * CHUNK_EDGES {
-            sink.write(&buf)?;
-            buf.clear();
-        }
-    }
-    sink.write(&buf)
-}
-
-fn write_u64s<W: Write + Seek>(
-    sink: &mut SectionSink<'_, BufWriter<W>>,
-    values: impl Iterator<Item = u64>,
-) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(8 * CHUNK_EDGES);
-    for x in values {
-        buf.extend_from_slice(&x.to_le_bytes());
-        if buf.len() >= 8 * CHUNK_EDGES {
+    let mut buf = Vec::with_capacity(N * CHUNK_EDGES);
+    for item in items {
+        buf.extend_from_slice(&item);
+        if buf.len() >= N * CHUNK_EDGES {
             sink.write(&buf)?;
             buf.clear();
         }
@@ -219,10 +172,12 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::format::{TAG_ADJ_EDGE, TAG_ADJ_VERTEX, TAG_EDGES, TAG_OFFSETS};
     use tlp_graph::GraphBuilder;
 
     #[test]
     fn rejects_mismatched_original_ids() {
+        let _guard = crate::faults::test_lock();
         let g = GraphBuilder::new().add_edge(0, 1).build();
         let dir = std::env::temp_dir().join(format!("tlp-store-w-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -240,6 +195,7 @@ mod tests {
 
     #[test]
     fn v2_payloads_are_aligned_multiples_of_eight() {
+        let _guard = crate::faults::test_lock();
         use crate::format::{HEADER_LEN, SECTION_FRAME_LEN};
         let g = GraphBuilder::new()
             .reserve_vertices(5) // odd n exercises the offsets length

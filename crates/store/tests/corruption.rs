@@ -187,3 +187,91 @@ fn empty_file_is_truncated() {
     ));
     cleanup(&path);
 }
+
+/// A graph in which every vertex has at least one edge.
+fn small_graph() -> CsrGraph {
+    tlp_graph::GraphBuilder::new()
+        .add_edges([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])
+        .build()
+}
+
+/// Rewrites entry `index` of the degree-bearing section (v2 `OFFS` as
+/// `u64`s, v1 `DEGS` as `u32`s) with `patch(old)`, then re-stamps the
+/// section checksum so that only the structural checks can object.
+fn patch_degree_section(path: &Path, index: usize, patch: impl Fn(u64) -> u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let (frame, payload) = (56, 80);
+    let len = u64::from_le_bytes(bytes[frame + 8..frame + 16].try_into().unwrap()) as usize;
+    let v2 = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) == 2;
+    let width = if v2 { 8 } else { 4 };
+    let at = payload + width * index;
+    let mut word = [0u8; 8];
+    word[..width].copy_from_slice(&bytes[at..at + width]);
+    let new = patch(u64::from_le_bytes(word)).to_le_bytes();
+    bytes[at..at + width].copy_from_slice(&new[..width]);
+    let section = &bytes[payload..payload + len];
+    let checksum = if v2 {
+        tlp_store::format::WideChecksum::of(section)
+    } else {
+        tlp_store::format::Checksum::of(section)
+    };
+    bytes[frame + 16..frame + 24].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// Every reader that trusts the degrees must reject the patched file with
+/// a `Corrupt` error mentioning `needle`.
+fn assert_degrees_rejected(path: &Path, needle: &str) {
+    let reader = StoreReader::open(path).unwrap();
+    match reader.read_degrees() {
+        Err(StoreError::Corrupt(message)) => assert!(message.contains(needle), "{message}"),
+        other => panic!("expected Corrupt({needle}), got {other:?}"),
+    }
+    assert!(matches!(reader.read_graph(), Err(StoreError::Corrupt(_))));
+    assert!(matches!(
+        tlp_store::BinaryFileSource::open(path, 64),
+        Err(StoreError::Corrupt(_))
+    ));
+}
+
+#[test]
+fn degrees_reject_offsets_not_starting_at_zero() {
+    let g = small_graph();
+    let path = temp_store(&g);
+    patch_degree_section(&path, 0, |off| off + 1);
+    assert_degrees_rejected(&path, "starts at 1");
+    cleanup(&path);
+}
+
+#[test]
+fn degrees_reject_offsets_not_ending_at_2m() {
+    let g = small_graph();
+    let path = temp_store(&g);
+    patch_degree_section(&path, g.num_vertices(), |off| off + 5);
+    assert_degrees_rejected(&path, "implies 17 arcs");
+    cleanup(&path);
+}
+
+#[test]
+fn degrees_reject_a_gap_wider_than_u32() {
+    // Without the check, the last vertex's degree 2 + 2^32 + 40 would be
+    // truncated to 42 and handed to degree-based placers as-is.
+    let g = small_graph();
+    let path = temp_store(&g);
+    patch_degree_section(&path, g.num_vertices(), |off| off + (1 << 32) + 40);
+    assert_degrees_rejected(&path, "gives vertex 4 degree 4294967338");
+    cleanup(&path);
+}
+
+#[test]
+fn v1_degrees_must_sum_to_2m() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/graph_v1.tlpg");
+    let dir = std::env::temp_dir().join(format!("tlp-store-degsum-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("graph.tlpg");
+    std::fs::copy(&golden, &path).unwrap();
+    let m = StoreReader::open(&path).unwrap().header().num_edges;
+    patch_degree_section(&path, 3, |d| d + 1);
+    assert_degrees_rejected(&path, &format!("implies {} arcs", 2 * m + 1));
+    cleanup(&path);
+}

@@ -34,10 +34,16 @@ peak=$(awk '/^peak edge buffer:/ {print $NF}' "$WORK/hdrf_stream.txt")
 test "$peak" -le 1024
 
 # The CLI also wrote a partition store; its manifest must exist and carry
-# the same replication factor the run reported.
+# the same replication factor the run reported. The manifest's RF is
+# replicas / covered, the same f64 division the CLI prints with {:.4}.
 test -f "$WORK/store/MANIFEST.tlp"
 rf_run=$(awk '/^replication factor:/ {print $NF}' "$WORK/hdrf_stream.txt")
-grep -q "replicas" "$WORK/store/MANIFEST.tlp"
+rf_manifest=$(awk '$1 == "replicas" {r = $2} $1 == "covered" {c = $2}
+    END {printf "%.4f", (c > 0 ? r / c : 1)}' "$WORK/store/MANIFEST.tlp")
+if [ "$rf_manifest" != "$rf_run" ]; then
+    echo "manifest RF '$rf_manifest' != reported RF '$rf_run'" >&2
+    exit 1
+fi
 
 # DBH: streamed binary vs. the plain materialized partitioner (both walk
 # the edges in natural order with the same seed).

@@ -140,14 +140,14 @@ enum InputFormat {
 /// downstream consumer works on the [`GraphView`](tlp::graph::GraphView),
 /// so the two paths share all the partitioning code.
 enum InputGraph {
-    Text(io::LoadedGraph),
+    Text(io::EdgeList),
     Bin(LoadedGraph),
 }
 
 impl InputGraph {
     fn view(&self) -> tlp::graph::GraphView<'_> {
         match self {
-            InputGraph::Text(loaded) => loaded.graph.view(),
+            InputGraph::Text(list) => list.graph.view(),
             InputGraph::Bin(stored) => stored.view(),
         }
     }
@@ -156,7 +156,7 @@ impl InputGraph {
     /// no id map).
     fn original_id(&self, v: usize) -> u64 {
         match self {
-            InputGraph::Text(loaded) => loaded.original_ids[v],
+            InputGraph::Text(list) => list.original_ids[v],
             InputGraph::Bin(stored) => stored.original_ids().map_or(v as u64, |ids| ids[v]),
         }
     }
@@ -430,10 +430,10 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let input = required(&flags, "input")?;
-    let loaded = io::read_edge_list_file(input).map_err(|e| e.to_string())?;
-    let stats = tlp::graph::stats::GraphStats::of(&loaded.graph);
+    let list = io::read_edge_list_file(input).map_err(|e| e.to_string())?;
+    let stats = tlp::graph::stats::GraphStats::of(&list.graph);
     println!("{stats}");
-    if let Some(alpha) = tlp::graph::degree::power_law_exponent_mle(&loaded.graph, 5) {
+    if let Some(alpha) = tlp::graph::degree::power_law_exponent_mle(&list.graph, 5) {
         println!("power-law exponent (MLE, d_min=5): {alpha:.2}");
     }
     Ok(())
