@@ -6,6 +6,12 @@ use crate::vertex_to_edge::{derive_edge_partition, VertexPartition};
 use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
 use tlp_graph::GraphView;
 
+/// Objective exponent `γ`, the FENNEL paper's recommended value.
+const GAMMA: f64 = 1.5;
+
+/// Capacity slack: partitions hold at most `⌈1.1 · n / p⌉` vertices.
+const SLACK: f64 = 1.1;
+
 /// FENNEL streams vertices and places each by the interpolated objective
 ///
 /// ```text
@@ -13,7 +19,7 @@ use tlp_graph::GraphView;
 /// ```
 ///
 /// with the paper's recommended `γ = 1.5` and `α = √p * m / n^1.5`, under a
-/// hard capacity `ν * n / p`. The vertex partition is converted to an edge
+/// hard capacity `1.1 * n / p`. The vertex partition is converted to an edge
 /// partition with the standard endpoint rule.
 ///
 /// # Example
@@ -31,8 +37,6 @@ use tlp_graph::GraphView;
 #[derive(Clone, Copy, Debug)]
 pub struct FennelPartitioner {
     order: VertexOrder,
-    gamma: f64,
-    slack: f64,
 }
 
 impl Default for FennelPartitioner {
@@ -44,26 +48,14 @@ impl Default for FennelPartitioner {
 impl FennelPartitioner {
     /// Creates a FENNEL partitioner with `γ = 1.5` and 10% capacity slack.
     pub fn new(order: VertexOrder) -> Self {
-        FennelPartitioner {
-            order,
-            gamma: 1.5,
-            slack: 1.1,
-        }
-    }
-
-    /// Overrides the objective exponent `γ` (> 1).
-    #[must_use]
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        self.gamma = gamma;
-        self
+        FennelPartitioner { order }
     }
 
     /// Runs the vertex-streaming phase only.
     ///
     /// # Errors
     ///
-    /// Returns [`PartitionError::ZeroPartitions`] for `num_partitions == 0`
-    /// and [`PartitionError::InvalidParameter`] for `γ <= 1`.
+    /// Returns [`PartitionError::ZeroPartitions`] for `num_partitions == 0`.
     pub fn partition_vertices<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
@@ -73,13 +65,6 @@ impl FennelPartitioner {
         if num_partitions == 0 {
             return Err(PartitionError::ZeroPartitions);
         }
-        if self.gamma.is_nan() || self.gamma <= 1.0 {
-            return Err(PartitionError::InvalidParameter {
-                name: "gamma",
-                value: self.gamma,
-                constraint: "must be > 1",
-            });
-        }
         let n = graph.num_vertices();
         let m = graph.num_edges();
         let p = num_partitions;
@@ -88,7 +73,7 @@ impl FennelPartitioner {
         } else {
             (p as f64).sqrt() * m as f64 / (n as f64).powf(1.5)
         };
-        let capacity = (self.slack * n as f64 / p as f64).ceil().max(1.0);
+        let capacity = (SLACK * n as f64 / p as f64).ceil().max(1.0);
         let mut assignment: Vec<PartitionId> = vec![PartitionId::MAX; n];
         let mut sizes = vec![0usize; p];
         let mut neighbor_counts = vec![0usize; p];
@@ -107,7 +92,7 @@ impl FennelPartitioner {
                 if sizes[i] as f64 >= capacity {
                     continue;
                 }
-                let penalty = alpha * self.gamma / 2.0 * (sizes[i] as f64).powf(self.gamma - 1.0);
+                let penalty = alpha * GAMMA / 2.0 * (sizes[i] as f64).powf(GAMMA - 1.0);
                 let score = neighbor_counts[i] as f64 - penalty;
                 if score > best_score {
                     best = i;
@@ -149,12 +134,8 @@ mod tests {
     use tlp_graph::GraphBuilder;
 
     #[test]
-    fn rejects_bad_gamma_and_zero_p() {
+    fn rejects_zero_p() {
         let g = GraphBuilder::new().add_edge(0, 1).build();
-        assert!(FennelPartitioner::default()
-            .with_gamma(1.0)
-            .partition(&g, 2)
-            .is_err());
         assert!(FennelPartitioner::default().partition(&g, 0).is_err());
     }
 

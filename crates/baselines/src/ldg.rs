@@ -7,11 +7,14 @@ use crate::vertex_to_edge::{derive_edge_partition, VertexPartition};
 use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
 use tlp_graph::GraphView;
 
+/// Capacity slack: partitions hold at most `⌈1.1 · n / p⌉` vertices.
+const SLACK: f64 = 1.1;
+
 /// LDG streams vertices and places each into the partition holding most of
 /// its already-placed neighbors, damped by a fullness penalty:
 ///
 /// ```text
-/// argmax_i  |N(v) ∩ P_i| * (1 - |P_i| / C),    C = slack * n / p
+/// argmax_i  |N(v) ∩ P_i| * (1 - |P_i| / C),    C = 1.1 * n / p
 /// ```
 ///
 /// Ties go to the less-loaded partition. The resulting vertex partition is
@@ -34,7 +37,6 @@ use tlp_graph::GraphView;
 #[derive(Clone, Copy, Debug)]
 pub struct LdgPartitioner {
     order: VertexOrder,
-    slack: f64,
 }
 
 impl Default for LdgPartitioner {
@@ -46,22 +48,14 @@ impl Default for LdgPartitioner {
 impl LdgPartitioner {
     /// Creates an LDG partitioner with the standard 10% capacity slack.
     pub fn new(order: VertexOrder) -> Self {
-        LdgPartitioner { order, slack: 1.1 }
-    }
-
-    /// Overrides the capacity slack multiplier (must be `>= 1`).
-    #[must_use]
-    pub fn with_slack(mut self, slack: f64) -> Self {
-        self.slack = slack;
-        self
+        LdgPartitioner { order }
     }
 
     /// Runs the vertex-streaming phase only.
     ///
     /// # Errors
     ///
-    /// Returns [`PartitionError::ZeroPartitions`] if `num_partitions == 0`
-    /// and [`PartitionError::InvalidParameter`] for a slack below 1.
+    /// Returns [`PartitionError::ZeroPartitions`] if `num_partitions == 0`.
     pub fn partition_vertices<'a>(
         &self,
         graph: impl Into<GraphView<'a>>,
@@ -71,16 +65,9 @@ impl LdgPartitioner {
         if num_partitions == 0 {
             return Err(PartitionError::ZeroPartitions);
         }
-        if self.slack.is_nan() || self.slack < 1.0 {
-            return Err(PartitionError::InvalidParameter {
-                name: "slack",
-                value: self.slack,
-                constraint: "must be >= 1",
-            });
-        }
         let n = graph.num_vertices();
         let p = num_partitions;
-        let capacity = (self.slack * n as f64 / p as f64).ceil().max(1.0);
+        let capacity = (SLACK * n as f64 / p as f64).ceil().max(1.0);
         let mut assignment: Vec<PartitionId> = vec![PartitionId::MAX; n];
         let mut sizes = vec![0usize; p];
         let mut neighbor_counts = vec![0usize; p];
@@ -188,10 +175,6 @@ mod tests {
     fn invalid_parameters_rejected() {
         let g = GraphBuilder::new().add_edge(0, 1).build();
         assert!(LdgPartitioner::default().partition(&g, 0).is_err());
-        assert!(LdgPartitioner::default()
-            .with_slack(0.5)
-            .partition(&g, 2)
-            .is_err());
     }
 
     #[test]

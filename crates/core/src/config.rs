@@ -28,7 +28,6 @@ pub enum ReseedPolicy {
 ///
 /// let config = TlpConfig::new()
 ///     .seed(42)
-///     .capacity_factor(1.05)
 ///     .reseed_policy(ReseedPolicy::Break)
 ///     .record_trace(true);
 /// assert_eq!(config.seed_value(), 42);
@@ -36,7 +35,6 @@ pub enum ReseedPolicy {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TlpConfig {
     seed: u64,
-    capacity_factor: f64,
     reseed: ReseedPolicy,
     record_trace: bool,
     frontier_cap: Option<usize>,
@@ -48,7 +46,6 @@ impl Default for TlpConfig {
     fn default() -> Self {
         TlpConfig {
             seed: 0,
-            capacity_factor: 1.0,
             reseed: ReseedPolicy::default(),
             record_trace: false,
             frontier_cap: None,
@@ -72,16 +69,6 @@ impl TlpConfig {
         self
     }
 
-    /// Scales the per-partition capacity: `C = ceil(factor * m / p)`.
-    ///
-    /// Values above 1 trade balance for quality; the paper uses exactly
-    /// `m / p` (factor 1). The value is validated by the partitioner.
-    #[must_use]
-    pub fn capacity_factor(mut self, factor: f64) -> Self {
-        self.capacity_factor = factor;
-        self
-    }
-
     /// Sets the frontier-exhaustion policy.
     #[must_use]
     pub fn reseed_policy(mut self, policy: ReseedPolicy) -> Self {
@@ -100,11 +87,6 @@ impl TlpConfig {
     /// The configured RNG seed.
     pub fn seed_value(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured capacity factor.
-    pub fn capacity_factor_value(&self) -> f64 {
-        self.capacity_factor
     }
 
     /// The configured reseed policy.
@@ -168,13 +150,6 @@ impl TlpConfig {
 
     /// Validates ranges; called by the partitioners before running.
     pub(crate) fn validate(&self) -> Result<(), PartitionError> {
-        if !(self.capacity_factor.is_finite() && self.capacity_factor >= 1.0) {
-            return Err(PartitionError::InvalidParameter {
-                name: "capacity_factor",
-                value: self.capacity_factor,
-                constraint: "must be finite and >= 1",
-            });
-        }
         if self.frontier_cap == Some(0) {
             return Err(PartitionError::InvalidParameter {
                 name: "frontier_cap",
@@ -191,13 +166,12 @@ impl TlpConfig {
         }
         Ok(())
     }
+}
 
-    /// The per-partition edge capacity `C` for a graph with `m` edges split
-    /// `p` ways (at least 1).
-    pub(crate) fn capacity(&self, num_edges: usize, num_partitions: usize) -> usize {
-        let raw = (self.capacity_factor * num_edges as f64 / num_partitions as f64).ceil();
-        (raw as usize).max(1)
-    }
+/// The per-partition edge capacity `C = ⌈m/p⌉` (at least 1) for a graph
+/// with `m` edges split `p` ways, as the paper defines it.
+pub(crate) fn capacity(num_edges: usize, num_partitions: usize) -> usize {
+    num_edges.div_ceil(num_partitions).max(1)
 }
 
 #[cfg(test)]
@@ -206,39 +180,18 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = TlpConfig::new()
-            .seed(9)
-            .capacity_factor(1.5)
-            .record_trace(true);
+        let c = TlpConfig::new().seed(9).record_trace(true);
         assert_eq!(c.seed_value(), 9);
-        assert_eq!(c.capacity_factor_value(), 1.5);
         assert!(c.records_trace());
         assert_eq!(c.reseed_policy_value(), ReseedPolicy::Reseed);
     }
 
     #[test]
     fn capacity_is_ceiling_and_at_least_one() {
-        let c = TlpConfig::new();
-        assert_eq!(c.capacity(10, 3), 4);
-        assert_eq!(c.capacity(9, 3), 3);
-        assert_eq!(c.capacity(0, 5), 1);
-        assert_eq!(c.capacity(2, 10), 1);
-    }
-
-    #[test]
-    fn capacity_factor_scales() {
-        let c = TlpConfig::new().capacity_factor(2.0);
-        assert_eq!(c.capacity(10, 5), 4);
-    }
-
-    #[test]
-    fn validation_rejects_bad_factors() {
-        assert!(TlpConfig::new().capacity_factor(0.5).validate().is_err());
-        assert!(TlpConfig::new()
-            .capacity_factor(f64::NAN)
-            .validate()
-            .is_err());
-        assert!(TlpConfig::new().capacity_factor(1.0).validate().is_ok());
+        assert_eq!(capacity(10, 3), 4);
+        assert_eq!(capacity(9, 3), 3);
+        assert_eq!(capacity(0, 5), 1);
+        assert_eq!(capacity(2, 10), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use super::frontier::{enroll_eager, enroll_frontier_edge};
 use super::policy::{AdmissionMode, GrowthState, Selection, SelectionPolicy};
 use super::workspace::{ScoringCounters, Workspace};
 use crate::checkpoint::EngineCheckpoint;
-use crate::config::{ReseedPolicy, TlpConfig};
+use crate::config::{capacity, ReseedPolicy, TlpConfig};
 use crate::partition::{EdgePartition, PartitionId};
 use crate::trace::{SelectionRecord, Trace};
 use crate::PartitionError;
@@ -72,7 +72,7 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
     }
     let mut trace = trace;
 
-    let capacity = config.capacity(m, num_partitions);
+    let capacity = capacity(m, num_partitions);
     let mut residual = ResidualGraph::new(graph);
     let mut ws = Workspace::new(n, config.frontier_cap_value().unwrap_or(usize::MAX));
 
@@ -268,7 +268,6 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         tlp_obs::counter("kernel.cache_hit", kernel.cache_hits);
         tlp_obs::counter("kernel.count.mark", kernel.mark_counts);
         tlp_obs::counter("kernel.count.gallop", kernel.gallop_counts);
-        tlp_obs::counter("kernel.count.bitset", kernel.bitset_counts);
         tlp_obs::counter("kernel.probes", kernel.probes);
     }
     ws.frontier_clear();
@@ -479,7 +478,7 @@ mod tests {
         let g = tlp_graph::generators::erdos_renyi(60, 240, 9);
         let p = 4;
         let part = run_tlp(&g, p, 11);
-        let capacity = TlpConfig::new().capacity(g.num_edges(), p);
+        let capacity = capacity(g.num_edges(), p);
         let max_degree = (0..60).map(|v| g.degree(v)).max().unwrap();
         for (pid, &count) in part.edge_counts().iter().enumerate() {
             assert!(

@@ -25,8 +25,8 @@ pub enum PartitionError {
     /// wrong graph/config fingerprint, inconsistent state, or a sink
     /// failure while persisting.
     Checkpoint(String),
-    /// Every trial of a best-of-t run failed (panicked or timed out), so
-    /// there is no partition to return. The message lists each failure.
+    /// Every trial of a best-of-t run panicked, so there is no partition
+    /// to return. The message lists each failure.
     AllTrialsFailed(String),
 }
 

@@ -43,7 +43,6 @@ mod parallel;
 mod partition;
 mod partitioner;
 mod pipeline;
-mod single_stage;
 mod tlp;
 mod tlp_r;
 mod trace;
@@ -68,7 +67,6 @@ pub use pipeline::{
     AlgorithmRegistry, Capability, MaterializedAlgorithm, ParamSpec, PipelineError, RunArtifact,
     TlpAlgorithm,
 };
-pub use single_stage::{StageOneOnlyPartitioner, StageTwoOnlyPartitioner};
 pub use tlp::TwoStageLocalPartitioner;
 pub use tlp_r::EdgeRatioLocalPartitioner;
 pub use trace::{SelectionRecord, Stage, StageDegreeSummary, Trace};

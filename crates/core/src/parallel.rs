@@ -11,13 +11,13 @@
 use crate::engine::{run_staged, ModularitySwitch};
 use crate::metrics::PartitionMetrics;
 use crate::partition::EdgePartition;
+use crate::pipeline::trial_span;
 use crate::{PartitionError, TlpConfig};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
-use tlp_graph::{CsrGraph, GraphView};
+use std::sync::Mutex;
+use tlp_graph::GraphView;
 
 /// The number of worker threads a `0 = auto` setting resolves to.
 pub fn available_threads() -> usize {
@@ -110,14 +110,14 @@ pub fn trial_seed(base: u64, index: usize) -> u64 {
     }
 }
 
-/// Why a trial produced no partition: it panicked or overran its deadline.
-/// Failed trials are excluded from winner selection; their slots in
+/// Why a trial produced no partition: it panicked. Failed trials are
+/// excluded from winner selection; their slots in
 /// [`TrialReport::trial_rfs`] hold `NaN`.
 #[derive(Clone, Debug)]
 pub struct TrialFailure {
     /// Index of the failed trial in `[0, trials)`.
     pub index: usize,
-    /// Panic payload or timeout description.
+    /// Panic payload.
     pub message: String,
 }
 
@@ -139,8 +139,7 @@ pub struct TrialReport {
     /// Replication factor of every trial, indexed by trial; `NaN` for
     /// trials that failed (see [`TrialReport::failures`]).
     pub trial_rfs: Vec<f64>,
-    /// Trials that panicked or timed out, in trial order. Empty on a fully
-    /// healthy run.
+    /// Trials that panicked, in trial order. Empty on a fully healthy run.
     pub failures: Vec<TrialFailure>,
 }
 
@@ -169,7 +168,7 @@ enum TrialOutcome {
     Done(EdgePartition, f64),
     /// Returned a typed error (deterministic; propagated to the caller).
     Error(PartitionError),
-    /// Panicked or timed out; excluded from winner selection.
+    /// Panicked; excluded from winner selection.
     Poisoned(String),
 }
 
@@ -198,17 +197,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Each trial runs under `catch_unwind`: a panicking trial is recorded in
 /// [`TrialReport::failures`] and excluded from winner selection instead of
-/// aborting the other `t - 1` trials. With a
-/// [`trial_deadline`](ParallelTrialRunner::trial_deadline), trials
-/// additionally run on dedicated watchdogged threads; a trial that overruns
-/// the deadline is excluded the same way (its thread is detached and left
-/// to finish in the background — the engine has no cancellation points).
-/// Only if *every* trial fails does `run` return
-/// [`PartitionError::AllTrialsFailed`].
+/// aborting the other `t - 1` trials. Only if *every* trial fails does
+/// `run` return [`PartitionError::AllTrialsFailed`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ParallelTrialRunner {
     config: TlpConfig,
-    deadline: Option<Duration>,
     probe: Option<fn(usize)>,
 }
 
@@ -218,7 +211,6 @@ impl ParallelTrialRunner {
     pub fn new(config: TlpConfig) -> Self {
         ParallelTrialRunner {
             config,
-            deadline: None,
             probe: None,
         }
     }
@@ -226,16 +218,6 @@ impl ParallelTrialRunner {
     /// The configuration this runner uses.
     pub fn config(&self) -> &TlpConfig {
         &self.config
-    }
-
-    /// Sets a wall-clock budget per trial. Trials that overrun it are
-    /// reported in [`TrialReport::failures`] and excluded. Note that a
-    /// deadline makes the *set of surviving trials* timing-dependent, so
-    /// runs using one are only deterministic while no trial straddles the
-    /// limit.
-    pub fn trial_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Test hook: called with the trial index at the start of each trial,
@@ -253,8 +235,7 @@ impl ParallelTrialRunner {
     /// Propagates the first trial's typed [`PartitionError`] (in trial
     /// order — these are deterministic config errors every trial shares),
     /// the config/partition-count validation errors of a plain run, or
-    /// [`PartitionError::AllTrialsFailed`] when every trial panicked or
-    /// timed out.
+    /// [`PartitionError::AllTrialsFailed`] when every trial panicked.
     pub fn run<'g>(
         &self,
         graph: impl Into<GraphView<'g>>,
@@ -272,53 +253,19 @@ impl ParallelTrialRunner {
             .collect();
         // Trace recording is a single-run concern; trials race plain runs.
         let base = self.config.record_trace(false);
-        let probe = self.probe;
-        // A deadline needs detachable ('static) trial threads, so the graph
-        // is materialized into an Arc-owned CSR; without one the borrowed
-        // view runs on scoped workers.
-        let shared: Option<Arc<CsrGraph>> = self.deadline.map(|_| Arc::new(graph.to_csr_graph()));
 
-        // When an observer is active, each trial records its events locally
-        // and the parent replays them in trial order below, so the merged
-        // stream is independent of the thread count.
-        let observing = tlp_obs::is_enabled();
-
-        let outcomes = parallel_map(threads, &seeds, |i, &seed| {
-            let config = base.seed(seed);
-            let work = || match (self.deadline, &shared) {
-                (Some(deadline), Some(shared)) => run_trial_with_deadline(
-                    Arc::clone(shared),
-                    num_partitions,
-                    config,
-                    probe,
-                    i,
-                    deadline,
-                ),
-                _ => run_trial(graph, num_partitions, config, probe, i),
-            };
-            if observing {
-                tlp_obs::with_recording(|| {
-                    let _trial = tlp_obs::span_with(
-                        "trial",
-                        vec![
-                            ("index".to_string(), tlp_obs::Field::U64(i as u64)),
-                            ("seed".to_string(), tlp_obs::Field::U64(seed)),
-                        ],
-                    );
-                    work()
-                })
-            } else {
-                (work(), Vec::new())
-            }
+        // Under an observer each trial records locally and is replayed in
+        // trial order, so the merged stream is independent of the thread
+        // count.
+        let outcomes = observed_parallel_map(threads, &seeds, |i, &seed| {
+            let _trial = trial_span(i, Some(seed));
+            run_trial(graph, num_partitions, base.seed(seed), self.probe, i)
         });
 
         let mut partitions: Vec<Option<EdgePartition>> = Vec::with_capacity(trials);
         let mut trial_rfs = Vec::with_capacity(trials);
         let mut failures = Vec::new();
-        for (index, (outcome, events)) in outcomes.into_iter().enumerate() {
-            if observing {
-                tlp_obs::replay(events, Some(index as u32));
-            }
+        for (index, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
                 TrialOutcome::Done(partition, rf) => {
                     partitions.push(Some(partition));
@@ -358,7 +305,7 @@ impl ParallelTrialRunner {
     }
 }
 
-/// One panic-isolated trial on the calling (scoped worker) thread.
+/// One panic-isolated trial on the calling worker thread.
 fn run_trial(
     graph: GraphView<'_>,
     num_partitions: usize,
@@ -379,38 +326,6 @@ fn run_trial(
         Ok(Ok((partition, rf))) => TrialOutcome::Done(partition, rf),
         Ok(Err(e)) => TrialOutcome::Error(e),
         Err(payload) => TrialOutcome::Poisoned(panic_message(payload)),
-    }
-}
-
-/// One panic-isolated trial on a dedicated thread, abandoned (detached, not
-/// killed) if it outlives `deadline`.
-fn run_trial_with_deadline(
-    graph: Arc<CsrGraph>,
-    num_partitions: usize,
-    config: TlpConfig,
-    probe: Option<fn(usize)>,
-    index: usize,
-    deadline: Duration,
-) -> TrialOutcome {
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name(format!("tlp-trial-{index}"))
-        .spawn(move || {
-            let outcome = run_trial(graph.view(), num_partitions, config, probe, index);
-            // The receiver is gone if the watchdog already timed out.
-            let _ = tx.send(outcome);
-        });
-    if spawned.is_err() {
-        return TrialOutcome::Poisoned("could not spawn trial thread".to_string());
-    }
-    match rx.recv_timeout(deadline) {
-        Ok(outcome) => outcome,
-        Err(mpsc::RecvTimeoutError::Timeout) => TrialOutcome::Poisoned(format!(
-            "trial exceeded its {deadline:?} deadline and was abandoned"
-        )),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            TrialOutcome::Poisoned("trial thread exited without reporting".to_string())
-        }
     }
 }
 
@@ -548,6 +463,20 @@ mod tests {
         }
     }
 
+    #[test]
+    fn poisoned_trial_is_counted_once_under_an_observer() {
+        let g = chung_lu(200, 800, 2.2, 7);
+        let runner = ParallelTrialRunner::new(TlpConfig::new().seed(5).trials(4).threads(2))
+            .trial_probe(panic_on_trial_two);
+        let (report, events) = tlp_obs::with_recording(|| runner.run(&g, 6).unwrap());
+        assert_eq!(report.failures.len(), 1);
+        let failed = events
+            .iter()
+            .filter(|e| matches!(&e.kind, tlp_obs::EventKind::Counter { name, .. } if name == "trial.failed"))
+            .count();
+        assert_eq!(failed, 1);
+    }
+
     fn panic_always(_index: usize) {
         panic!("every trial dies");
     }
@@ -561,42 +490,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PartitionError::AllTrialsFailed(_)));
         assert!(format!("{err}").contains("every trial dies"));
-    }
-
-    fn stall_trial_one(index: usize) {
-        if index == 1 {
-            std::thread::sleep(std::time::Duration::from_millis(500));
-        }
-    }
-
-    #[test]
-    fn deadline_excludes_overrunning_trial() {
-        let g = chung_lu(100, 400, 2.2, 2);
-        let report = ParallelTrialRunner::new(TlpConfig::new().seed(3).trials(2).threads(1))
-            .trial_deadline(std::time::Duration::from_millis(100))
-            .trial_probe(stall_trial_one)
-            .run(&g, 4)
-            .unwrap();
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].index, 1);
-        assert!(report.failures[0].message.contains("deadline"));
-        assert_eq!(report.best_trial, 0);
-        report.partition.validate_for(&g).unwrap();
-    }
-
-    #[test]
-    fn generous_deadline_changes_nothing() {
-        let g = chung_lu(150, 600, 2.2, 4);
-        let config = TlpConfig::new().seed(8).trials(3);
-        let plain = ParallelTrialRunner::new(config).run(&g, 5).unwrap();
-        let dead = ParallelTrialRunner::new(config)
-            .trial_deadline(std::time::Duration::from_secs(120))
-            .run(&g, 5)
-            .unwrap();
-        assert_eq!(plain.partition, dead.partition);
-        assert_eq!(plain.best_trial, dead.best_trial);
-        assert_eq!(plain.trial_rfs, dead.trial_rfs);
-        assert!(dead.failures.is_empty());
     }
 
     #[test]

@@ -268,9 +268,9 @@ pub fn run_span(label: &str, num_partitions: usize) -> tlp_obs::SpanGuard {
     )
 }
 
-/// Opens a `trial` span for a single-trial (non-raced) run; multi-trial
-/// runs get theirs from the trial runner's replay. `seed` is annotated
-/// when the algorithm is seeded.
+/// Opens a `trial` span: once for a single-trial (non-raced) run, and
+/// once per trial inside [`crate::ParallelTrialRunner`]. `seed` is
+/// annotated when the algorithm is seeded.
 pub fn trial_span(index: usize, seed: Option<u64>) -> tlp_obs::SpanGuard {
     let mut fields = vec![("index".to_string(), tlp_obs::Field::U64(index as u64))];
     if let Some(seed) = seed {

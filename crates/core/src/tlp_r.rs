@@ -79,9 +79,24 @@ impl EdgeRatioLocalPartitioner {
         Ok((partition, trace.expect("trace was requested")))
     }
 
-    pub(crate) fn with_name(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
+    /// Pure Stage I (`R = 1`, Eq. 7 for every selection), named
+    /// `StageI-only` for ablation line-ups.
+    pub fn stage_one_only(config: TlpConfig) -> Self {
+        EdgeRatioLocalPartitioner {
+            config,
+            ratio: 1.0,
+            name: "StageI-only",
+        }
+    }
+
+    /// Pure Stage II (`R = 0`, Eq. 9 for every selection), named
+    /// `StageII-only` for ablation line-ups.
+    pub fn stage_two_only(config: TlpConfig) -> Self {
+        EdgeRatioLocalPartitioner {
+            config,
+            ratio: 0.0,
+            name: "StageII-only",
+        }
     }
 }
 
@@ -113,6 +128,14 @@ mod tests {
         assert!(EdgeRatioLocalPartitioner::new(TlpConfig::new(), f64::NAN).is_err());
         assert!(EdgeRatioLocalPartitioner::new(TlpConfig::new(), 0.0).is_ok());
         assert!(EdgeRatioLocalPartitioner::new(TlpConfig::new(), 1.0).is_ok());
+    }
+
+    #[test]
+    fn single_stage_constructors_are_the_named_extremes() {
+        let one = EdgeRatioLocalPartitioner::stage_one_only(TlpConfig::new());
+        let two = EdgeRatioLocalPartitioner::stage_two_only(TlpConfig::new());
+        assert_eq!((one.name(), one.ratio()), ("StageI-only", 1.0));
+        assert_eq!((two.name(), two.ratio()), ("StageII-only", 0.0));
     }
 
     #[test]

@@ -8,29 +8,9 @@
 
 use crate::DatasetSpec;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use tlp_graph::{io, CsrGraph};
 use tlp_store::format::SourceStamp;
 use tlp_store::{write_graph, FormatVersion, StoreReader, WriteOptions};
-
-/// Process-wide count of text edge-list parses performed by [`load`].
-/// Observable via [`text_parse_count`] so tests can assert the binary
-/// cache actually prevents re-parsing.
-static TEXT_PARSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of stale or corrupt `.tlpg` caches [`load`] has
-/// deleted. Observable via [`cache_eviction_count`].
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of text edge-list parses [`load`] has performed in this process.
-pub fn text_parse_count() -> u64 {
-    TEXT_PARSES.load(Ordering::Relaxed)
-}
-
-/// Number of invalid `.tlpg` caches [`load`] has evicted in this process.
-pub fn cache_eviction_count() -> u64 {
-    CACHE_EVICTIONS.load(Ordering::Relaxed)
-}
 
 /// Where a loaded graph came from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,7 +116,6 @@ fn probe_cache(source: &Path) -> CacheProbe {
         Some(graph) => CacheProbe::Hit(graph),
         None => {
             let _ = std::fs::remove_file(&cache);
-            CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
             CacheProbe::Evicted
         }
     }
@@ -151,7 +130,9 @@ fn probe_cache(source: &Path) -> CacheProbe {
 /// best-effort (cache-write failures are ignored — e.g. a read-only data
 /// directory just means every load parses text). A stale or corrupt cache
 /// is **deleted** before the text parse, recorded in the returned
-/// [`LoadOutcome`] and the process-wide [`cache_eviction_count`].
+/// [`LoadOutcome`] and counted as `dataset.cache_evict`. The returned
+/// [`Provenance`] says whether the text was parsed: only
+/// [`Provenance::Real`] means it was.
 ///
 /// # Errors
 ///
@@ -223,7 +204,6 @@ pub fn load_with<P: AsRef<Path>>(
                 )));
             }
         }
-        TEXT_PARSES.fetch_add(1, Ordering::Relaxed);
         let list = io::read_edge_list_file(&path)?;
         if policy != CachePolicy::TextOnly {
             let options = WriteOptions {
@@ -255,14 +235,19 @@ mod tests {
     use super::*;
     use crate::DatasetId;
     use std::io::Write;
-    use std::sync::Mutex;
+    use tlp_obs::EventKind;
 
-    /// Tests asserting on the process-global parse counter must not run
-    /// concurrently with other tests that call [`load`] on real files.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-    fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
-        COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` and sums the `dataset.cache_evict` counter it emits.
+    fn count_evictions<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let (value, events) = tlp_obs::with_recording(f);
+        let evictions = events
+            .iter()
+            .map(|event| match &event.kind {
+                EventKind::Counter { name, delta } if name == "dataset.cache_evict" => *delta,
+                _ => 0,
+            })
+            .sum();
+        (value, evictions)
     }
 
     #[test]
@@ -275,7 +260,6 @@ mod tests {
 
     #[test]
     fn prefers_real_file_when_present() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");
@@ -293,7 +277,6 @@ mod tests {
 
     #[test]
     fn corrupt_real_file_is_an_error() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("Wiki-Vote.txt");
@@ -314,7 +297,6 @@ mod tests {
 
     #[test]
     fn second_load_hits_the_binary_cache_without_reparsing() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-cache-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");
@@ -325,21 +307,15 @@ mod tests {
         assert_eq!(first.provenance, Provenance::Real(path.clone()));
         assert!(cache_path(&path).is_file(), "cache not written");
 
-        let parses_after_first = text_parse_count();
+        // A cache-backed provenance means no text parse happened.
         let second = load(spec, &dir, 1.0, 0).unwrap();
         let third = load(spec, &dir, 1.0, 0).unwrap();
-        assert_eq!(
-            text_parse_count(),
-            parses_after_first,
-            "cached loads re-parsed the text file"
-        );
-        assert_eq!(
-            second.provenance,
-            Provenance::BinaryCache {
-                source: path.clone(),
-                cache: cache_path(&path),
-            }
-        );
+        let cached = Provenance::BinaryCache {
+            source: path.clone(),
+            cache: cache_path(&path),
+        };
+        assert_eq!(second.provenance, cached, "second load re-parsed the text");
+        assert_eq!(third.provenance, cached, "third load re-parsed the text");
         assert_eq!(
             second.graph, first.graph,
             "cache returned a different graph"
@@ -351,7 +327,6 @@ mod tests {
 
     #[test]
     fn stale_cache_is_ignored_and_rewritten() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-stale-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");
@@ -362,13 +337,10 @@ mod tests {
 
         // Change the source (different length => different stamp).
         std::fs::write(&path, "0 1\n1 2\n2 3\n3 4\n").unwrap();
-        let before = text_parse_count();
-        let evictions_before = cache_eviction_count();
-        let ds = load(spec, &dir, 1.0, 0).unwrap();
+        let (ds, evictions) = count_evictions(|| load(spec, &dir, 1.0, 0).unwrap());
         assert_eq!(ds.provenance, Provenance::Real(path.clone()));
         assert_eq!(ds.graph.num_edges(), 4, "stale cache served old graph");
-        assert_eq!(text_parse_count(), before + 1);
-        assert_eq!(cache_eviction_count(), evictions_before + 1);
+        assert_eq!(evictions, 1);
         assert!(ds.outcome.evicted_invalid_cache, "eviction not reported");
 
         // And the rewritten cache now serves the new content.
@@ -381,7 +353,6 @@ mod tests {
 
     #[test]
     fn corrupt_cache_degrades_to_text_parse() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-ccache-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");
@@ -391,11 +362,10 @@ mod tests {
         load(spec, &dir, 1.0, 0).unwrap();
         std::fs::write(cache_path(&path), b"garbage").unwrap();
 
-        let evictions_before = cache_eviction_count();
-        let ds = load(spec, &dir, 1.0, 0).unwrap();
+        let (ds, evictions) = count_evictions(|| load(spec, &dir, 1.0, 0).unwrap());
         assert_eq!(ds.provenance, Provenance::Real(path.clone()));
         assert_eq!(ds.graph.num_edges(), 2);
-        assert_eq!(cache_eviction_count(), evictions_before + 1);
+        assert_eq!(evictions, 1);
         assert!(ds.outcome.evicted_invalid_cache, "eviction not reported");
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -403,7 +373,6 @@ mod tests {
 
     #[test]
     fn evicted_cache_is_rewritten_not_reprobed() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-evict-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");
@@ -413,20 +382,20 @@ mod tests {
         load(spec, &dir, 1.0, 0).unwrap();
         std::fs::write(cache_path(&path), b"garbage").unwrap();
 
-        // The load that trips over the garbage evicts and rewrites it...
-        let evictions_before = cache_eviction_count();
-        let ds = load(spec, &dir, 1.0, 0).unwrap();
-        assert!(ds.outcome.evicted_invalid_cache);
-        assert!(
-            cache_path(&path).is_file(),
-            "cache not rewritten after eviction"
-        );
-
-        // ...so the next load is a clean cache hit, with no second eviction.
-        let next = load(spec, &dir, 1.0, 0).unwrap();
+        let ((ds, next), evictions) = count_evictions(|| {
+            // The load that trips over the garbage evicts and rewrites it...
+            let ds = load(spec, &dir, 1.0, 0).unwrap();
+            assert!(ds.outcome.evicted_invalid_cache);
+            assert!(
+                cache_path(&path).is_file(),
+                "cache not rewritten after eviction"
+            );
+            // ...so the next load is a clean cache hit.
+            (ds, load(spec, &dir, 1.0, 0).unwrap())
+        });
         assert!(matches!(next.provenance, Provenance::BinaryCache { .. }));
         assert!(!next.outcome.evicted_invalid_cache);
-        assert_eq!(cache_eviction_count(), evictions_before + 1);
+        assert_eq!(evictions, 1, "the rewritten cache was evicted again");
         assert_eq!(next.graph, ds.graph);
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -434,26 +403,24 @@ mod tests {
 
     #[test]
     fn text_only_policy_never_touches_the_cache() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-textonly-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");
         std::fs::write(&path, "0 1\n1 2\n").unwrap();
 
         let spec = DatasetSpec::get(DatasetId::G1);
-        let before = text_parse_count();
         let ds = load_with(spec, &dir, 1.0, 0, CachePolicy::TextOnly).unwrap();
         assert_eq!(ds.provenance, Provenance::Real(path.clone()));
-        assert_eq!(text_parse_count(), before + 1);
         assert!(!cache_path(&path).is_file(), "text-only load wrote a cache");
 
         // Even with a garbage cache present, text-only neither reads nor
         // evicts it.
         std::fs::write(cache_path(&path), b"garbage").unwrap();
-        let evictions = cache_eviction_count();
-        let ds = load_with(spec, &dir, 1.0, 0, CachePolicy::TextOnly).unwrap();
+        let (ds, evictions) =
+            count_evictions(|| load_with(spec, &dir, 1.0, 0, CachePolicy::TextOnly).unwrap());
         assert_eq!(ds.provenance, Provenance::Real(path.clone()));
-        assert_eq!(cache_eviction_count(), evictions);
+        assert!(!ds.outcome.evicted_invalid_cache);
+        assert_eq!(evictions, 0);
         assert!(cache_path(&path).is_file());
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -461,7 +428,6 @@ mod tests {
 
     #[test]
     fn binary_only_policy_requires_a_valid_cache() {
-        let _guard = counter_guard();
         let dir = std::env::temp_dir().join(format!("tlp-loader-binonly-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("email-Eu-core.txt");

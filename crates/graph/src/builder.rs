@@ -76,11 +76,6 @@ impl GraphBuilder {
         self.dropped_self_loops
     }
 
-    /// Number of (not yet deduplicated) edges currently buffered.
-    pub fn buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the graph: deduplicates edges and builds the CSR arrays.
     pub fn build(self) -> CsrGraph {
         let mut edges = self.edges;
@@ -129,7 +124,6 @@ mod tests {
         b.push_edge(0, 1);
         b.push_edge(1, 1);
         assert_eq!(b.dropped_self_loops(), 2);
-        assert_eq!(b.buffered_edges(), 1);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
     }

@@ -11,7 +11,7 @@
 //!   list, shrinking the search window after each hit; best when one list
 //!   is much shorter (a low-degree candidate against a hub).
 //! * [`IntersectionKernel::count_with_loaded`] — membership lookups against
-//!   a reusable epoch-stamped scratch ("bitset") holding one preloaded
+//!   a reusable epoch-stamped mark array holding one preloaded
 //!   neighborhood; best when *many* lists are intersected against the same
 //!   high-degree vertex, which is exactly what happens when a member is
 //!   admitted and all of its frontier neighbors must be rescored.
@@ -115,7 +115,8 @@ pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     }
 }
 
-/// Per-strategy call counts accumulated by an [`IntersectionKernel`].
+/// Per-strategy call counts accumulated by an [`IntersectionKernel`]: one
+/// field per path the engine runs.
 ///
 /// Plain integers with no observability dependency: the engine drains
 /// them once per round via [`IntersectionKernel::take_counters`] and
@@ -132,35 +133,16 @@ pub struct KernelCounters {
     pub mark_counts: u64,
     /// `count_with_loaded` calls answered by galloping search.
     pub gallop_counts: u64,
-    /// Raw [`IntersectionKernel::bitset_intersection_size`] calls.
-    pub bitset_counts: u64,
-    /// Individual membership probes performed across mark and bitset
-    /// counting (the inner-loop work the strategies are minimizing).
+    /// Individual membership probes performed by mark counting (the
+    /// inner-loop work the strategies are minimizing).
     pub probes: u64,
-}
-
-impl KernelCounters {
-    /// Adds another tally into this one.
-    pub fn merge(&mut self, other: &KernelCounters) {
-        self.loads += other.loads;
-        self.cache_hits += other.cache_hits;
-        self.mark_counts += other.mark_counts;
-        self.gallop_counts += other.gallop_counts;
-        self.bitset_counts += other.bitset_counts;
-        self.probes += other.probes;
-    }
-
-    /// Total intersection counts served, across every strategy.
-    pub fn total_counts(&self) -> u64 {
-        self.cache_hits + self.mark_counts + self.gallop_counts + self.bitset_counts
-    }
 }
 
 /// Reusable scratch for repeated intersections against one "loaded"
 /// neighborhood, plus a per-load cache of counts.
 ///
-/// The scratch is an epoch-stamped membership array (a bitset with O(1)
-/// clearing: bumping the epoch invalidates every mark at once). [`load`]
+/// The scratch is an epoch-stamped membership array (O(1) clearing:
+/// bumping the epoch invalidates every mark at once). [`load`]
 /// marks `N(v)`; [`count_with_loaded`] then counts any other vertex's
 /// neighborhood against the marks in `O(deg)` lookups — or galloping when
 /// the query degree dwarfs the loaded degree — and memoizes the result, so
@@ -318,32 +300,6 @@ impl IntersectionKernel {
         self.cache_val[ui] = count as u32;
         count
     }
-
-    /// Size of the intersection of two arbitrary sorted, duplicate-free
-    /// slices via the membership scratch: marks `a`, then counts `b`'s
-    /// hits.
-    ///
-    /// This is the raw bitset kernel (property-tested against the merge
-    /// and galloping kernels); it clobbers any loaded neighborhood.
-    pub fn bitset_intersection_size(&mut self, a: &[VertexId], b: &[VertexId]) -> usize {
-        self.counters.bitset_counts += 1;
-        self.counters.probes += b.len() as u64;
-        let cap = a
-            .iter()
-            .chain(b.iter())
-            .map(|&v| v as usize + 1)
-            .max()
-            .unwrap_or(0);
-        self.ensure_capacity(cap);
-        self.next_epoch();
-        self.loaded = None;
-        for &v in a {
-            self.mark[v as usize] = self.epoch;
-        }
-        b.iter()
-            .filter(|&&v| self.mark[v as usize] == self.epoch)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -365,13 +321,11 @@ mod tests {
             (&[1, 5, 7], &[5]),
             (&[0, 2, 4, 6, 8], &[1, 2, 3, 4, 5]),
         ];
-        let mut kernel = IntersectionKernel::new(16);
         for &(a, b) in cases {
             let expected = naive(a, b);
             assert_eq!(merge_intersection_size(a, b), expected);
             assert_eq!(galloping_intersection_size(a, b), expected);
             assert_eq!(sorted_intersection_size(a, b), expected);
-            assert_eq!(kernel.bitset_intersection_size(a, b), expected);
         }
     }
 
@@ -423,26 +377,21 @@ mod tests {
         kernel.load(&g, 0);
         kernel.count_with_loaded(&g, 2);
         kernel.count_with_loaded(&g, 2); // memoized
-        kernel.bitset_intersection_size(&[1, 2], &[2, 3]);
         let counters = kernel.take_counters();
         assert_eq!(counters.loads, 1);
         assert_eq!(counters.cache_hits, 1);
         assert_eq!(counters.mark_counts + counters.gallop_counts, 1);
-        assert_eq!(counters.bitset_counts, 1);
-        assert_eq!(counters.total_counts(), 3);
         assert!(counters.probes > 0);
         assert_eq!(*kernel.counters(), KernelCounters::default());
-        let mut merged = KernelCounters::default();
-        merged.merge(&counters);
-        assert_eq!(merged, counters);
     }
 
     #[test]
-    fn bitset_kernel_grows_capacity_on_demand() {
+    fn load_grows_capacity_on_demand() {
+        let g = GraphBuilder::new()
+            .add_edges([(1000, 2000), (2000, 3000)])
+            .build();
         let mut kernel = IntersectionKernel::new(0);
-        assert_eq!(
-            kernel.bitset_intersection_size(&[1000, 2000], &[2000, 3000]),
-            1
-        );
+        kernel.load(&g, 1000);
+        assert_eq!(kernel.count_with_loaded(&g, 3000), 1);
     }
 }

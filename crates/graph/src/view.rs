@@ -69,14 +69,6 @@ impl<'a> EdgeTable<'a> {
         let table = *self;
         (0..table.len() as EdgeId).map(move |e| table.get(e))
     }
-
-    /// The raw endpoint-pair words, if this table is pair-backed.
-    pub fn as_pairs(&self) -> Option<&'a [u32]> {
-        match self {
-            EdgeTable::Pairs(p) => Some(p),
-            EdgeTable::Structs(_) => None,
-        }
-    }
 }
 
 /// An immutable borrowed CSR graph: the read API of [`CsrGraph`] over
@@ -414,8 +406,6 @@ mod tests {
         for e in 0..g.num_edges() as u32 {
             assert_eq!(v.edge(e), g.edge(e));
         }
-        assert_eq!(v.edge_table().as_pairs(), Some(&pairs[..]));
-        assert_eq!(structs.edge_table().as_pairs(), None);
     }
 
     #[test]

@@ -30,17 +30,15 @@ fn naive(a: &[VertexId], b: &[VertexId]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// All three kernels agree with the adaptive dispatcher (and the naive
+    /// Both kernels agree with the adaptive dispatcher (and the naive
     /// definition) on arbitrary sorted slices, in both argument orders.
     #[test]
     fn all_kernels_agree(a in arb_sorted_slice(60), b in arb_sorted_slice(600)) {
         let expected = naive(&a, &b);
-        let mut kernel = IntersectionKernel::new(0);
         for (x, y) in [(&a, &b), (&b, &a)] {
             prop_assert_eq!(sorted_intersection_size(x, y), expected);
             prop_assert_eq!(merge_intersection_size(x, y), expected);
             prop_assert_eq!(galloping_intersection_size(x, y), expected);
-            prop_assert_eq!(kernel.bitset_intersection_size(x, y), expected);
         }
     }
 
@@ -48,22 +46,18 @@ proptest! {
     #[test]
     fn empty_side_yields_zero(a in arb_sorted_slice(200)) {
         let empty: Vec<VertexId> = Vec::new();
-        let mut kernel = IntersectionKernel::new(0);
         prop_assert_eq!(sorted_intersection_size(&a, &empty), 0);
         prop_assert_eq!(merge_intersection_size(&empty, &a), 0);
         prop_assert_eq!(galloping_intersection_size(&a, &empty), 0);
-        prop_assert_eq!(kernel.bitset_intersection_size(&empty, &a), 0);
     }
 
     /// Identical operands: the intersection is the whole (duplicate-free)
     /// slice.
     #[test]
     fn self_intersection_is_identity(a in arb_sorted_slice(200)) {
-        let mut kernel = IntersectionKernel::new(0);
         prop_assert_eq!(sorted_intersection_size(&a, &a), a.len());
         prop_assert_eq!(merge_intersection_size(&a, &a), a.len());
         prop_assert_eq!(galloping_intersection_size(&a, &a), a.len());
-        prop_assert_eq!(kernel.bitset_intersection_size(&a, &a), a.len());
     }
 
     /// Disjoint operands (built by offsetting `b` past `a`'s range) yield
@@ -72,11 +66,9 @@ proptest! {
     fn disjoint_slices_yield_zero(a in arb_sorted_slice(100), b in arb_sorted_slice(100)) {
         let offset = a.last().map_or(0, |&x| x + 1);
         let shifted: Vec<VertexId> = b.iter().map(|&x| x + offset).collect();
-        let mut kernel = IntersectionKernel::new(0);
         prop_assert_eq!(sorted_intersection_size(&a, &shifted), 0);
         prop_assert_eq!(merge_intersection_size(&a, &shifted), 0);
         prop_assert_eq!(galloping_intersection_size(&a, &shifted), 0);
-        prop_assert_eq!(kernel.bitset_intersection_size(&a, &shifted), 0);
     }
 
     /// Bounds: the count never exceeds either operand's length, and is

@@ -40,8 +40,7 @@ use tlp_baselines::{
 };
 use tlp_core::{
     AlgoConfig, Algorithm, AlgorithmRegistry, Capability, EdgeRatioLocalPartitioner,
-    MaterializedAlgorithm, ParamSpec, PipelineError, StageOneOnlyPartitioner,
-    StageTwoOnlyPartitioner, TlpAlgorithm, TlpConfig,
+    MaterializedAlgorithm, ParamSpec, PipelineError, TlpAlgorithm, TlpConfig,
 };
 use tlp_metis::{MetisConfig, MetisPartitioner};
 
@@ -93,7 +92,7 @@ pub fn builtin_registry() -> AlgorithmRegistry {
         Capability::RandomAccess,
         ParamSpec::None,
         "stage I heuristic for every selection (ablation)",
-        Box::new(|c| boxed(StageOneOnlyPartitioner::new(tlp_config(c)))),
+        Box::new(|c| boxed(EdgeRatioLocalPartitioner::stage_one_only(tlp_config(c)))),
     );
     r.register(
         "stage2",
@@ -101,7 +100,7 @@ pub fn builtin_registry() -> AlgorithmRegistry {
         Capability::RandomAccess,
         ParamSpec::None,
         "stage II heuristic for every selection (ablation)",
-        Box::new(|c| boxed(StageTwoOnlyPartitioner::new(tlp_config(c)))),
+        Box::new(|c| boxed(EdgeRatioLocalPartitioner::stage_two_only(tlp_config(c)))),
     );
     r.register(
         "ne",

@@ -60,20 +60,6 @@ impl ServeClient {
             }),
         }
     }
-
-    /// Reads one unsolicited frame (the refusal a saturated or draining
-    /// server sends before closing). `Ok(None)` means the server closed
-    /// without sending anything.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ProtocolError`] from the read or decode.
-    pub fn read_refusal(&mut self) -> Result<Option<Response>, ProtocolError> {
-        match read_frame(&mut self.reader)? {
-            Some(body) => Ok(Some(decode_response(&body)?)),
-            None => Ok(None),
-        }
-    }
 }
 
 /// Whether a request may be safely re-sent when its outcome is unknown

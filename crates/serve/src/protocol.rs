@@ -179,7 +179,8 @@ impl std::fmt::Display for ErrorCode {
 /// Server counter snapshot carried by [`Response::StatsReport`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests decoded and dispatched.
+    /// Frames the TCP server read, including ones that failed to decode
+    /// (those also count in `protocol_errors`). Zero in process.
     pub requests: u64,
     /// Lookup-family requests (vertex, edge, neighbors).
     pub lookups: u64,

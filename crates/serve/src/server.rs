@@ -14,11 +14,15 @@
 //! blocked workers wake, and replies [`ErrorCode::Draining`] to
 //! connections still waiting in the queue. Workers finish the request
 //! they are on — no reply is abandoned mid-write.
+//!
+//! The server keeps no counters of its own: it increments the service's
+//! `requests`, `overloads`, `drained` and `protocol_errors`, so a
+//! [`Request::Stats`] reply and [`ServerHandle::stats`] are both just
+//! [`PartitionService::stats`].
 
 use std::collections::VecDeque;
 use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -29,7 +33,7 @@ use crate::protocol::{
     decode_request, encode_response, read_frame, write_frame, ErrorCode, ProtocolError, Request,
     Response, ServeStats,
 };
-use crate::service::PartitionService;
+use crate::service::{tick, PartitionService};
 
 /// Tunables for the TCP front-end.
 #[derive(Clone, Debug)]
@@ -58,19 +62,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Counters owned by the TCP layer (the service owns the rest).
-#[derive(Default)]
-struct ServerCounters {
-    requests: AtomicU64,
-    overloads: AtomicU64,
-    drained: AtomicU64,
-    protocol_errors: AtomicU64,
-}
-
 /// Queue + drain coordination shared by acceptor and workers.
 struct Shared {
     service: PartitionService,
-    counters: ServerCounters,
     queue: Mutex<QueueState>,
     wake: Condvar,
     config: ServerConfig,
@@ -100,9 +94,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Combined service + server counter snapshot.
+    /// Counter snapshot of the service behind the server.
     pub fn stats(&self) -> ServeStats {
-        merged_stats(&self.shared)
+        self.shared.service.stats()
     }
 
     /// Triggers a drain (idempotent) and waits for every thread to exit.
@@ -149,7 +143,6 @@ pub fn serve(
     let local_addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         service,
-        counters: ServerCounters::default(),
         queue: Mutex::new(QueueState {
             pending: VecDeque::new(),
             live: Vec::new(),
@@ -177,15 +170,6 @@ pub fn serve(
         acceptor: Some(acceptor),
         workers,
     })
-}
-
-fn merged_stats(shared: &Shared) -> ServeStats {
-    let mut stats = shared.service.stats();
-    stats.requests = shared.counters.requests.load(Ordering::Relaxed);
-    stats.overloads = shared.counters.overloads.load(Ordering::Relaxed);
-    stats.drained = shared.counters.drained.load(Ordering::Relaxed);
-    stats.protocol_errors = shared.counters.protocol_errors.load(Ordering::Relaxed);
-    stats
 }
 
 /// Flips the draining flag and wakes everything that might be blocked:
@@ -217,13 +201,12 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         if queue.draining {
             drop(queue);
             refuse(stream, ErrorCode::Draining, shared.config.write_timeout);
-            shared.counters.drained.fetch_add(1, Ordering::Relaxed);
+            tick(&shared.service.counters().drained);
             return;
         }
         if queue.pending.len() >= shared.config.queue_depth {
             drop(queue);
-            shared.counters.overloads.fetch_add(1, Ordering::Relaxed);
-            counter("serve.overloads", 1);
+            tick(&shared.service.counters().overloads);
             refuse(stream, ErrorCode::Overloaded, shared.config.write_timeout);
             continue;
         }
@@ -263,7 +246,7 @@ fn worker_loop(shared: &Shared) {
                     drop(queue);
                     for stream in leftovers {
                         refuse(stream, ErrorCode::Draining, shared.config.write_timeout);
-                        shared.counters.drained.fetch_add(1, Ordering::Relaxed);
+                        tick(&shared.service.counters().drained);
                     }
                     return;
                 }
@@ -289,6 +272,7 @@ fn worker_loop(shared: &Shared) {
 
 /// Runs one connection to completion: frames in, frames out, in order.
 fn serve_connection(shared: &Shared, stream: &TcpStream) {
+    let counters = shared.service.counters();
     apply_sock_opt(stream.set_read_timeout(Some(shared.config.read_timeout)));
     apply_sock_opt(stream.set_nodelay(true));
     let mut reader = std::io::BufReader::new(match stream.try_clone() {
@@ -304,27 +288,18 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) {
             Ok(None) => return,
             Err(ProtocolError::Io(_)) => return,
             Err(_) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                counter("serve.protocol_errors", 1);
+                tick(&counters.protocol_errors);
                 let reply = encode_response(&Response::Error(ErrorCode::BadRequest));
                 let _ = write_frame(&mut writer, &reply);
                 return;
             }
         };
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+        tick(&counters.requests);
         let response = match decode_request(&body) {
             Err(_) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                counter("serve.protocol_errors", 1);
+                tick(&counters.protocol_errors);
                 Response::Error(ErrorCode::BadRequest)
             }
-            Ok(Request::Stats) => Response::StatsReport(merged_stats(shared)),
             Ok(Request::Health) => {
                 let mut report = shared.service.health();
                 report.draining = {
@@ -349,7 +324,7 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) {
                     queue.draining
                 };
                 if draining && matches!(request, Request::PlaceEdge { .. }) {
-                    shared.counters.drained.fetch_add(1, Ordering::Relaxed);
+                    tick(&counters.drained);
                     Response::Error(ErrorCode::Draining)
                 } else {
                     shared.service.handle(&request)

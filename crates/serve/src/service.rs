@@ -8,6 +8,12 @@
 //! and invalidated under the write lock, so cached entries never outlive
 //! the state they were derived from.
 //!
+//! The service owns every [`ServeStats`] counter except the cache's three
+//! (hits, misses, evictions). Requests, overloads, drain refusals and
+//! protocol errors only happen at the TCP layer, which increments them
+//! here, so an in-process caller of [`PartitionService::handle`] sees
+//! them stay zero.
+//!
 //! Online placement runs a [`StreamingPlacer`] seeded from the served
 //! partition's counts (`seeded_streaming_placer`), so the sequence of
 //! partitions handed out by a live server is bit-identical to a direct
@@ -17,7 +23,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 use std::time::Instant;
 
 use tlp_baselines::StreamingPlacer;
@@ -90,14 +96,13 @@ struct MutableState {
 /// Backing storage for the served base graph.
 ///
 /// `Owned` is a service-private CSR (built in memory or rebuilt from a
-/// partition store's segments). `Arena` co-owns a [`LoadedGraph`] — for
-/// v2 files a zero-copy arena — so any number of services, trial runners,
-/// and benchmarks can share one immutable graph instead of N copies. All
-/// read paths go through [`ServedGraph::view`], so request handling is
-/// identical for both backings.
+/// partition store's segments). `Arena` holds a [`LoadedGraph`] opened
+/// from a graph file — for v2 files a zero-copy arena. All read paths go
+/// through [`ServedGraph::view`], so request handling is identical for
+/// both backings.
 enum ServedGraph {
     Owned(CsrGraph),
-    Arena(Arc<LoadedGraph>),
+    Arena(LoadedGraph),
 }
 
 impl ServedGraph {
@@ -109,6 +114,28 @@ impl ServedGraph {
     }
 }
 
+/// The event counts behind [`ServeStats`] and [`HealthReport::flushes`];
+/// the vertex cache counts its own hits, misses and evictions.
+#[derive(Default)]
+pub(crate) struct Counters {
+    /// Frames read by the TCP layer, decodable or not.
+    pub(crate) requests: AtomicU64,
+    lookups: AtomicU64,
+    placements: AtomicU64,
+    flushes: AtomicU64,
+    /// Connections the TCP layer refused with [`ErrorCode::Overloaded`].
+    pub(crate) overloads: AtomicU64,
+    /// Connections and placements refused with [`ErrorCode::Draining`].
+    pub(crate) drained: AtomicU64,
+    /// Frames the TCP layer failed to read or decode.
+    pub(crate) protocol_errors: AtomicU64,
+}
+
+/// Adds one to `counter`.
+pub(crate) fn tick(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// The served graph + partition pair and all request handling.
 pub struct PartitionService {
     graph: ServedGraph,
@@ -116,9 +143,7 @@ pub struct PartitionService {
     store_dir: Option<PathBuf>,
     state: RwLock<MutableState>,
     cache: VertexCache,
-    lookups: AtomicU64,
-    placements_done: AtomicU64,
-    flushes: AtomicU64,
+    counters: Counters,
     started: Instant,
     /// Microseconds after `started` of the last successful flush;
     /// `u64::MAX` = never flushed.
@@ -142,22 +167,6 @@ impl PartitionService {
         Self::build(ServedGraph::Owned(graph), partition, spec, cache_capacity)
     }
 
-    /// Wraps a [`LoadedGraph`] behind an `Arc`, sharing its storage (for
-    /// v2 files, the zero-copy arena) with every other holder instead of
-    /// copying the graph into the service.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartitionService::new`].
-    pub fn from_loaded(
-        loaded: Arc<LoadedGraph>,
-        partition: EdgePartition,
-        spec: &str,
-        cache_capacity: usize,
-    ) -> Result<Self, ServiceError> {
-        Self::build(ServedGraph::Arena(loaded), partition, spec, cache_capacity)
-    }
-
     fn build(
         graph: ServedGraph,
         partition: EdgePartition,
@@ -179,9 +188,7 @@ impl PartitionService {
                 wal_poisoned: false,
             }),
             cache: VertexCache::new(cache_capacity, 16),
-            lookups: AtomicU64::new(0),
-            placements_done: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
+            counters: Counters::default(),
             started: Instant::now(),
             last_flush_micros: AtomicU64::new(u64::MAX),
         })
@@ -230,7 +237,7 @@ impl PartitionService {
         spec: &str,
         cache_capacity: usize,
     ) -> Result<Self, ServiceError> {
-        let loaded = Arc::new(LoadedGraph::open(graph_path)?);
+        let loaded = LoadedGraph::open(graph_path)?;
         let reader = PartitionStoreReader::open(dir)?;
         let partition = reader.load_assignment(loaded.view())?;
         let mut service = Self::build(ServedGraph::Arena(loaded), partition, spec, cache_capacity)?;
@@ -297,12 +304,16 @@ impl PartitionService {
         &self.cache
     }
 
+    /// The counters the TCP layer increments.
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.counters
+    }
+
     /// Handles one request against the service state. Infallible at this
     /// layer: failures become typed [`Response::Error`] replies.
     /// [`Request::Shutdown`] is acknowledged but drain orchestration
     /// belongs to the server in front of this service.
     pub fn handle(&self, request: &Request) -> Response {
-        counter("serve.requests", 1);
         match request {
             Request::Ping => Response::Pong,
             Request::VertexLookup { vertex } => self.vertex_lookup(*vertex),
@@ -324,7 +335,7 @@ impl PartitionService {
         HealthReport {
             wal_depth: state.wal.as_ref().map_or(0, PlacementWal::depth),
             pending_placements: state.pending,
-            flushes: self.flushes.load(Ordering::Relaxed),
+            flushes: self.counters.flushes.load(Ordering::Relaxed),
             last_flush_age_secs: if last_flush == u64::MAX {
                 u64::MAX
             } else {
@@ -335,13 +346,18 @@ impl PartitionService {
         }
     }
 
-    /// Service-level counter snapshot (server-level fields are zero; the
-    /// TCP layer overlays its own).
+    /// Counter snapshot. `requests`, `overloads`, `drained` and
+    /// `protocol_errors` stay zero unless a TCP server fronts the service.
     pub fn stats(&self) -> ServeStats {
         let state = self.state.read().unwrap_or_else(|e| e.into_inner());
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         ServeStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            placements: self.placements_done.load(Ordering::Relaxed),
+            requests: load(&self.counters.requests),
+            lookups: load(&self.counters.lookups),
+            placements: load(&self.counters.placements),
+            overloads: load(&self.counters.overloads),
+            drained: load(&self.counters.drained),
+            protocol_errors: load(&self.counters.protocol_errors),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_evictions: self.cache.evictions(),
@@ -349,7 +365,6 @@ impl PartitionService {
             num_vertices: self.graph.view().num_vertices() as u64,
             num_partitions: self.base.num_partitions() as u64,
             num_edges: self.graph.view().num_edges() as u64,
-            ..ServeStats::default()
         }
     }
 
@@ -392,19 +407,16 @@ impl PartitionService {
     }
 
     fn vertex_lookup(&self, vertex: VertexId) -> Response {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        counter("serve.lookups", 1);
+        tick(&self.counters.lookups);
         if !self.in_range(vertex) {
             return Response::Error(ErrorCode::NotFound);
         }
         if let Some(cached) = self.cache.get(vertex) {
-            counter("serve.cache.hits", 1);
             return Response::VertexInfo {
                 master: cached.master,
                 replicas: cached.replicas,
             };
         }
-        counter("serve.cache.misses", 1);
         // Fill while holding the read lock: a concurrent writer cannot
         // commit (and invalidate) until this guard drops, so the entry we
         // insert matches the state we read.
@@ -419,8 +431,7 @@ impl PartitionService {
     }
 
     fn edge_lookup(&self, u: VertexId, v: VertexId) -> Response {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        counter("serve.lookups", 1);
+        tick(&self.counters.lookups);
         if u == v || !self.in_range(u) || !self.in_range(v) {
             return Response::Error(if u == v {
                 ErrorCode::BadRequest
@@ -442,8 +453,7 @@ impl PartitionService {
     }
 
     fn neighbors(&self, vertex: VertexId, partition: u32) -> Response {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        counter("serve.lookups", 1);
+        tick(&self.counters.lookups);
         if partition as usize >= self.base.num_partitions() {
             return Response::Error(ErrorCode::BadRequest);
         }
@@ -551,8 +561,7 @@ impl PartitionService {
         if !logged {
             return Response::Error(ErrorCode::Internal);
         }
-        self.placements_done.fetch_add(1, Ordering::Relaxed);
-        counter("serve.placements", 1);
+        tick(&self.counters.placements);
         Response::Placed {
             partition: pid,
             fresh: true,
@@ -568,10 +577,9 @@ impl PartitionService {
         match self.write_merged(dir, &state) {
             Ok(()) => {
                 state.pending = 0;
-                self.flushes.fetch_add(1, Ordering::Relaxed);
+                tick(&self.counters.flushes);
                 self.last_flush_micros
                     .store(self.started.elapsed().as_micros() as u64, Ordering::Relaxed);
-                counter("serve.flushes", 1);
                 // The store now covers every logged placement, so the WAL
                 // restarts empty. Truncation failure is non-fatal for this
                 // flush (the store committed; replaying stale records is

@@ -6,7 +6,7 @@ use tlp::baselines::{
     LdgPartitioner, RandomPartitioner, VertexOrder,
 };
 use tlp::core::{
-    EdgePartitioner, PartitionMetrics, StageOneOnlyPartitioner, StageTwoOnlyPartitioner, TlpConfig,
+    EdgePartitioner, EdgeRatioLocalPartitioner, PartitionMetrics, TlpConfig,
     TwoStageLocalPartitioner,
 };
 use tlp::datasets::{DatasetId, DatasetSpec};
@@ -16,8 +16,12 @@ fn full_lineup() -> Vec<Box<dyn EdgePartitioner>> {
     let seed = 11;
     vec![
         Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(seed))),
-        Box::new(StageOneOnlyPartitioner::new(TlpConfig::new().seed(seed))),
-        Box::new(StageTwoOnlyPartitioner::new(TlpConfig::new().seed(seed))),
+        Box::new(EdgeRatioLocalPartitioner::stage_one_only(
+            TlpConfig::new().seed(seed),
+        )),
+        Box::new(EdgeRatioLocalPartitioner::stage_two_only(
+            TlpConfig::new().seed(seed),
+        )),
         Box::new(MetisPartitioner::default()),
         Box::new(LdgPartitioner::new(VertexOrder::Random(seed))),
         Box::new(FennelPartitioner::new(VertexOrder::Random(seed))),
@@ -98,8 +102,16 @@ fn two_stage_is_at_least_as_good_as_the_worse_single_stage() {
         total / seeds.len() as f64
     };
     let tlp = mean_rf(&|s| Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(s))));
-    let s1 = mean_rf(&|s| Box::new(StageOneOnlyPartitioner::new(TlpConfig::new().seed(s))));
-    let s2 = mean_rf(&|s| Box::new(StageTwoOnlyPartitioner::new(TlpConfig::new().seed(s))));
+    let s1 = mean_rf(&|s| {
+        Box::new(EdgeRatioLocalPartitioner::stage_one_only(
+            TlpConfig::new().seed(s),
+        ))
+    });
+    let s2 = mean_rf(&|s| {
+        Box::new(EdgeRatioLocalPartitioner::stage_two_only(
+            TlpConfig::new().seed(s),
+        ))
+    });
     // 1% relative slack: the two-stage run is statistically tied with the
     // better extreme when the modularity switch rarely fires on a graph
     // this small; "materially worse than both" is what must never happen.
