@@ -25,6 +25,7 @@ use tlp_graph::{GraphView, ResidualGraph, VertexId};
 /// candidate. Notifies the policy of the refreshed state.
 pub(super) fn enroll_frontier_edge<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
+    triangles: &[u32],
     residual: &ResidualGraph<'_>,
     ws: &mut Workspace,
     policy: &mut P,
@@ -49,15 +50,12 @@ pub(super) fn enroll_frontier_edge<P: SelectionPolicy + ?Sized>(
         ws.frontier.push(u);
         ws.e_in[ui] = 1;
         // Initial mu_s1: max closeness term against members already adjacent
-        // (static adjacency — including edges consumed by earlier rounds).
-        // `refresh_mu1` folds each term into the running maximum, pruning
-        // and caching where provably value-neutral; the term against the
-        // member being admitted right now is served by the loaded kernel
-        // and memoized for the admission's refresh pass.
+        // (static adjacency — including edges consumed by earlier rounds),
+        // each term's numerator read from the triangle table by edge id.
         ws.mu1[ui] = 0.0;
-        for &w in graph.neighbors(u) {
+        for (w, e) in graph.incident(u) {
             if ws.member_round[w as usize] == k {
-                ws.refresh_mu1(graph, u, w);
+                ws.refresh_mu1(u, triangles[e as usize], graph.degree(w));
             }
         }
     }

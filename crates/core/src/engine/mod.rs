@@ -42,12 +42,13 @@
 //!
 //! Under either policy, Stage I scores (`mu1`) are maintained
 //! incrementally by `Workspace::refresh_mu1`: when a member is admitted,
-//! only frontier vertices adjacent to it are rescored, each term is pruned
-//! by a degree upper bound when it provably cannot raise the candidate's
-//! running maximum, and intersections against the admitted member run on
-//! the loaded [`IntersectionKernel`](tlp_graph::intersect::IntersectionKernel)
-//! with per-admission memoization. All of these are value-neutral, so
-//! both policies see the exact Eq. 7 scores.
+//! only frontier vertices adjacent to it are rescored. Each term's
+//! numerator `|N(u) ∩ N(w)|` is the triangle count of the edge `(u, w)`,
+//! which depends on the input graph alone, so a lazy-admission run reads
+//! it from a [`triangle_table`] built once per graph (and shared by every
+//! trial of a [`ParallelTrialRunner`](crate::ParallelTrialRunner)) instead
+//! of intersecting adjacency lists. Both policies see the exact Eq. 7
+//! scores.
 //!
 //! All ties are broken by explicit deterministic keys, so results are
 //! reproducible across runs and platforms.
@@ -61,6 +62,7 @@ pub use policy::{
     AdmissionMode, EdgeRatioSwitch, GrowthState, ModularitySwitch, ScanPolicy, Selection,
     SelectionPolicy, StageSwitch, StagedPolicy,
 };
+pub(crate) use round::run_engine;
 pub use round::{run, run_with_checkpoints, CheckpointSink};
 pub use workspace::Workspace;
 
@@ -70,6 +72,18 @@ use crate::partition::EdgePartition;
 use crate::trace::Trace;
 use crate::PartitionError;
 use tlp_graph::GraphView;
+
+/// Builds the per-edge triangle table Stage I reads, under one `tri.build`
+/// span carrying the graph's triangle total as `tri.triangles`.
+pub(crate) fn triangle_table(graph: GraphView<'_>) -> Vec<u32> {
+    let _build = tlp_obs::span("tri.build");
+    let table = tlp_graph::intersect::edge_triangles(graph);
+    if tlp_obs::is_enabled() {
+        let credits: u64 = table.iter().map(|&t| u64::from(t)).sum();
+        tlp_obs::counter("tri.triangles", credits / 3);
+    }
+    table
+}
 
 /// Convenience: runs the staged (TLP-family) policy under `switch`.
 pub(crate) fn run_staged<'g, S: StageSwitch>(

@@ -3,7 +3,8 @@
 
 use super::frontier::{enroll_eager, enroll_frontier_edge};
 use super::policy::{AdmissionMode, GrowthState, Selection, SelectionPolicy};
-use super::workspace::{ScoringCounters, Workspace};
+use super::triangle_table;
+use super::workspace::Workspace;
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::{capacity, ReseedPolicy, TlpConfig};
 use crate::partition::{EdgePartition, PartitionId};
@@ -56,7 +57,23 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
     config: &TlpConfig,
     policy: &mut P,
     resume: Option<&EngineCheckpoint>,
+    sink: Option<CheckpointSink<'_>>,
+) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
+    run_engine(graph, num_partitions, config, policy, resume, sink, None)
+}
+
+/// [`run_with_checkpoints`] that reads Stage I numerators from `triangles`
+/// when given (the [`triangle_table`] of `graph`), so several runs over one
+/// graph share a single build. Without it, a lazy-admission run builds its
+/// own table; an eager-admission run never reads one.
+pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
+    graph: impl Into<GraphView<'g>>,
+    num_partitions: usize,
+    config: &TlpConfig,
+    policy: &mut P,
+    resume: Option<&EngineCheckpoint>,
     mut sink: Option<CheckpointSink<'_>>,
+    triangles: Option<&[u32]>,
 ) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
     let graph = graph.into();
     if num_partitions == 0 {
@@ -96,12 +113,24 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
         }
     };
 
+    let built;
+    let triangles: &[u32] = match (policy.admission(), triangles) {
+        (AdmissionMode::Eager, _) => &[],
+        (AdmissionMode::Lazy, Some(table)) => table,
+        (AdmissionMode::Lazy, None) => {
+            built = triangle_table(graph);
+            &built
+        }
+    };
+    debug_assert!(triangles.is_empty() || triangles.len() == m);
+
     for k in start_round..num_partitions as u32 {
         if residual.is_exhausted() {
             break;
         }
         run_round(
             graph,
+            triangles,
             &mut residual,
             &mut ws,
             &mut assignment,
@@ -132,11 +161,14 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
 
     // Sweep any leftovers (possible only under `ReseedPolicy::Break`):
     // distribute remaining edges to the least-loaded partitions so the
-    // partition is total.
+    // partition is total. Loads count allocated edges only; a free edge's
+    // assignment slot is a placeholder 0.
     if !residual.is_exhausted() {
         let mut counts = vec![0usize; num_partitions];
-        for &pid in &assignment {
-            counts[pid as usize] += 1;
+        for (e, &pid) in assignment.iter().enumerate() {
+            if !residual.is_free(e as tlp_graph::EdgeId) {
+                counts[pid as usize] += 1;
+            }
         }
         for e in 0..m as tlp_graph::EdgeId {
             if residual.is_free(e) {
@@ -160,6 +192,7 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
 #[allow(clippy::too_many_arguments)]
 fn run_round<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
+    triangles: &[u32],
     residual: &mut ResidualGraph<'_>,
     ws: &mut Workspace,
     assignment: &mut [PartitionId],
@@ -177,14 +210,12 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     let mut internal = 0usize;
     let mut external = 0usize;
     let mut step = 0u32;
-    ws.scoring = ScoringCounters::default();
-    // Drop tallies accumulated outside any round (none today, but cheap
-    // insurance) so per-round kernel counters attribute exactly.
-    ws.kernel.take_counters();
+    ws.scoring_terms = 0;
 
     // Line 1-3: random seed vertex; its neighbors form the frontier.
     seed_vertex(
         graph,
+        triangles,
         residual,
         ws,
         rng,
@@ -204,6 +235,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
             }
             seed_vertex(
                 graph,
+                triangles,
                 residual,
                 ws,
                 rng,
@@ -230,6 +262,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         // Line 10: allocate the edges between v and P_k.
         admit_vertex(
             graph,
+            triangles,
             residual,
             ws,
             assignment,
@@ -260,15 +293,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         // Round-granularity flush: the per-selection hot path never emits.
         tlp_obs::counter("round.select", u64::from(step));
         tlp_obs::counter("round.edges", internal as u64);
-        tlp_obs::counter("scoring.rescored", ws.scoring.rescored);
-        tlp_obs::counter("scoring.skipped", ws.scoring.skipped);
-        tlp_obs::counter("scoring.cache_hits", ws.scoring.cache_hits);
-        let kernel = ws.kernel.take_counters();
-        tlp_obs::counter("kernel.load", kernel.loads);
-        tlp_obs::counter("kernel.cache_hit", kernel.cache_hits);
-        tlp_obs::counter("kernel.count.mark", kernel.mark_counts);
-        tlp_obs::counter("kernel.count.gallop", kernel.gallop_counts);
-        tlp_obs::counter("kernel.probes", kernel.probes);
+        tlp_obs::counter("scoring.terms", ws.scoring_terms);
     }
     ws.frontier_clear();
     policy.end_round();
@@ -282,6 +307,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
 #[allow(clippy::too_many_arguments)]
 fn seed_vertex<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
+    triangles: &[u32],
     residual: &mut ResidualGraph<'_>,
     ws: &mut Workspace,
     rng: &mut StdRng,
@@ -299,7 +325,7 @@ fn seed_vertex<P: SelectionPolicy + ?Sized>(
     match policy.admission() {
         AdmissionMode::Lazy => {
             admit_vertex(
-                graph, residual, ws, assignment, k, seed, policy, internal, external,
+                graph, triangles, residual, ws, assignment, k, seed, policy, internal, external,
             );
         }
         AdmissionMode::Eager => {
@@ -321,6 +347,7 @@ fn seed_vertex<P: SelectionPolicy + ?Sized>(
 #[allow(clippy::too_many_arguments)]
 fn admit_vertex<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
+    triangles: &[u32],
     residual: &mut ResidualGraph<'_>,
     ws: &mut Workspace,
     assignment: &mut [PartitionId],
@@ -348,11 +375,6 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
         return;
     }
 
-    // Load the new member's neighborhood into the intersection kernel: the
-    // enrollments and Stage I refreshes below all intersect against N(v),
-    // sharing one marked scratch and one count per (candidate, v) pair.
-    ws.kernel.load(graph, v);
-
     // Allocate edges v -> members (they were external; now internal).
     ws.incident_scratch.clear();
     ws.incident_scratch.extend(residual.residual_incident(v));
@@ -375,15 +397,16 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
     *external += ws.incident_scratch.len();
     for i in 0..ws.incident_scratch.len() {
         let (u, _) = ws.incident_scratch[i];
-        enroll_frontier_edge(graph, residual, ws, policy, k, u);
+        enroll_frontier_edge(graph, triangles, residual, ws, policy, k, u);
     }
 
     // Incremental Stage I refresh: v is a new member, so every frontier
     // candidate statically adjacent to v gains a candidate term. Candidates
-    // enrolled moments ago already folded this term in (their scan hit the
-    // kernel cache), so only previously existing candidates can improve.
-    for &u in graph.neighbors(v) {
-        if ws.in_frontier[u as usize] && ws.refresh_mu1(graph, u, v) {
+    // enrolled moments ago already folded this term in, so only previously
+    // existing candidates can improve.
+    let dv = graph.degree(v);
+    for (u, e) in graph.incident(v) {
+        if ws.in_frontier[u as usize] && ws.refresh_mu1(u, triangles[e as usize], dv) {
             policy.on_candidate(ws, residual, u, k);
         }
     }

@@ -1,26 +1,14 @@
 //! Per-run scratch state shared by every selection policy: round-stamped
 //! membership, the frontier dense list, per-candidate scores, and the
 //! staged priority structures (heaps) used by the indexed TLP policies.
+//!
+//! Stage I scores are folded by [`Workspace::refresh_mu1`] from numerators
+//! the caller reads in the run's triangle table, so the workspace itself
+//! holds no graph-derived state beyond per-vertex arrays.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tlp_graph::intersect::{sorted_intersection_size, IntersectionKernel};
-use tlp_graph::{EdgeId, GraphView, ResidualGraph, VertexId};
-
-/// Frontier-scoring effort counters, accumulated per round and flushed as
-/// the `scoring.*` obs counters. `rescored + skipped + cache_hits` is the
-/// number of closeness terms a from-scratch engine would compute with a
-/// full intersection each.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ScoringCounters {
-    /// Closeness terms computed with a real intersection.
-    pub(crate) rescored: u64,
-    /// Closeness terms pruned by the degree upper bound (the term could
-    /// not have beaten the candidate's running maximum).
-    pub(crate) skipped: u64,
-    /// Closeness terms served from the admitted-member cache.
-    pub(crate) cache_hits: u64,
-}
+use tlp_graph::{EdgeId, ResidualGraph, VertexId};
 
 /// Per-graph scratch reused across rounds (one allocation per run).
 ///
@@ -48,11 +36,9 @@ pub struct Workspace {
     pub(crate) incident_scratch: Vec<(VertexId, EdgeId)>,
     /// Maximum candidates held in the frontier (sliding-window mode).
     pub(crate) frontier_cap: usize,
-    /// Intersection kernel holding the most recently admitted member's
-    /// neighborhood (lazy admission only).
-    pub(crate) kernel: IntersectionKernel,
-    /// Scoring-effort counters for the current round.
-    pub(crate) scoring: ScoringCounters,
+    /// Stage I closeness terms folded in the current round, flushed as the
+    /// `scoring.terms` obs counter.
+    pub(crate) scoring_terms: u64,
 }
 
 impl Workspace {
@@ -67,55 +53,22 @@ impl Workspace {
             frontier_pos: vec![0; n],
             incident_scratch: Vec::new(),
             frontier_cap,
-            kernel: IntersectionKernel::new(n),
-            scoring: ScoringCounters::default(),
+            scoring_terms: 0,
         }
     }
 
-    /// Folds the closeness term of candidate `u` against member `w` into
-    /// `mu1[u]`, returning whether the running maximum improved.
+    /// Folds the closeness term of candidate `u` against an adjacent member
+    /// `w` into `mu1[u]`, returning whether the running maximum improved.
     ///
-    /// This is the engine's single entry point for Stage I scoring work,
-    /// and where all three cost savers live — each provably changing no
-    /// term value, so selection stays bit-identical to a from-scratch
-    /// `closeness_term` evaluation:
-    ///
-    /// * **Degree pruning.** `u` and `w` are adjacent in a simple graph,
-    ///   so `|N(u) ∩ N(w)| <= min(deg u, deg w) - 1` (`w ∈ N(u)` but
-    ///   `w ∉ N(w)`, and vice versa). If even that bound over `|N(w)|`
-    ///   cannot beat the current maximum, the term is skipped — the
-    ///   maximum provably would not change.
-    /// * **Admitted-member cache.** When `w` is the kernel-loaded member,
-    ///   the count is served from (or stored into) the kernel's per-load
-    ///   cache, so enrolling and refreshing against the same admission
-    ///   computes each pair's intersection once.
-    /// * **Kernel dispatch.** Counts against the loaded member use the
-    ///   marked-neighborhood scratch (or galloping for very high-degree
-    ///   candidates); all kernels return the same exact integer count.
-    pub(crate) fn refresh_mu1(&mut self, graph: GraphView<'_>, u: VertexId, w: VertexId) -> bool {
+    /// This is the engine's single entry point for Stage I scoring work.
+    /// `common` is the triangle-table entry of the edge `(u, w)`, which is
+    /// `|N(u) ∩ N(w)|` over static adjacency, and `deg_w` is `|N(w)|`; the
+    /// term is their quotient, exactly as `closeness_term` computes it from
+    /// scratch.
+    pub(crate) fn refresh_mu1(&mut self, u: VertexId, common: u32, deg_w: usize) -> bool {
+        self.scoring_terms += 1;
+        let term = common as f64 / deg_w as f64;
         let ui = u as usize;
-        let dw = graph.degree(w);
-        if dw == 0 {
-            return false;
-        }
-        let du = graph.degree(u);
-        let bound = (du.min(dw) - 1) as f64 / dw as f64;
-        if bound <= self.mu1[ui] {
-            self.scoring.skipped += 1;
-            return false;
-        }
-        let count = if self.kernel.loaded() == Some(w) {
-            if self.kernel.cached_with_loaded(u).is_some() {
-                self.scoring.cache_hits += 1;
-            } else {
-                self.scoring.rescored += 1;
-            }
-            self.kernel.count_with_loaded(graph, u)
-        } else {
-            self.scoring.rescored += 1;
-            sorted_intersection_size(graph.neighbors(u), graph.neighbors(w))
-        };
-        let term = count as f64 / dw as f64;
         if term > self.mu1[ui] {
             self.mu1[ui] = term;
             true

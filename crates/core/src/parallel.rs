@@ -8,7 +8,7 @@
 //! the winner is chosen by `(replication factor, trial index)` — so a run
 //! with 1 thread and a run with 16 produce bit-identical partitions.
 
-use crate::engine::{run_staged, ModularitySwitch};
+use crate::engine::{run_engine, triangle_table, ModularitySwitch, StagedPolicy};
 use crate::metrics::PartitionMetrics;
 use crate::partition::EdgePartition;
 use crate::pipeline::trial_span;
@@ -254,12 +254,23 @@ impl ParallelTrialRunner {
         // Trace recording is a single-run concern; trials race plain runs.
         let base = self.config.record_trace(false);
 
+        // The triangle table depends on the graph alone: build it once and
+        // lend it to every trial.
+        let triangles = triangle_table(graph);
+
         // Under an observer each trial records locally and is replayed in
         // trial order, so the merged stream is independent of the thread
         // count.
         let outcomes = observed_parallel_map(threads, &seeds, |i, &seed| {
             let _trial = trial_span(i, Some(seed));
-            run_trial(graph, num_partitions, base.seed(seed), self.probe, i)
+            run_trial(
+                graph,
+                &triangles,
+                num_partitions,
+                base.seed(seed),
+                self.probe,
+                i,
+            )
         });
 
         let mut partitions: Vec<Option<EdgePartition>> = Vec::with_capacity(trials);
@@ -308,6 +319,7 @@ impl ParallelTrialRunner {
 /// One panic-isolated trial on the calling worker thread.
 fn run_trial(
     graph: GraphView<'_>,
+    triangles: &[u32],
     num_partitions: usize,
     config: TlpConfig,
     probe: Option<fn(usize)>,
@@ -317,7 +329,17 @@ fn run_trial(
         if let Some(probe) = probe {
             probe(index);
         }
-        run_staged(graph, num_partitions, &config, ModularitySwitch).map(|(partition, _)| {
+        let mut policy = StagedPolicy::new(ModularitySwitch);
+        let run = run_engine(
+            graph,
+            num_partitions,
+            &config,
+            &mut policy,
+            None,
+            None,
+            Some(triangles),
+        );
+        run.map(|(partition, _)| {
             let rf = PartitionMetrics::compute(graph, &partition).replication_factor;
             (partition, rf)
         })

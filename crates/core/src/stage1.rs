@@ -10,11 +10,12 @@
 //!
 //! Neighborhoods are those of the input graph (the criterion is a structural
 //! closeness measure borrowed from local community detection, not a residual
-//! quantity). `tlp-graph` CSR adjacency lists are sorted, so intersections
-//! run on the kernels in [`tlp_graph::intersect`]: an adaptive merge/gallop
-//! for one-off terms here, and the engine's
-//! [`IntersectionKernel`](tlp_graph::intersect::IntersectionKernel) (marked
-//! scratch + per-admission count cache) on the hot incremental path.
+//! quantity). Since `v_j` is a neighbor of `v_i`, the numerator is the
+//! number of triangles through the edge `(v_i, v_j)`: the engine reads it
+//! from the per-edge table of [`tlp_graph::intersect::edge_triangles`],
+//! built once per graph. The from-scratch functions here intersect the
+//! sorted CSR adjacency lists with the adaptive merge/gallop kernel
+//! instead; both give the same count, so the same f64 term.
 
 use tlp_graph::{GraphView, VertexId};
 

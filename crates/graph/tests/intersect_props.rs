@@ -1,16 +1,21 @@
-//! Property-based tests of the intersection-kernel layer.
+//! Property-based tests of the intersection layer and the triangle table.
 //!
-//! The engine's bit-identity guarantee rests on every kernel returning the
-//! exact same count for the same inputs; these properties pin that over
+//! The engine's bit-identity guarantee rests on every path returning the
+//! exact same count for the same inputs. These properties pin that over
 //! arbitrary sorted duplicate-free slices (the shape of CSR adjacency),
-//! plus the set-algebra invariants any intersection must satisfy.
+//! plus the set-algebra invariants any intersection must satisfy, and check
+//! the per-edge triangle table against the intersection kernels on every
+//! edge of random graphs and of views with permuted vertex and edge ids.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use tlp_graph::generators::{rmat, RmatProbabilities};
 use tlp_graph::intersect::{
-    galloping_intersection_size, merge_intersection_size, sorted_intersection_size,
-    IntersectionKernel,
+    edge_triangles, galloping_intersection_size, merge_intersection_size, sorted_intersection_size,
 };
-use tlp_graph::{GraphBuilder, VertexId};
+use tlp_graph::{CsrGraph, EdgeId, EdgeTable, GraphBuilder, GraphView, VertexId};
 
 /// A sorted, duplicate-free vertex slice — the invariant CSR adjacency
 /// guarantees (asserted by `properties.rs`). Skewed lengths are common so
@@ -80,24 +85,91 @@ proptest! {
         prop_assert_eq!(sorted_intersection_size(&b, &a), c);
     }
 
-    /// The loaded-kernel path (marks + cache) agrees with the dispatcher on
-    /// graphs built from arbitrary edge lists, for every vertex pair class,
-    /// and the cache returns the same count it stored.
+    /// `tri[e] = |N(a) ∩ N(b)|` for every edge `e = (a, b)` of stars,
+    /// cliques, R-MAT graphs and arbitrary edge lists, with isolated
+    /// vertices mixed in.
     #[test]
-    fn loaded_kernel_matches_dispatcher(
-        edges in prop::collection::vec((0u32..40, 0u32..40), 1..150),
-        loaded in 0u32..40,
-    ) {
-        let g = GraphBuilder::new().add_edges(edges.iter().copied()).build();
-        let loaded = loaded % g.num_vertices() as u32;
-        let mut kernel = IntersectionKernel::new(g.num_vertices());
-        kernel.load(&g, loaded);
-        for u in g.vertices() {
-            let expected = sorted_intersection_size(g.neighbors(u), g.neighbors(loaded));
-            prop_assert_eq!(kernel.count_with_loaded(&g, u), expected);
-            prop_assert_eq!(kernel.cached_with_loaded(u), Some(expected));
-            // Second query must come from the cache with the same value.
-            prop_assert_eq!(kernel.count_with_loaded(&g, u), expected);
-        }
+    fn triangle_table_matches_intersections(graph in arb_graph()) {
+        check_table(graph.view())?;
     }
+
+    /// The same over a `from_sections` view whose vertex ids and edge ids
+    /// are both permuted, so edge ids follow no canonical order.
+    #[test]
+    fn triangle_table_matches_on_relabelled_sections(
+        graph in arb_graph(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut relabel: Vec<VertexId> = graph.vertices().collect();
+        relabel.shuffle(&mut rng);
+        let permuted = GraphBuilder::new()
+            .reserve_vertices(graph.num_vertices())
+            .add_edges(graph.edges().iter().map(|e| {
+                let (a, b) = e.endpoints();
+                (relabel[a as usize], relabel[b as usize])
+            }))
+            .build();
+        let view = permuted.view();
+        let mut new_id: Vec<EdgeId> = (0..view.num_edges() as EdgeId).collect();
+        new_id.shuffle(&mut rng);
+        let adj_edge: Vec<EdgeId> = view.adj_edge().iter().map(|&e| new_id[e as usize]).collect();
+        let mut pairs = vec![0u32; 2 * view.num_edges()];
+        for (e, edge) in view.edge_iter().enumerate() {
+            let at = 2 * new_id[e] as usize;
+            (pairs[at], pairs[at + 1]) = edge.endpoints();
+        }
+        let sections = GraphView::from_sections(
+            view.offsets(),
+            view.adj_vertex(),
+            &adj_edge,
+            EdgeTable::Pairs(&pairs),
+        )
+        .expect("permuted sections keep the CSR shape");
+        check_table(sections)?;
+        let total = |table: Vec<u32>| table.iter().map(|&t| u64::from(t)).sum::<u64>();
+        prop_assert_eq!(total(edge_triangles(sections)), total(edge_triangles(&graph)));
+    }
+}
+
+/// Checks every table entry of `view` against the adaptive kernel.
+fn check_table(view: GraphView<'_>) -> Result<(), TestCaseError> {
+    let tri = edge_triangles(view);
+    prop_assert_eq!(tri.len(), view.num_edges());
+    for (e, edge) in view.edge_iter().enumerate() {
+        let (a, b) = edge.endpoints();
+        let expected = sorted_intersection_size(view.neighbors(a), view.neighbors(b));
+        prop_assert_eq!(tri[e] as usize, expected);
+    }
+    Ok(())
+}
+
+/// Stars, cliques, duplicate-free R-MAT and arbitrary edge lists, each
+/// padded with a few isolated vertices.
+fn arb_graph() -> impl Strategy<Value = CsrGraph> {
+    let star = (1u32..40, 0usize..4).prop_map(|(leaves, isolated)| {
+        GraphBuilder::new()
+            .reserve_vertices(leaves as usize + 1 + isolated)
+            .add_edges((1..=leaves).map(|leaf| (0, leaf)))
+            .build()
+    });
+    let clique = (1u32..14, 0usize..4).prop_map(|(k, isolated)| {
+        GraphBuilder::new()
+            .reserve_vertices(k as usize + isolated)
+            .add_edges((0..k).flat_map(|a| (a + 1..k).map(move |b| (a, b))))
+            .build()
+    });
+    let rmat = (3u32..9, 1usize..400, any::<u64>())
+        .prop_map(|(scale, m, seed)| rmat(scale, m, RmatProbabilities::default(), seed));
+    let edge_list = (
+        prop::collection::vec((0u32..40, 0u32..40), 0..200),
+        0usize..8,
+    )
+        .prop_map(|(edges, isolated)| {
+            GraphBuilder::new()
+                .reserve_vertices(40 + isolated)
+                .add_edges(edges)
+                .build()
+        });
+    prop_oneof![star, clique, rmat, edge_list]
 }

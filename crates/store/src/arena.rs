@@ -10,14 +10,18 @@
 //! `GraphBuf` lends [`GraphView`]s that borrow the arena directly — no
 //! per-edge decode, no CSR construction, no copies.
 //!
-//! Structural validation of the CSR arrays runs exactly once at open via
-//! [`GraphView::from_sections`]; subsequent [`GraphBuf::view`] calls
-//! re-slice the arena through the trusted constructor in O(1). That
-//! validation checks shape only (offsets start at 0, never decrease and
-//! end at `2m`; the parallel arrays have equal lengths; `EDGE` holds `m`
-//! pairs). Ids inside `ADJV`, `ADJE` and `EDGE` are **not** range-checked:
-//! doing so would add per-byte work to the open, so a file whose checksums
-//! are consistent but whose ids are out of range opens and fails later.
+//! Ids are range-checked in the same pass: every `ADJV` and `EDGE` entry
+//! must be a vertex id `< n` and every `ADJE` entry an edge id `< m`, so
+//! the triangle table, the engine and the placers can index by them. The
+//! maximum of each chunk is folded while it is hot and judged once the
+//! section's checksum has passed, so damaged bytes still report as a
+//! checksum mismatch and consistent-but-invalid ids as
+//! [`StoreError::Corrupt`]. Structural validation of the CSR arrays runs
+//! exactly once at open via [`GraphView::from_sections`]; subsequent
+//! [`GraphBuf::view`] calls re-slice the arena through the trusted
+//! constructor in O(1). That validation checks shape (offsets start at 0,
+//! never decrease and end at `2m`; the parallel arrays have equal lengths;
+//! `EDGE` holds `m` pairs).
 //!
 //! The cast from arena bytes to `u64`/`u32` slices assumes a little-endian
 //! host (asserted in the vendored `bytemuck` tests); the write path stays
@@ -44,6 +48,8 @@ const STREAM_CHUNK: usize = 256 << 10;
 struct Fill {
     storage: Vec<u64>,
     file: FaultFile,
+    /// `(n, m)` from the header: the exclusive bounds of vertex and edge ids.
+    ids: (u64, u64),
 }
 
 impl Fill {
@@ -75,16 +81,43 @@ impl SectionSource for Fill {
 
     fn payload(&mut self, at: &SectionAt) -> Result<(), StoreError> {
         let what = at.section.what();
+        let bound = match at.section {
+            Section::AdjVertex | Section::Edges => Some(self.ids.0),
+            Section::AdjEdge => Some(self.ids.1),
+            _ => None,
+        };
         let mut hasher = SectionHasher::for_version(VERSION_V2);
+        let mut bad_id = None;
         let Range { start, end } = at.payload();
         let mut cur = start;
         while cur < end {
             let next = (cur + STREAM_CHUNK).min(end);
-            hasher.update(self.fetch(next, what)?);
+            let chunk = self.fetch(next, what)?;
+            hasher.update(chunk);
+            if let (Some(bound), None) = (bound, bad_id) {
+                bad_id = first_out_of_range(bytemuck::cast_slice(chunk), bound);
+            }
             cur = next;
         }
-        check_checksum(what, at.frame.checksum, hasher.value())
+        check_checksum(what, at.frame.checksum, hasher.value())?;
+        match (bound, bad_id) {
+            (Some(bound), Some(id)) => Err(StoreError::Corrupt(format!(
+                "{what} section holds id {id}, out of range for {bound} ids"
+            ))),
+            _ => Ok(()),
+        }
     }
+}
+
+/// The first id in `ids` that is `>= bound`, if any. The common all-valid
+/// case is one branch-free pass, which vectorizes; only a chunk known to
+/// hold a bad id is searched.
+fn first_out_of_range(ids: &[u32], bound: u64) -> Option<u32> {
+    let bound = u32::try_from(bound).ok()?;
+    if !ids.iter().fold(false, |out, &id| out | (id >= bound)) {
+        return None;
+    }
+    ids.iter().copied().find(|&id| id >= bound)
 }
 
 /// An owned, aligned, checksum-verified arena holding a `.tlpg` v2 file.
@@ -151,7 +184,11 @@ impl GraphBuf {
         // stay zero.
         let mut storage = Vec::with_capacity((file_len as usize).div_ceil(8));
         storage.resize(HEADER_LEN / 8, 0);
-        let mut fill = Fill { storage, file };
+        let mut fill = Fill {
+            storage,
+            file,
+            ids: (header.num_vertices, header.num_edges),
+        };
         let sections = walk_sections(&header, file_len, &mut fill)?;
         let range = |section| Some(sections.iter().find(|at| at.section == section)?.payload());
         let csr = |section| range(section).expect("every v2 file has the CSR sections");

@@ -5,7 +5,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tlp_graph::generators::erdos_renyi;
 use tlp_graph::CsrGraph;
-use tlp_store::{write_graph, FormatVersion, LoadedGraph, StoreError, StoreReader, WriteOptions};
+use tlp_store::{
+    write_graph, FormatVersion, GraphBuf, LoadedGraph, StoreError, StoreReader, WriteOptions,
+};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -274,4 +276,59 @@ fn v1_degrees_must_sum_to_2m() {
     patch_degree_section(&path, 3, |d| d + 1);
     assert_degrees_rejected(&path, &format!("implies {} arcs", 2 * m + 1));
     cleanup(&path);
+}
+
+/// Overwrites the first `u32` of v2 section `index` (0 = `OFFS`, 1 = `ADJV`,
+/// 2 = `ADJE`, 3 = `EDGE`) with `id`, then re-stamps that section's
+/// checksum so that only the id range check can object.
+fn patch_v2_id(path: &Path, index: usize, id: u32) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let mut frame = 56;
+    for _ in 0..index {
+        let len = u64::from_le_bytes(bytes[frame + 8..frame + 16].try_into().unwrap()) as usize;
+        frame += 24 + len;
+    }
+    let len = u64::from_le_bytes(bytes[frame + 8..frame + 16].try_into().unwrap()) as usize;
+    let payload = frame + 24;
+    bytes[payload..payload + 4].copy_from_slice(&id.to_le_bytes());
+    let checksum = tlp_store::format::WideChecksum::of(&bytes[payload..payload + len]);
+    bytes[frame + 16..frame + 24].copy_from_slice(&checksum.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// A v2 file whose section `index` holds the out-of-range `id` must open
+/// as `Corrupt` naming `section`, through the arena and `LoadedGraph`.
+fn assert_id_rejected(index: usize, id: u32, section: &str) {
+    let g = small_graph();
+    let path = temp_store(&g);
+    patch_v2_id(&path, index, id);
+    match GraphBuf::open(&path) {
+        Err(StoreError::Corrupt(message)) => {
+            assert!(message.contains(section), "{message}");
+            assert!(message.contains(&format!("id {id}")), "{message}");
+        }
+        other => panic!("expected Corrupt for {section}, got {other:?}"),
+    }
+    assert!(matches!(
+        LoadedGraph::open(&path),
+        Err(StoreError::Corrupt(_))
+    ));
+    cleanup(&path);
+}
+
+#[test]
+fn v2_adjacency_vertex_id_out_of_range_is_corrupt() {
+    let n = small_graph().num_vertices() as u32;
+    assert_id_rejected(1, n, "adjacency vertices");
+}
+
+#[test]
+fn v2_adjacency_edge_id_out_of_range_is_corrupt() {
+    let m = small_graph().num_edges() as u32;
+    assert_id_rejected(2, m, "adjacency edges");
+}
+
+#[test]
+fn v2_edge_endpoint_out_of_range_is_corrupt() {
+    assert_id_rejected(3, u32::MAX, "edges");
 }

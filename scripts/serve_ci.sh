@@ -12,22 +12,33 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORK=$(mktemp -d)
+# Every server this script started must be gone by exit: a survivor is
+# killed and fails the run.
 cleanup() {
+    local status=$? leaked=0
     if [ -f "$WORK/serve.pids" ]; then
         while read -r pid; do
-            kill "$pid" 2>/dev/null || true
+            if kill -0 "$pid" 2>/dev/null; then
+                echo "serve CI: server pid $pid still running at exit" >&2
+                kill "$pid" 2>/dev/null || true
+                leaked=1
+            fi
         done < "$WORK/serve.pids"
     fi
     rm -rf "$WORK"
+    if [ "$leaked" -ne 0 ] && [ "$status" -eq 0 ]; then
+        exit 1
+    fi
 }
 trap cleanup EXIT
 
 cli() { cargo run --release -q --bin tlp-cli -- "$@"; }
-tlp_serve() { cargo run --release -q -p tlp-serve --bin tlp-serve -- "$@"; }
 loadgen() { cargo run --release -q -p tlp-serve --bin tlp-loadgen -- "$@"; }
 
-# Build the bins up front so background launches don't race the compiler.
+# Build the bins up front; servers launch the built binary directly, so
+# `$!` is the server's own pid rather than a `cargo run` wrapper's.
 cargo build --release -q -p tlp -p tlp-serve
+SERVE_BIN="${CARGO_TARGET_DIR:-target}/release/tlp-serve"
 
 cli generate --family chung-lu --vertices 30000 --edges 100000 --seed 11 \
     --output "$WORK/graph.txt"
@@ -45,7 +56,7 @@ diff -r "$WORK/store" "$WORK/store_direct"
 start_server() {
     local out="$1"
     shift
-    tlp_serve "$@" --addr 127.0.0.1:0 > "$out" 2> "$out.err" &
+    "$SERVE_BIN" "$@" --addr 127.0.0.1:0 > "$out" 2> "$out.err" &
     SERVE_PID=$!
     echo "$SERVE_PID" >> "$WORK/serve.pids"
     ADDR=""
@@ -88,7 +99,8 @@ loadgen "$ADDR" --burst 64 | tee "$WORK/burst.out"
 overloaded=$(sed -n 's/^burst:.* \([0-9][0-9]*\) overloaded.*/\1/p' "$WORK/burst.out")
 test -n "$overloaded"
 test "$overloaded" -gt 0
-kill "$SERVE_PID" 2>/dev/null || true
+kill "$SERVE_PID"
+wait "$SERVE_PID" || true   # reap it; killed by SIGTERM, so nonzero
 
 # --- 3. Bit-identity: served flush == direct seeded replay. ------------
 # Phase 1's unflushed WAL records would replay into the served store on

@@ -124,8 +124,8 @@ fn kernel_and_scoring_counters_surface_for_the_paper_algorithm() {
     for counter in [
         "round.select",
         "round.edges",
-        "scoring.rescored",
-        "kernel.load",
+        "scoring.terms",
+        "tri.triangles",
     ] {
         assert!(
             counter_total(&events, counter) > 0,
