@@ -46,7 +46,7 @@ pub use fennel::FennelPartitioner;
 pub use greedy::GreedyPartitioner;
 pub use hdrf::HdrfPartitioner;
 pub use ldg::LdgPartitioner;
-pub use ne::{NePartitioner, NePolicy};
+pub use ne::NePartitioner;
 pub use pipeline::{StreamingBaseline, StreamingKind, HDRF_LAMBDA};
 pub use random::RandomPartitioner;
 pub use stream::{edge_order, vertex_order, EdgeOrder, VertexOrder};

@@ -1,75 +1,162 @@
 //! NE — Neighborhood Expansion (Zhang et al., "Graph Edge Partitioning via
 //! Neighborhood Heuristic", KDD 2017; the paper's reference [13]).
 //!
-//! Like TLP, NE builds partitions one at a time from a random seed, so it
-//! is the most closely related comparator — close enough that it runs on
-//! the same expansion engine ([`tlp_core::engine`]) as TLP itself. NE's
-//! *boundary* set `S` is the engine's member-or-frontier set, its *core*
-//! `C` is the member set, and its eager "allocate every edge between the
-//! joining vertex and `S`" rule is the engine's
-//! [`AdmissionMode::Eager`]. Under that discipline no residual edge ever
-//! connects two `S` vertices, so a candidate's residual degree *is* its
-//! count of neighbors outside `S` — exactly the key NE minimizes — and the
-//! whole algorithm reduces to [`NePolicy`]: a lazy min-heap on
-//! `(residual_degree, vertex)`.
+//! Like TLP, NE grows one partition per round from a random seed, so it is
+//! the most closely related comparator. It keeps its own expansion loop
+//! over a [`ResidualGraph`]; TLP's engine in `tlp_core::engine` shares no
+//! state with it.
+//!
+//! Each round keeps a *boundary set* `S` and a *core* `C ⊆ S`. A vertex
+//! that joins `S` allocates every residual edge between itself and `S` to
+//! the partition on the spot, so no residual edge ever joins two `S`
+//! vertices and a boundary vertex's residual degree *is* its number of
+//! neighbors outside `S`: the key NE minimizes. Each step moves the
+//! boundary vertex with the lowest `(residual_degree, id)` into the core
+//! and pulls its residual neighbors into `S`. The round ends once the
+//! partition holds more than `⌈m/p⌉` edges; when `S \ C` runs dry first, a
+//! fresh random seed joins `S` (one `gen_range(0..n)` hint from
+//! `StdRng::seed_from_u64(seed)`, then the first vertex with a residual
+//! edge at or after it, wrapping).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tlp_core::engine::{self, AdmissionMode, GrowthState, Selection, SelectionPolicy, Workspace};
-use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, Stage, TlpConfig};
-use tlp_graph::{GraphView, ResidualGraph, VertexId};
+use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
+use tlp_graph::{EdgeId, GraphView, ResidualGraph, VertexId};
 
-/// NE's selection rule as an engine policy: admit the boundary vertex with
-/// the fewest residual neighbors outside the boundary set.
-///
-/// Keys only decrease as `S` grows, so lazy stale heap entries are always
-/// *larger* than the fresh entry pushed on each change and the freshest
-/// (smallest) entry surfaces first; stale pops are discarded by validating
-/// the key against the current residual degree.
-#[derive(Debug, Default)]
-pub struct NePolicy {
+/// Round stamp of a vertex that has not joined the current round's sets.
+const NEVER: u32 = u32::MAX;
+
+/// One NE run's state. `in_set[v] == k` when `v` is in round `k`'s `S`,
+/// `in_core[v] == k` when it is in its core.
+struct Expansion<'g> {
+    residual: ResidualGraph<'g>,
+    assignment: Vec<PartitionId>,
+    in_set: Vec<u32>,
+    in_core: Vec<u32>,
+    /// Lazy min-heap of `(residual_degree, vertex)` over the boundary.
+    /// Keys only fall as `S` grows, so a vertex's freshest entry surfaces
+    /// before its stale ones; pops drop entries that no longer match.
     heap: BinaryHeap<Reverse<(u32, VertexId)>>,
+    scratch: Vec<(VertexId, EdgeId)>,
+    neighbors: Vec<VertexId>,
 }
 
-impl SelectionPolicy for NePolicy {
-    fn admission(&self) -> AdmissionMode {
-        AdmissionMode::Eager
-    }
-
-    fn on_candidate(
-        &mut self,
-        _ws: &Workspace,
-        residual: &ResidualGraph<'_>,
-        v: VertexId,
-        _round: u32,
-    ) {
-        self.heap
-            .push(Reverse((residual.residual_degree(v) as u32, v)));
-    }
-
-    fn select(
-        &mut self,
-        ws: &Workspace,
-        residual: &ResidualGraph<'_>,
-        _state: GrowthState,
-    ) -> Selection {
-        loop {
-            let Reverse((c, v)) = self
-                .heap
-                .pop()
-                .expect("non-empty frontier implies a valid heap entry");
-            if ws.is_candidate(v) && residual.residual_degree(v) as u32 == c {
-                // The stage label is trace bookkeeping; NE has no stages.
-                return Selection {
-                    vertex: v,
-                    stage: Stage::One,
-                };
-            }
+impl<'g> Expansion<'g> {
+    fn new(graph: GraphView<'g>) -> Self {
+        let n = graph.num_vertices();
+        Expansion {
+            residual: ResidualGraph::new(graph),
+            assignment: vec![0; graph.num_edges()],
+            in_set: vec![NEVER; n],
+            in_core: vec![NEVER; n],
+            heap: BinaryHeap::new(),
+            scratch: Vec::new(),
+            neighbors: Vec::new(),
         }
     }
 
-    fn end_round(&mut self) {
-        self.heap.clear();
+    /// Grows `p` partitions of at most `capacity` edges plus the last
+    /// admission's overshoot.
+    fn run(mut self, p: usize, capacity: usize, seed: u64) -> Vec<PartitionId> {
+        let n = self.residual.graph().num_vertices() as VertexId;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for k in 0..p as u32 {
+            if self.residual.is_exhausted() {
+                break;
+            }
+            let _round = tlp_obs::span_with(
+                "round",
+                vec![("k".to_string(), tlp_obs::Field::U64(u64::from(k)))],
+            );
+            let mut edges = 0usize;
+            let mut steps = 0u64;
+            while edges <= capacity {
+                let Some(v) = self.pop_boundary(k) else {
+                    // S \ C is empty: a fresh seed joins S.
+                    if self.residual.is_exhausted() {
+                        break;
+                    }
+                    let hint = rng.gen_range(0..n);
+                    let seed = self
+                        .residual
+                        .any_active_vertex_from(hint)
+                        .expect("a residual edge remains");
+                    edges += self.join(seed, k);
+                    continue;
+                };
+                edges += self.admit(v, k);
+                steps += 1;
+                if self.residual.is_exhausted() {
+                    break;
+                }
+            }
+            if tlp_obs::is_enabled() {
+                tlp_obs::counter("round.select", steps);
+                tlp_obs::counter("round.edges", edges as u64);
+            }
+            self.heap.clear();
+        }
+        // Every round that stops short of exhaustion holds more than
+        // `capacity >= m/p` edges, so `p` rounds allocate every edge.
+        debug_assert!(self.residual.is_exhausted());
+        self.assignment
+    }
+
+    /// The boundary vertex with the lowest `(residual_degree, id)`, or
+    /// `None` when the boundary is empty.
+    fn pop_boundary(&mut self, k: u32) -> Option<VertexId> {
+        while let Some(Reverse((degree, v))) = self.heap.pop() {
+            let vi = v as usize;
+            if self.in_core[vi] != k && self.residual.residual_degree(v) as u32 == degree {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    /// Moves boundary vertex `v` into the core; each of its residual
+    /// neighbors joins `S`. Returns the edges allocated.
+    fn admit(&mut self, v: VertexId, k: u32) -> usize {
+        self.in_core[v as usize] = k;
+        let mut neighbors = std::mem::take(&mut self.neighbors);
+        neighbors.clear();
+        neighbors.extend(self.residual.residual_incident(v).map(|(u, _)| u));
+        let allocated: usize = neighbors.iter().map(|&u| self.join(u, k)).sum();
+        self.neighbors = neighbors;
+        allocated
+    }
+
+    /// Adds `v` to `S`, allocating its residual edges into `S` to
+    /// partition `k`. Returns the edges allocated (0 if `v` is already in
+    /// `S`).
+    fn join(&mut self, v: VertexId, k: u32) -> usize {
+        if self.in_set[v as usize] == k {
+            return 0;
+        }
+        self.in_set[v as usize] = k;
+        self.scratch.clear();
+        self.scratch.extend(self.residual.residual_incident(v));
+        let mut allocated = 0;
+        for &(u, e) in &self.scratch {
+            let ui = u as usize;
+            if self.in_set[ui] != k {
+                continue;
+            }
+            self.residual.allocate(e);
+            self.assignment[e as usize] = k;
+            allocated += 1;
+            // A boundary endpoint just lost a residual edge: re-key it.
+            // Core vertices are never selected again.
+            if self.in_core[ui] != k {
+                self.heap
+                    .push(Reverse((self.residual.residual_degree(u) as u32, u)));
+            }
+        }
+        self.heap
+            .push(Reverse((self.residual.residual_degree(v) as u32, v)));
+        allocated
     }
 }
 
@@ -109,11 +196,16 @@ impl EdgePartitioner for NePartitioner {
         graph: GraphView<'_>,
         num_partitions: usize,
     ) -> Result<EdgePartition, PartitionError> {
-        // Default capacity (`ceil(m / p)`), within-round reseeding, and the
-        // engine's least-loaded leftover sweep match NE's published loop.
-        let config = TlpConfig::new().seed(self.seed);
-        let mut policy = NePolicy::default();
-        engine::run(graph, num_partitions, &config, &mut policy).map(|(partition, _)| partition)
+        if num_partitions == 0 {
+            return Err(PartitionError::ZeroPartitions);
+        }
+        let m = graph.num_edges();
+        let assignment = if m == 0 {
+            Vec::new()
+        } else {
+            Expansion::new(graph).run(num_partitions, m.div_ceil(num_partitions), self.seed)
+        };
+        EdgePartition::new(num_partitions, assignment)
     }
 }
 

@@ -1,20 +1,12 @@
-//! Candidate admission and removal, plus the staged selection functions
-//! (linear-scan reference and lazy-heap indexed, for both stages).
+//! Frontier enrollment plus the staged selection functions (linear-scan
+//! reference and lazy-heap indexed, for both stages).
 //!
-//! Two admission disciplines exist (see
-//! [`AdmissionMode`](super::AdmissionMode)):
-//!
-//! * **Lazy** ([`enroll_frontier_edge`]): a candidate accumulates `e_in`
-//!   per edge event; its residual edges are allocated only when it is
-//!   selected. This is TLP's discipline.
-//! * **Eager** ([`enroll_eager`]): joining the frontier allocates every
-//!   residual edge into the member-or-frontier set on the spot, so the
-//!   frontier candidate's residual degree *is* its external degree. This
-//!   is NE's discipline (Zhang et al., KDD'17).
+//! Admission is lazy, as in Algorithm 1: [`enroll_frontier_edge`] bumps a
+//! candidate's `e_in` per residual edge into the partition, and the
+//! candidate's edges are allocated only when it is selected.
 
 use super::policy::SelectionPolicy;
 use super::workspace::{StagedIndex, Workspace};
-use crate::partition::PartitionId;
 use crate::stage2::GainRatio;
 use std::cmp::Reverse;
 use tlp_graph::{GraphView, ResidualGraph, VertexId};
@@ -60,47 +52,6 @@ pub(super) fn enroll_frontier_edge<P: SelectionPolicy + ?Sized>(
         }
     }
     policy.on_candidate(ws, residual, u, k);
-}
-
-/// Moves `v` into the frontier under eager admission, allocating all of its
-/// residual edges whose far endpoint is already a member or a frontier
-/// candidate (NE's "add to S"). No-op if `v` is already in the set. The
-/// frontier cap does not apply: eager policies need the full boundary, and
-/// skipping enrollment here would silently drop allocations.
-pub(super) fn enroll_eager<P: SelectionPolicy + ?Sized>(
-    residual: &mut ResidualGraph<'_>,
-    ws: &mut Workspace,
-    policy: &mut P,
-    assignment: &mut [PartitionId],
-    k: u32,
-    v: VertexId,
-    internal: &mut usize,
-) {
-    let vi = v as usize;
-    if ws.member_round[vi] == k || ws.in_frontier[vi] {
-        return;
-    }
-    ws.in_frontier[vi] = true;
-    ws.frontier_pos[vi] = ws.frontier.len() as u32;
-    ws.frontier.push(v);
-
-    ws.incident_scratch.clear();
-    ws.incident_scratch.extend(residual.residual_incident(v));
-    for i in 0..ws.incident_scratch.len() {
-        let (u, eid) = ws.incident_scratch[i];
-        let ui = u as usize;
-        if ws.member_round[ui] == k || ws.in_frontier[ui] {
-            residual.allocate(eid);
-            assignment[eid as usize] = k;
-            *internal += 1;
-            // A frontier far-endpoint just lost a residual edge; refresh its
-            // key. Members need no refresh — their edges are all allocated.
-            if ws.member_round[ui] != k {
-                policy.on_candidate(ws, residual, u, k);
-            }
-        }
-    }
-    policy.on_candidate(ws, residual, v, k);
 }
 
 type StageOneKey = (f64, u32, usize);

@@ -1,6 +1,5 @@
-//! The reusable local-expansion engine behind TLP, TLP_R, the single-stage
-//! ablations, and the NE baseline (Algorithm 1 of the paper, generalized
-//! over the vertex-selection policy).
+//! The local-expansion engine behind TLP, TLP_R and the single-stage
+//! ablations (Algorithm 1 of the paper, generic over the stage switch).
 //!
 //! One partition is grown per round. The engine maintains:
 //!
@@ -14,14 +13,14 @@
 //!     input), updated incrementally as members join;
 //! * exact integer counts of internal and external edges (the modularity).
 //!
-//! What distinguishes the algorithms built on top is only *which frontier
-//! vertex joins next* and *when edges are allocated*; both live in the
-//! [`SelectionPolicy`] a caller passes to [`run`]:
-//!
-//! * [`StagedPolicy`] over a [`StageSwitch`] gives the TLP family
-//!   (two-stage, TLP_R, single-stage ablations) with lazy admission;
-//! * an eager-admission policy keyed on residual degree gives NE
-//!   (implemented as `NePolicy` in the `tlp-baselines` crate).
+//! Admission is lazy: an edge is allocated when its second endpoint joins
+//! the partition. What distinguishes the algorithms built on top is only
+//! *which stage picks the next frontier vertex*, the [`StageSwitch`]:
+//! [`ModularitySwitch`] gives two-stage TLP, [`EdgeRatioSwitch`] gives
+//! TLP_R and, at `R = 1` or `R = 0`, the single-stage ablations. The
+//! sealed [`SelectionPolicy`] passed to [`run`] wraps the switch. The NE
+//! baseline (`tlp-baselines`) grows partitions too, but by eager
+//! admission, in its own loop.
 //!
 //! # Frontier selection
 //!
@@ -42,13 +41,14 @@
 //!
 //! Under either policy, Stage I scores (`mu1`) are maintained
 //! incrementally by `Workspace::refresh_mu1`: when a member is admitted,
-//! only frontier vertices adjacent to it are rescored. Each term's
-//! numerator `|N(u) ∩ N(w)|` is the triangle count of the edge `(u, w)`,
-//! which depends on the input graph alone, so a lazy-admission run reads
-//! it from a [`triangle_table`] built once per graph (and shared by every
-//! trial of a [`ParallelTrialRunner`](crate::ParallelTrialRunner)) instead
-//! of intersecting adjacency lists. Both policies see the exact Eq. 7
-//! scores.
+//! only frontier vertices adjacent to it are rescored. Eq. 7 scores a
+//! candidate `u` by `max |N(u) ∩ N(w)| / |N(w)|` over its member
+//! neighbors `w`; each numerator is the triangle count of the edge
+//! `(u, w)`, which depends on the input graph alone, so the run reads it
+//! from a per-edge triangle table built once per graph (and shared by
+//! every trial of a [`ParallelTrialRunner`](crate::ParallelTrialRunner))
+//! instead of intersecting adjacency lists. Both policies see the exact
+//! Eq. 7 scores.
 //!
 //! All ties are broken by explicit deterministic keys, so results are
 //! reproducible across runs and platforms.
@@ -59,12 +59,10 @@ mod round;
 mod workspace;
 
 pub use policy::{
-    AdmissionMode, EdgeRatioSwitch, GrowthState, ModularitySwitch, ScanPolicy, Selection,
-    SelectionPolicy, StageSwitch, StagedPolicy,
+    EdgeRatioSwitch, ModularitySwitch, ScanPolicy, SelectionPolicy, StageSwitch, StagedPolicy,
 };
 pub(crate) use round::run_engine;
 pub use round::{run, run_with_checkpoints, CheckpointSink};
-pub use workspace::Workspace;
 
 use crate::checkpoint::EngineCheckpoint;
 use crate::config::TlpConfig;

@@ -1,6 +1,7 @@
-//! The [`SelectionPolicy`] trait — the pluggable "which frontier vertex
-//! joins next" brain of the expansion engine — and the staged (TLP-family)
-//! implementation generic over a [`StageSwitch`].
+//! The sealed [`SelectionPolicy`] trait — "which frontier vertex joins
+//! next" — and its two implementations, both generic over a
+//! [`StageSwitch`]: the production [`StagedPolicy`] (lazy heaps) and the
+//! reference [`ScanPolicy`] (full frontier scans).
 
 use super::frontier;
 use super::workspace::{StagedIndex, Workspace};
@@ -8,27 +9,12 @@ use crate::modularity::Modularity;
 use crate::trace::Stage;
 use tlp_graph::{ResidualGraph, VertexId};
 
-/// How the engine turns a selected vertex's residual edges into allocations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionMode {
-    /// TLP-style: an edge is allocated when its *second* endpoint becomes a
-    /// member; frontier candidates keep their residual edges until selected.
-    Lazy,
-    /// NE-style (neighborhood expansion): when a vertex enters the boundary
-    /// set, all of its residual edges into the boundary are allocated
-    /// immediately, so boundary-internal residual edges never exist and a
-    /// candidate's residual degree equals its external degree.
-    Eager,
-}
-
 /// The partition's growth counters at selection time.
 #[derive(Clone, Copy, Debug)]
 pub struct GrowthState {
     /// Edges allocated to the partition so far (`|E(P_k)|`).
     pub internal: usize,
-    /// Residual edges crossing the partition boundary (`|E_out(P_k)|`;
-    /// zero under eager admission, which never leaves crossing edges
-    /// unallocated towards the boundary set).
+    /// Residual edges crossing the partition boundary (`|E_out(P_k)|`).
     pub external: usize,
     /// The capacity bound `C` for this run.
     pub capacity: usize,
@@ -50,15 +36,17 @@ pub struct Selection {
 /// frontier bookkeeping, edge allocation, reseeding — and calls back into
 /// the policy at two points: when a candidate's state changes
 /// ([`on_candidate`](SelectionPolicy::on_candidate)) and when a vertex must
-/// be chosen ([`select`](SelectionPolicy::select)). Policies own whatever
-/// priority structures they need, so a policy that ranks by a single scalar
-/// (e.g. NE's external degree) pays nothing for the staged machinery.
-pub trait SelectionPolicy {
-    /// The edge-allocation discipline this policy requires.
-    fn admission(&self) -> AdmissionMode {
-        AdmissionMode::Lazy
-    }
-
+/// be chosen ([`select`](SelectionPolicy::select)).
+///
+/// The trait is sealed: [`StagedPolicy`] and [`ScanPolicy`] are its only
+/// implementations, so the engine serves the TLP family alone.
+///
+/// ```compile_fail
+/// // Outside `tlp-core`, no type can implement the trait.
+/// struct Mine;
+/// impl tlp_core::engine::SelectionPolicy for Mine {}
+/// ```
+pub trait SelectionPolicy: sealed::Sealed {
     /// Observes that `v` is a (new or refreshed) frontier candidate; the
     /// workspace already holds its up-to-date `e_in`/`mu1` state. Called
     /// once per state change, so lazy-heap policies can push an entry per
@@ -81,6 +69,14 @@ pub trait SelectionPolicy {
 
     /// Hook run after each round; policies drop per-round entries here.
     fn end_round(&mut self) {}
+}
+
+mod sealed {
+    /// Closes [`SelectionPolicy`](super::SelectionPolicy) to this crate.
+    pub trait Sealed {}
+
+    impl<S> Sealed for super::StagedPolicy<S> {}
+    impl<S> Sealed for super::ScanPolicy<S> {}
 }
 
 /// Decides which stage's criterion selects the next vertex (the staged

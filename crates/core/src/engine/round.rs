@@ -1,8 +1,8 @@
 //! The seed -> grow -> allocate loop (Algorithm 1 of the paper), generic
 //! over the [`SelectionPolicy`] that scores and picks frontier vertices.
 
-use super::frontier::{enroll_eager, enroll_frontier_edge};
-use super::policy::{AdmissionMode, GrowthState, Selection, SelectionPolicy};
+use super::frontier::enroll_frontier_edge;
+use super::policy::{GrowthState, Selection, SelectionPolicy};
 use super::triangle_table;
 use super::workspace::Workspace;
 use crate::checkpoint::EngineCheckpoint;
@@ -64,8 +64,7 @@ pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
 
 /// [`run_with_checkpoints`] that reads Stage I numerators from `triangles`
 /// when given (the [`triangle_table`] of `graph`), so several runs over one
-/// graph share a single build. Without it, a lazy-admission run builds its
-/// own table; an eager-admission run never reads one.
+/// graph share a single build. Without it, the run builds its own table.
 pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
     graph: impl Into<GraphView<'g>>,
     num_partitions: usize,
@@ -114,15 +113,14 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
     };
 
     let built;
-    let triangles: &[u32] = match (policy.admission(), triangles) {
-        (AdmissionMode::Eager, _) => &[],
-        (AdmissionMode::Lazy, Some(table)) => table,
-        (AdmissionMode::Lazy, None) => {
+    let triangles: &[u32] = match triangles {
+        Some(table) => table,
+        None => {
             built = triangle_table(graph);
             &built
         }
     };
-    debug_assert!(triangles.is_empty() || triangles.len() == m);
+    debug_assert_eq!(triangles.len(), m);
 
     for k in start_round..num_partitions as u32 {
         if residual.is_exhausted() {
@@ -299,11 +297,9 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     policy.end_round();
 }
 
-/// Adds a fresh random seed vertex. Under lazy admission the seed becomes a
-/// member immediately (admission handles any residual edges it already has
-/// towards existing members, possible under a frontier cap). Under eager
-/// admission the seed joins the *frontier* — NE's boundary set — and moves
-/// to the member core when selected.
+/// Admits a fresh random seed vertex as a member (admission handles any
+/// residual edges it already has towards existing members, possible under
+/// a frontier cap).
 #[allow(clippy::too_many_arguments)]
 fn seed_vertex<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
@@ -319,31 +315,17 @@ fn seed_vertex<P: SelectionPolicy + ?Sized>(
 ) {
     let n = graph.num_vertices() as u32;
     let hint: VertexId = rng.gen_range(0..n);
-    let Some(seed) = residual.any_active_vertex_from(hint) else {
-        return;
-    };
-    match policy.admission() {
-        AdmissionMode::Lazy => {
-            admit_vertex(
-                graph, triangles, residual, ws, assignment, k, seed, policy, internal, external,
-            );
-        }
-        AdmissionMode::Eager => {
-            enroll_eager(residual, ws, policy, assignment, k, seed, internal);
-        }
+    if let Some(seed) = residual.any_active_vertex_from(hint) {
+        admit_vertex(
+            graph, triangles, residual, ws, assignment, k, seed, policy, internal, external,
+        );
     }
 }
 
-/// Moves `v` from the frontier into the partition.
-///
-/// Lazy admission: allocates all residual edges between `v` and members,
-/// updates the modularity counters, enrolls `v`'s remaining residual
-/// neighbors, and refreshes Stage I scores of frontier candidates adjacent
-/// to `v`.
-///
-/// Eager admission: `v`'s edges into the boundary set were already
-/// allocated when each endpoint joined; admission only promotes `v` to
-/// member and eagerly enrolls its remaining residual neighbors.
+/// Moves `v` from the frontier into the partition: allocates all residual
+/// edges between `v` and members, updates the modularity counters, enrolls
+/// `v`'s remaining residual neighbors, and refreshes Stage I scores of
+/// frontier candidates adjacent to `v`.
 #[allow(clippy::too_many_arguments)]
 fn admit_vertex<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
@@ -363,17 +345,6 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
         ws.frontier_remove(v);
     }
     ws.member_round[v as usize] = k;
-
-    if policy.admission() == AdmissionMode::Eager {
-        // The selected vertex's residual edges all point outside the
-        // boundary set; each far endpoint now joins it (allocating its own
-        // edges into the set as it enters).
-        let neighbors: Vec<VertexId> = residual.residual_incident(v).map(|(u, _)| u).collect();
-        for u in neighbors {
-            enroll_eager(residual, ws, policy, assignment, k, u, internal);
-        }
-        return;
-    }
 
     // Allocate edges v -> members (they were external; now internal).
     ws.incident_scratch.clear();
@@ -416,9 +387,6 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
 mod tests {
     use super::super::{run_staged, EdgeRatioSwitch, ModularitySwitch, ScanPolicy};
     use super::*;
-    use crate::trace::Stage;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use tlp_graph::{CsrGraph, GraphBuilder};
 
     fn small_graph() -> CsrGraph {
@@ -626,82 +594,6 @@ mod tests {
             let scan = run(&g, 6, &config, &mut ScanPolicy::new(switch)).unwrap().0;
             let indexed = run_staged(&g, 6, &config, switch).unwrap().0;
             assert_eq!(scan, indexed, "R = {r}");
-        }
-    }
-
-    /// A minimal eager-admission policy (NE's selection rule, inlined):
-    /// exercises the eager path without depending on the baselines crate.
-    struct MinResidualDegree {
-        heap: BinaryHeap<Reverse<(u32, VertexId)>>,
-    }
-
-    impl SelectionPolicy for MinResidualDegree {
-        fn admission(&self) -> AdmissionMode {
-            AdmissionMode::Eager
-        }
-
-        fn on_candidate(
-            &mut self,
-            _ws: &Workspace,
-            residual: &ResidualGraph<'_>,
-            v: VertexId,
-            _round: u32,
-        ) {
-            self.heap
-                .push(Reverse((residual.residual_degree(v) as u32, v)));
-        }
-
-        fn select(
-            &mut self,
-            ws: &Workspace,
-            residual: &ResidualGraph<'_>,
-            _state: GrowthState,
-        ) -> Selection {
-            loop {
-                let Reverse((c, v)) = self
-                    .heap
-                    .pop()
-                    .expect("frontier non-empty but heap exhausted");
-                if ws.is_candidate(v) && residual.residual_degree(v) as u32 == c {
-                    return Selection {
-                        vertex: v,
-                        stage: Stage::One,
-                    };
-                }
-            }
-        }
-
-        fn end_round(&mut self) {
-            self.heap.clear();
-        }
-    }
-
-    #[test]
-    fn eager_admission_covers_all_edges_deterministically() {
-        for g in [
-            small_graph(),
-            tlp_graph::generators::chung_lu(200, 900, 2.2, 4),
-            GraphBuilder::new()
-                .add_edges([(0, 1), (1, 2), (3, 4), (4, 5), (6, 7)])
-                .build(),
-        ] {
-            for p in [1, 3, 6] {
-                let mut policy = MinResidualDegree {
-                    heap: BinaryHeap::new(),
-                };
-                let config = TlpConfig::new().seed(9);
-                let (part, _) = run(&g, p, &config, &mut policy).unwrap();
-                assert_eq!(
-                    part.edge_counts().iter().sum::<usize>(),
-                    g.num_edges(),
-                    "eager run lost edges at p={p}"
-                );
-                let mut policy2 = MinResidualDegree {
-                    heap: BinaryHeap::new(),
-                };
-                let (part2, _) = run(&g, p, &config, &mut policy2).unwrap();
-                assert_eq!(part, part2, "eager run nondeterministic at p={p}");
-            }
         }
     }
 }

@@ -24,7 +24,7 @@ pub struct Workspace {
     /// Whether the vertex is currently in the frontier.
     pub(crate) in_frontier: Vec<bool>,
     /// Residual edges from the vertex into the current partition (Stage II
-    /// input; unused by eager-admission policies).
+    /// input).
     pub(crate) e_in: Vec<u32>,
     /// Running maximum of the Stage I closeness term (Eq. 7).
     pub(crate) mu1: Vec<f64>,
@@ -43,7 +43,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Allocates a workspace for an `n`-vertex graph.
-    pub fn new(n: usize, frontier_cap: usize) -> Self {
+    pub(crate) fn new(n: usize, frontier_cap: usize) -> Self {
         Workspace {
             member_round: vec![u32::MAX; n],
             in_frontier: vec![false; n],
@@ -63,8 +63,7 @@ impl Workspace {
     /// This is the engine's single entry point for Stage I scoring work.
     /// `common` is the triangle-table entry of the edge `(u, w)`, which is
     /// `|N(u) ∩ N(w)|` over static adjacency, and `deg_w` is `|N(w)|`; the
-    /// term is their quotient, exactly as `closeness_term` computes it from
-    /// scratch.
+    /// term is their quotient.
     pub(crate) fn refresh_mu1(&mut self, u: VertexId, common: u32, deg_w: usize) -> bool {
         self.scoring_terms += 1;
         let term = common as f64 / deg_w as f64;
@@ -75,31 +74,6 @@ impl Workspace {
         } else {
             false
         }
-    }
-
-    /// Whether `v` is currently a frontier candidate.
-    pub fn is_candidate(&self, v: VertexId) -> bool {
-        self.in_frontier[v as usize]
-    }
-
-    /// Whether `v` is a member of the partition grown in `round`.
-    pub fn is_member(&self, v: VertexId, round: u32) -> bool {
-        self.member_round[v as usize] == round
-    }
-
-    /// The current frontier candidates, in enrollment (dense-list) order.
-    pub fn frontier(&self) -> &[VertexId] {
-        &self.frontier
-    }
-
-    /// Residual edges from candidate `v` into the current partition.
-    pub fn e_in(&self, v: VertexId) -> u32 {
-        self.e_in[v as usize]
-    }
-
-    /// Candidate `v`'s running maximum Stage I closeness term.
-    pub fn mu1(&self, v: VertexId) -> f64 {
-        self.mu1[v as usize]
     }
 
     /// Removes `v` from the frontier, resetting its candidate state.

@@ -8,8 +8,8 @@
 //! based on the partition's *modularity* `M(P_k) = |E(P_k)| / |E_out(P_k)|`:
 //!
 //! * **Stage I** (`M <= 1`, loose partition): select the frontier vertex
-//!   closest to the partition with the highest degree
-//!   ([`stage1::mu_s1`], Eq. 7 of the paper).
+//!   closest to the partition with the highest degree (Eq. 7 of the
+//!   paper), read from a per-edge triangle table (see [`engine`]).
 //! * **Stage II** (`M > 1`, tight partition): select the frontier vertex
 //!   with the largest modularity gain ([`stage2`], Eq. 9-11).
 //!
@@ -48,7 +48,6 @@ mod tlp_r;
 mod trace;
 
 pub mod engine;
-pub mod stage1;
 pub mod stage2;
 
 pub use checkpoint::EngineCheckpoint;

@@ -7,13 +7,15 @@
 //! mu_s2(v_i) = 1 - 1 / (1 + ΔM),    ΔM = M'(P_k) - M(P_k)
 //! ```
 //!
-//! `mu_s2` is strictly increasing in `ΔM`, and `M(P_k)` is the same for all
-//! candidates at a given step, so ranking candidates by `mu_s2` is the same
-//! as ranking them by the *post-admission modularity*
+//! `mu_s2` is strictly increasing in `ΔM` while `ΔM > -1`, and `M(P_k)` is
+//! the same for all candidates at a given step, so ranking candidates by
+//! `mu_s2` is the same as ranking them by the *post-admission modularity*
 //! `M' = (E + e_in) / (E_out - e_in + e_ext)`, where `e_in` is the number of
 //! residual edges from the candidate into the partition and `e_ext` the rest
-//! of its residual degree. [`GainRatio`] represents `M'` as an exact integer
-//! fraction so candidate comparison never suffers floating-point ties.
+//! of its residual degree. The engine ranks by `M'` everywhere, also where
+//! `ΔM <= -1` makes the float formula exceed 1 or divide by zero.
+//! [`GainRatio`] represents `M'` as an exact integer fraction so candidate
+//! comparison never suffers floating-point ties.
 
 use std::cmp::Ordering;
 

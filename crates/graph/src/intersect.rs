@@ -8,26 +8,12 @@
 //! edge, so the engine reads every Stage I numerator from a table instead
 //! of intersecting adjacency lists.
 //!
-//! For one-off terms (the from-scratch `closeness_term` reference), two
-//! kernels count intersections of sorted CSR slices:
-//!
-//! * [`merge_intersection_size`] — linear two-pointer merge; best when the
-//!   lists are of comparable length.
-//! * [`galloping_intersection_size`] — binary-search probes of the longer
-//!   list, shrinking the search window after each hit; best when one list
-//!   is much shorter (a low-degree candidate against a hub).
-//!
-//! [`sorted_intersection_size`] dispatches between them by length ratio.
-//! Every path returns the exact same count for the same inputs, and the
-//! property suite (`tests/intersect_props.rs`) checks the table against
-//! the kernels edge by edge.
+//! [`merge_intersection_size`] counts the intersection of two sorted CSR
+//! slices by linear merge. No production path calls it: it is the plain
+//! reference the table is checked against, edge by edge, here and in the
+//! property suite (`tests/intersect_props.rs`).
 
 use crate::{EdgeId, GraphView, VertexId};
-
-/// When the longer list is at least this many times the shorter one,
-/// galloping beats the linear merge (the crossover tracks `log2` of the
-/// longer length; 8 is a conservative fit for CSR slices).
-const GALLOP_RATIO: usize = 8;
 
 /// Size of the intersection of two sorted, duplicate-free slices, by
 /// linear two-pointer merge (`O(|a| + |b|)`).
@@ -56,59 +42,6 @@ pub fn merge_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
         }
     }
     count
-}
-
-/// Size of the intersection of two sorted, duplicate-free slices, by
-/// binary-search probes of the longer slice (`O(|short| log |long|)`).
-///
-/// The probed window shrinks after every search, so a run of hits near the
-/// front of the long list keeps later probes cheap.
-///
-/// # Example
-///
-/// ```
-/// use tlp_graph::intersect::galloping_intersection_size;
-///
-/// assert_eq!(galloping_intersection_size(&[3, 5], &(0..1000).collect::<Vec<_>>()), 2);
-/// ```
-pub fn galloping_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut count = 0;
-    let mut rest = long;
-    for &x in short {
-        match rest.binary_search(&x) {
-            Ok(pos) => {
-                count += 1;
-                rest = &rest[pos + 1..];
-            }
-            Err(pos) => rest = &rest[pos..],
-        }
-    }
-    count
-}
-
-/// Size of the intersection of two sorted, duplicate-free slices, choosing
-/// between [`merge_intersection_size`] and [`galloping_intersection_size`]
-/// by the length ratio.
-///
-/// # Example
-///
-/// ```
-/// use tlp_graph::intersect::sorted_intersection_size;
-///
-/// assert_eq!(sorted_intersection_size(&[1, 3, 5, 9], &[2, 3, 4, 5]), 2);
-/// assert_eq!(sorted_intersection_size(&[], &[1]), 0);
-/// ```
-pub fn sorted_intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return 0;
-    }
-    if long.len() / short.len() >= GALLOP_RATIO {
-        galloping_intersection_size(short, long)
-    } else {
-        merge_intersection_size(short, long)
-    }
 }
 
 /// Sentinel for "no forward edge to this vertex" in [`edge_triangles`].
@@ -188,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_basic_cases() {
+    fn merge_matches_naive_on_basic_cases() {
         let cases: &[(&[VertexId], &[VertexId])] = &[
             (&[], &[]),
             (&[1], &[]),
@@ -198,10 +131,8 @@ mod tests {
             (&[0, 2, 4, 6, 8], &[1, 2, 3, 4, 5]),
         ];
         for &(a, b) in cases {
-            let expected = naive(a, b);
-            assert_eq!(merge_intersection_size(a, b), expected);
-            assert_eq!(galloping_intersection_size(a, b), expected);
-            assert_eq!(sorted_intersection_size(a, b), expected);
+            assert_eq!(merge_intersection_size(a, b), naive(a, b));
+            assert_eq!(merge_intersection_size(b, a), naive(a, b));
         }
     }
 
@@ -214,7 +145,7 @@ mod tests {
         assert_eq!(tri.len(), g.num_edges());
         for (e, edge) in g.edges().iter().enumerate() {
             let (a, b) = edge.endpoints();
-            let expected = sorted_intersection_size(g.neighbors(a), g.neighbors(b));
+            let expected = merge_intersection_size(g.neighbors(a), g.neighbors(b));
             assert_eq!(tri[e] as usize, expected, "edge {edge:?}");
         }
     }

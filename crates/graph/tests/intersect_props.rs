@@ -1,25 +1,23 @@
 //! Property-based tests of the intersection layer and the triangle table.
 //!
-//! The engine's bit-identity guarantee rests on every path returning the
-//! exact same count for the same inputs. These properties pin that over
-//! arbitrary sorted duplicate-free slices (the shape of CSR adjacency),
-//! plus the set-algebra invariants any intersection must satisfy, and check
-//! the per-edge triangle table against the intersection kernels on every
-//! edge of random graphs and of views with permuted vertex and edge ids.
+//! The engine reads every Stage I numerator from the per-edge triangle
+//! table. These properties pin the merge counter the table is checked
+//! against to the naive definition over arbitrary sorted duplicate-free
+//! slices (the shape of CSR adjacency), plus the set-algebra invariants any
+//! intersection must satisfy, and check the table against the merge
+//! counter on every edge of random graphs and of views with permuted
+//! vertex and edge ids.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tlp_graph::generators::{rmat, RmatProbabilities};
-use tlp_graph::intersect::{
-    edge_triangles, galloping_intersection_size, merge_intersection_size, sorted_intersection_size,
-};
+use tlp_graph::intersect::{edge_triangles, merge_intersection_size};
 use tlp_graph::{CsrGraph, EdgeId, EdgeTable, GraphBuilder, GraphView, VertexId};
 
 /// A sorted, duplicate-free vertex slice — the invariant CSR adjacency
-/// guarantees (asserted by `properties.rs`). Skewed lengths are common so
-/// the galloping crossover is exercised in both directions.
+/// guarantees (asserted by `properties.rs`).
 fn arb_sorted_slice(max_len: usize) -> impl Strategy<Value = Vec<VertexId>> {
     prop::collection::vec(0u32..500, 0..max_len).prop_map(|mut v| {
         v.sort_unstable();
@@ -35,34 +33,28 @@ fn naive(a: &[VertexId], b: &[VertexId]) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Both kernels agree with the adaptive dispatcher (and the naive
-    /// definition) on arbitrary sorted slices, in both argument orders.
+    /// The merge counter agrees with the naive definition on arbitrary
+    /// sorted slices of skewed lengths, in both argument orders.
     #[test]
-    fn all_kernels_agree(a in arb_sorted_slice(60), b in arb_sorted_slice(600)) {
+    fn merge_matches_naive(a in arb_sorted_slice(60), b in arb_sorted_slice(600)) {
         let expected = naive(&a, &b);
-        for (x, y) in [(&a, &b), (&b, &a)] {
-            prop_assert_eq!(sorted_intersection_size(x, y), expected);
-            prop_assert_eq!(merge_intersection_size(x, y), expected);
-            prop_assert_eq!(galloping_intersection_size(x, y), expected);
-        }
+        prop_assert_eq!(merge_intersection_size(&a, &b), expected);
+        prop_assert_eq!(merge_intersection_size(&b, &a), expected);
     }
 
     /// Empty operand: the intersection with nothing is empty.
     #[test]
     fn empty_side_yields_zero(a in arb_sorted_slice(200)) {
         let empty: Vec<VertexId> = Vec::new();
-        prop_assert_eq!(sorted_intersection_size(&a, &empty), 0);
+        prop_assert_eq!(merge_intersection_size(&a, &empty), 0);
         prop_assert_eq!(merge_intersection_size(&empty, &a), 0);
-        prop_assert_eq!(galloping_intersection_size(&a, &empty), 0);
     }
 
     /// Identical operands: the intersection is the whole (duplicate-free)
     /// slice.
     #[test]
     fn self_intersection_is_identity(a in arb_sorted_slice(200)) {
-        prop_assert_eq!(sorted_intersection_size(&a, &a), a.len());
         prop_assert_eq!(merge_intersection_size(&a, &a), a.len());
-        prop_assert_eq!(galloping_intersection_size(&a, &a), a.len());
     }
 
     /// Disjoint operands (built by offsetting `b` past `a`'s range) yield
@@ -71,18 +63,16 @@ proptest! {
     fn disjoint_slices_yield_zero(a in arb_sorted_slice(100), b in arb_sorted_slice(100)) {
         let offset = a.last().map_or(0, |&x| x + 1);
         let shifted: Vec<VertexId> = b.iter().map(|&x| x + offset).collect();
-        prop_assert_eq!(sorted_intersection_size(&a, &shifted), 0);
         prop_assert_eq!(merge_intersection_size(&a, &shifted), 0);
-        prop_assert_eq!(galloping_intersection_size(&a, &shifted), 0);
     }
 
     /// Bounds: the count never exceeds either operand's length, and is
     /// symmetric in its arguments.
     #[test]
     fn count_is_bounded_and_symmetric(a in arb_sorted_slice(150), b in arb_sorted_slice(150)) {
-        let c = sorted_intersection_size(&a, &b);
+        let c = merge_intersection_size(&a, &b);
         prop_assert!(c <= a.len() && c <= b.len());
-        prop_assert_eq!(sorted_intersection_size(&b, &a), c);
+        prop_assert_eq!(merge_intersection_size(&b, &a), c);
     }
 
     /// `tri[e] = |N(a) ∩ N(b)|` for every edge `e = (a, b)` of stars,
@@ -132,13 +122,13 @@ proptest! {
     }
 }
 
-/// Checks every table entry of `view` against the adaptive kernel.
+/// Checks every table entry of `view` against the merge counter.
 fn check_table(view: GraphView<'_>) -> Result<(), TestCaseError> {
     let tri = edge_triangles(view);
     prop_assert_eq!(tri.len(), view.num_edges());
     for (e, edge) in view.edge_iter().enumerate() {
         let (a, b) = edge.endpoints();
-        let expected = sorted_intersection_size(view.neighbors(a), view.neighbors(b));
+        let expected = merge_intersection_size(view.neighbors(a), view.neighbors(b));
         prop_assert_eq!(tri[e] as usize, expected);
     }
     Ok(())

@@ -28,27 +28,35 @@ cli generate --family chung-lu --vertices 30000 --edges 100000 --seed "$SEED" \
     --output "$WORK/graph.txt"
 
 # Baseline: the uninterrupted run whose assignment the resumed run must
-# reproduce bit for bit.
+# reproduce bit for bit. Its wall time scales the kill point below.
+BASE_START=$(date +%s%N)
 cli partition --input "$WORK/graph.txt" --format text --algorithm tlp \
     --partitions "$P" --seed "$RUN_SEED" --output "$WORK/base.tsv" \
     > "$WORK/base.txt"
+BASE_MS=$(( ($(date +%s%N) - BASE_START) / 1000000 ))
 metrics "$WORK/base.txt" > "$WORK/base.metrics"
 
-# Seeded, logged kill point: 50..999 ms into the checkpointed run (the
-# multiplier is Knuth's 2654435761, so nearby seeds scatter widely).
-KILL_MS=$(( (SEED * 2654435761 + 12345) % 950 + 50 ))
-echo "crash run: SIGKILL after ${KILL_MS}ms (FAULTS_CI_SEED=$SEED)"
+# Seeded, logged kill point: 10..70% of the baseline's wall time into the
+# checkpointed run (the multiplier is Knuth's 2654435761, so nearby seeds
+# scatter widely).
+KILL_PCT=$(( (SEED * 2654435761 + 12345) % 61 + 10 ))
+KILL_MS=$(( BASE_MS * KILL_PCT / 100 ))
+echo "crash run: SIGKILL after ${KILL_MS}ms, ${KILL_PCT}% of the ${BASE_MS}ms baseline (FAULTS_CI_SEED=$SEED)"
 "$BIN" partition --input "$WORK/graph.txt" --format text --algorithm tlp \
     --partitions "$P" --seed "$RUN_SEED" --checkpoint "$WORK/ckpt" \
     --output "$WORK/crash.tsv" > "$WORK/crash.txt" 2>&1 &
 PID=$!
 sleep "$(awk -v ms="$KILL_MS" 'BEGIN { printf "%.3f", ms / 1000 }')"
-if kill -9 "$PID" 2>/dev/null; then
-    echo "killed pid $PID mid-run"
-else
-    echo "run finished before the kill fired; resume degenerates to a no-op"
+kill -9 "$PID" 2>/dev/null || true
+STATUS=0
+wait "$PID" 2>/dev/null || STATUS=$?
+if [ "$STATUS" -eq 0 ]; then
+    echo "error: the crash run finished before the kill fired, so the resume" \
+        "would test nothing (FAULTS_CI_SEED=$SEED: kill at ${KILL_MS}ms," \
+        "baseline ${BASE_MS}ms)" >&2
+    exit 1
 fi
-wait "$PID" 2>/dev/null || true
+echo "killed pid $PID mid-run (exit status $STATUS)"
 
 if [ -f "$WORK/ckpt/checkpoint.tlpc" ]; then
     echo "checkpoint survived: $(stat -c%s "$WORK/ckpt/checkpoint.tlpc") bytes"

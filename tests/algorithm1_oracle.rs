@@ -19,11 +19,20 @@
 //! edges into `P_k`, then residual degree; Stage II by `μ_s2`, then edges
 //! into `P_k`, then fewest new external edges; both then by lowest id.
 //!
+//! Stage II ranks by `M'` itself, compared as an exact fraction. `M` is the
+//! same for every candidate of a step, so `μ_s2` orders candidates as `M'`
+//! does only where `1 + ΔM > 0`. Random graphs of a few dozen vertices
+//! already offer candidates with `ΔM <= -1` (many edges out of a tight
+//! partition), where the float formula exceeds 1 or divides by zero.
+//!
 //! The check is exhaustive over every edge subset of K₆ (32,768 graphs on
-//! six vertices), for p ∈ {2, 3} and both reseed policies.
+//! six vertices), for p ∈ {2, 3} and both reseed policies, and runs by
+//! proptest on random graphs of 20–60 vertices.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::{Ordering, Reverse};
 use tlp::core::{EdgePartitioner, ReseedPolicy, TlpConfig, TwoStageLocalPartitioner};
 use tlp::graph::{CsrGraph, GraphBuilder, VertexId};
 
@@ -126,23 +135,17 @@ fn reference_tlp(graph: &CsrGraph, p: usize, seed: u64, reseed: ReseedPolicy) ->
                         })
                         .fold(0.0, f64::max);
                     let (e_in, deg) = (e_in(&owner, u), free_degree(&owner, u));
-                    (mu_s1, e_in as f64, deg as f64)
+                    (mu_s1, e_in, deg)
                 })
             } else {
-                let modularity = |inside: usize, outside: usize| {
-                    if outside == 0 {
-                        f64::INFINITY
-                    } else {
-                        inside as f64 / outside as f64
-                    }
-                };
-                let m_now = modularity(internal, external);
                 argmax(&frontier, |u| {
                     let e_in = e_in(&owner, u);
                     let e_ext = free_degree(&owner, u) - e_in;
-                    let m_after = modularity(internal + e_in, external - e_in + e_ext);
-                    let mu_s2 = 1.0 - 1.0 / (1.0 + (m_after - m_now));
-                    (mu_s2, e_in as f64, -(e_ext as f64))
+                    let m_after = Fraction {
+                        num: internal + e_in,
+                        den: external - e_in + e_ext,
+                    };
+                    (m_after, e_in, Reverse(e_ext))
                 })
             };
             // Line 10: allocate the edges between v and P_k.
@@ -170,9 +173,29 @@ fn reference_tlp(graph: &CsrGraph, p: usize, seed: u64, reseed: ReseedPolicy) ->
         .collect()
 }
 
+/// A modularity `num / den`, ordered exactly by cross-multiplication;
+/// `den = 0` is `+∞` (a frontier vertex has `num >= 1`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Fraction {
+    num: usize,
+    den: usize,
+}
+
+impl Ord for Fraction {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.num as u128 * other.den as u128).cmp(&(other.num as u128 * self.den as u128))
+    }
+}
+
+impl PartialOrd for Fraction {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The candidate with the largest key, the lowest id among equal keys
 /// (`candidates` ascend, and only a strictly larger key replaces the best).
-fn argmax(candidates: &[VertexId], key: impl Fn(VertexId) -> (f64, f64, f64)) -> VertexId {
+fn argmax<K: PartialOrd>(candidates: &[VertexId], key: impl Fn(VertexId) -> K) -> VertexId {
     let mut best = candidates[0];
     let mut best_key = key(best);
     for &u in &candidates[1..] {
@@ -185,10 +208,7 @@ fn argmax(candidates: &[VertexId], key: impl Fn(VertexId) -> (f64, f64, f64)) ->
     best
 }
 
-/// Every edge subset of K₆ agrees with the engine, edge for edge. Graphs
-/// here have at most 15 edges, so distinct `M'` fractions stay far apart
-/// in `f64` and `μ_s2` ranks candidates exactly as the engine's exact
-/// fractions do.
+/// Every edge subset of K₆ agrees with the engine, edge for edge.
 #[test]
 fn engine_matches_the_reference_on_every_subgraph_of_k6() {
     let pairs: Vec<(VertexId, VertexId)> = (0..6)
@@ -223,4 +243,51 @@ fn engine_matches_the_reference_on_every_subgraph_of_k6() {
         }
     }
     assert_eq!(checked, 32_768 * 2 * 2);
+}
+
+/// A random simple graph on 20–60 vertices with up to six raw edge
+/// tuples per vertex (self-loops and duplicates are dropped by the
+/// builder), so sparse many-component and denser single-component graphs
+/// both occur.
+fn arb_graph() -> impl Strategy<Value = CsrGraph> {
+    (20u32..61).prop_flat_map(|n| {
+        prop::collection::vec((0..n, 0..n), 0..6 * n as usize).prop_map(move |edges| {
+            GraphBuilder::new()
+                .reserve_vertices(n as usize)
+                .add_edges(edges)
+                .build()
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Larger random graphs agree with the engine too, under both reseed
+    /// policies: here frontiers are wide and ties in `μ_s1` and `M'` are
+    /// common, so the tie-break chains are exercised in depth.
+    #[test]
+    fn engine_matches_the_reference_on_random_graphs(
+        graph in arb_graph(),
+        p in 2usize..9,
+        seed in 0u64..1_000,
+    ) {
+        for reseed in [ReseedPolicy::Reseed, ReseedPolicy::Break] {
+            let config = TlpConfig::new().seed(seed).reseed_policy(reseed);
+            let engine = TwoStageLocalPartitioner::new(config)
+                .partition(&graph, p)
+                .expect("engine run");
+            let reference = reference_tlp(&graph, p, seed, reseed);
+            prop_assert_eq!(
+                engine.assignments(),
+                reference.as_slice(),
+                "n = {}, m = {}, p = {}, seed = {}, {:?}",
+                graph.num_vertices(),
+                graph.num_edges(),
+                p,
+                seed,
+                reseed
+            );
+        }
+    }
 }

@@ -134,3 +134,16 @@ fn ne_matches_golden() {
         8,
     );
 }
+
+/// NE on a sparse, many-component graph: rounds run dry and reseed often,
+/// so the golden pins NE's within-round reseed draws as well as its
+/// selection order.
+#[test]
+fn ne_on_genealogy_matches_golden() {
+    check_golden(
+        "ne_genealogy.txt",
+        &genealogy(200, 331, 5),
+        &NePartitioner::new(3),
+        6,
+    );
+}

@@ -6,7 +6,8 @@ use tlp::core::{
     EdgePartitioner, Modularity, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner,
 };
 use tlp::graph::generators::power_law_community;
-use tlp::graph::GraphBuilder;
+use tlp::graph::intersect::edge_triangles;
+use tlp::graph::{GraphBuilder, VertexId};
 
 /// Claim 1 / Eq. 6: per-partition modularity is inversely tied to RF. On a
 /// degree-regular graph the relationship is an exact identity:
@@ -85,6 +86,44 @@ fn fig5_worked_example() {
     let b = Modularity::new(5, 1);
     assert_eq!(b.value(), 5.0);
     assert!(!b.is_stage_one());
+}
+
+/// Fig. 6(a) worked example: with `P_k = {b, c, d}`, candidate `e` scores
+/// highest under Eq. 7, `μ_s1(v_i) = max_{v_j ∈ N(v_i) ∩ P_k} |N(v_i) ∩
+/// N(v_j)| / |N(v_j)|`. Each numerator is read from the per-edge triangle
+/// table and each denominator is a degree: exactly what the engine reads.
+#[test]
+fn fig6a_worked_example() {
+    // a=0, b=1, c=2, d=3, e=4, g=5, h=6, i=7.
+    let g = GraphBuilder::new()
+        .add_edges([
+            (0, 1), // a - b
+            (1, 2), // b - c
+            (1, 3), // b - d
+            (2, 3), // c - d
+            (4, 2), // e - c
+            (4, 3), // e - d
+            (4, 5), // e - g
+            (5, 3), // g - d
+            (5, 6), // g - h (outside edge)
+            (4, 6), // e - h (outside edge)
+            (0, 7), // a - i (outside edge)
+        ])
+        .build();
+    let tri = edge_triangles(&g);
+    let member = |v: VertexId| (1..=3).contains(&v);
+    let mu_s1 = |u: VertexId| {
+        g.incident(u)
+            .filter(|&(w, _)| member(w))
+            .map(|(w, e)| f64::from(tri[e as usize]) / g.degree(w) as f64)
+            .fold(0.0, f64::max)
+    };
+    // a: N(a) ∩ N(b) = {} -> 0.
+    assert_eq!(mu_s1(0), 0.0);
+    // e: max(|{d}| / |N(c)|, |{c, g}| / |N(d)|) = max(1/3, 2/4).
+    assert_eq!(mu_s1(4), 0.5);
+    // g: |{e}| / |N(d)| = 1/4.
+    assert_eq!(mu_s1(5), 0.25);
 }
 
 /// Fig. 7 worked example: E=5, E_out=4; ΔM(g)=0.25, ΔM(e)=2.75, e wins.
