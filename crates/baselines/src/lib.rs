@@ -21,7 +21,7 @@
 //! into [`StreamingPlacer`] state machines in [`streaming`], so the same
 //! placement code also runs out-of-core over any
 //! [`tlp_graph::EdgeSource`] (including `.tlpg` files on disk) via
-//! [`StreamingBaseline`], holding at most the source's budget of edges in
+//! [`run_streaming`], holding at most the source's budget of edges in
 //! memory. Streamed and materialized runs of the same heuristic over the
 //! same arrival order are bit-identical.
 
@@ -47,7 +47,7 @@ pub use greedy::GreedyPartitioner;
 pub use hdrf::HdrfPartitioner;
 pub use ldg::LdgPartitioner;
 pub use ne::NePartitioner;
-pub use pipeline::{StreamingBaseline, StreamingKind, HDRF_LAMBDA};
+pub use pipeline::{run_streaming, StreamingKind, HDRF_LAMBDA};
 pub use random::RandomPartitioner;
 pub use stream::{edge_order, vertex_order, EdgeOrder, VertexOrder};
 pub use streaming::{DbhState, GreedyState, HdrfState, RandomState, StreamingPlacer};

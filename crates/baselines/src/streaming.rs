@@ -7,7 +7,7 @@
 //! * the materialized `EdgePartitioner::partition` paths, which call
 //!   [`StreamingPlacer::place`] while walking the requested arrival order
 //!   over the in-memory graph, and
-//! * [`StreamingBaseline`](crate::StreamingBaseline), which places the
+//! * [`run_streaming`](crate::run_streaming), which places the
 //!   chunks of any [`EdgeSource`](tlp_graph::EdgeSource) pass — including a
 //!   `.tlpg` file read chunk by chunk — holding at most `budget` edges in
 //!   memory.

@@ -62,9 +62,8 @@ pub use parallel::{
 pub use partition::{EdgePartition, PartitionId};
 pub use partitioner::EdgePartitioner;
 pub use pipeline::{
-    run_span, trial_span, AlgoConfig, Algorithm, AlgorithmBuilder, AlgorithmEntry,
-    AlgorithmRegistry, Capability, MaterializedAlgorithm, ParamSpec, PipelineError, RunArtifact,
-    TlpAlgorithm,
+    run_partitioner, run_span, run_tlp, trial_span, AlgoConfig, AlgorithmEntry, AlgorithmRegistry,
+    Capability, ParamSpec, PipelineError, RunArtifact,
 };
 pub use tlp::TwoStageLocalPartitioner;
 pub use tlp_r::EdgeRatioLocalPartitioner;

@@ -1,32 +1,33 @@
-//! The unified partitioning pipeline: [`Algorithm`], [`AlgorithmRegistry`],
-//! and [`RunArtifact`].
+//! The unified partitioning pipeline: [`AlgorithmRegistry`] and
+//! [`RunArtifact`].
 //!
 //! Every partitioner in the workspace — TLP and its ablations, the
-//! streaming baselines, NE, METIS — is exposed as an [`Algorithm`]: a boxed
-//! runner built from one [`AlgoConfig`] that consumes any
-//! [`EdgeSource`](tlp_graph::EdgeSource) and emits one [`RunArtifact`]
-//! (assignment + canonical [`PartitionMetrics`] + timing + provenance).
-//! Call sites (the CLI, the experiment harness, tests, CI scripts) look
-//! algorithms up **by name** in an [`AlgorithmRegistry`] instead of wiring
-//! concrete types per binary.
+//! streaming baselines, NE, METIS — is one registry row: an
+//! [`AlgorithmEntry`] whose `run` function takes one [`AlgoConfig`],
+//! consumes any [`EdgeSource`] and emits one [`RunArtifact`] (assignment +
+//! canonical [`PartitionMetrics`] + timing + trial data). Call sites (the
+//! CLI, the experiment harness, tests, CI scripts) look algorithms up **by
+//! name** in an [`AlgorithmRegistry`] instead of wiring concrete types per
+//! binary. [`run_partitioner`] is the run function of every materialized
+//! [`EdgePartitioner`] row, and [`run_tlp`] that of TLP, with its
+//! kill-and-resume hooks.
 //!
-//! Capability dispatch: an algorithm declares [`Capability::RandomAccess`]
-//! (needs the materialized [`CsrGraph`](tlp_graph::CsrGraph)) or
+//! Capability: a row declares [`Capability::RandomAccess`] (needs the
+//! materialized [`CsrGraph`](tlp_graph::CsrGraph)) or
 //! [`Capability::Streaming`] (bounded-memory passes suffice). Running a
 //! random-access algorithm against a streaming-only source fails with the
 //! typed [`PipelineError::NeedsRandomAccess`] — never a silent fallback.
 //!
-//! This module defines the mechanism; the `tlp-pipeline` crate registers
-//! the workspace's built-in algorithms (it can see every algorithm crate,
-//! which `tlp-core` cannot).
+//! This module defines the mechanism; the `tlp-pipeline` crate lists the
+//! workspace's built-in rows (it can see every algorithm crate, which
+//! `tlp-core` cannot).
 
-use crate::engine::{run_staged, ModularitySwitch};
+use crate::engine::CheckpointSink;
 use crate::{
-    EdgePartition, EdgePartitioner, ParallelTrialRunner, PartitionError, PartitionMetrics,
-    TlpConfig, Trace,
+    EdgePartition, EdgePartitioner, EngineCheckpoint, ParallelTrialRunner, PartitionError,
+    PartitionMetrics, TlpConfig, TwoStageLocalPartitioner,
 };
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Instant;
 use tlp_graph::{EdgeSource, SourceError};
 
@@ -40,17 +41,7 @@ pub enum Capability {
     Streaming,
 }
 
-impl Capability {
-    /// Short human-readable label ("csr-only" / "streaming").
-    pub fn label(self) -> &'static str {
-        match self {
-            Capability::RandomAccess => "csr-only",
-            Capability::Streaming => "streaming",
-        }
-    }
-}
-
-/// Error from building or running a pipeline algorithm.
+/// Error from running a pipeline algorithm.
 #[derive(Debug)]
 pub enum PipelineError {
     /// The underlying partitioner failed.
@@ -107,7 +98,7 @@ impl From<SourceError> for PipelineError {
     }
 }
 
-/// The unified configuration every registry builder receives.
+/// The unified configuration every registry row runs with.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AlgoConfig {
     /// Base RNG seed.
@@ -116,10 +107,8 @@ pub struct AlgoConfig {
     pub threads: usize,
     /// Number of independently seeded trials (TLP only; best RF wins).
     pub trials: usize,
-    /// Record the per-round selection trace (TLP family, single trial).
-    pub record_trace: bool,
     /// Algorithm parameter from a `name=VALUE` spec (e.g. the `R` of
-    /// `tlp-r=0.3`); filled in by [`AlgorithmRegistry::build`].
+    /// `tlp-r=0.3`); filled in by [`AlgorithmRegistry::run`].
     pub param: Option<f64>,
 }
 
@@ -129,7 +118,6 @@ impl Default for AlgoConfig {
             seed: 42,
             threads: 0,
             trials: 1,
-            record_trace: false,
             param: None,
         }
     }
@@ -159,8 +147,6 @@ pub struct RunArtifact {
     pub partition: EdgePartition,
     /// Canonical quality metrics (single-sourced in [`PartitionMetrics`]).
     pub metrics: PartitionMetrics,
-    /// Per-round selection trace, when requested and supported.
-    pub trace: Option<Trace>,
     /// Wall-clock partitioning time (excludes metric computation).
     pub seconds: f64,
     /// Peak edge-buffer length of the placement pass, for streaming runs.
@@ -170,18 +156,14 @@ pub struct RunArtifact {
     pub trial_rfs: Vec<f64>,
     /// Winning trial index of a multi-trial run.
     pub best_trial: Option<usize>,
-    /// Partition store directory, when the caller persisted one.
-    pub store_dir: Option<PathBuf>,
-    /// Checkpoint directory, when the run was checkpointed.
-    pub checkpoint_dir: Option<PathBuf>,
     /// Folded observability report, when the run was observed (see
     /// [`AlgorithmRegistry::run_recorded`]).
     pub obs: Option<tlp_obs::ObsReport>,
 }
 
 impl RunArtifact {
-    /// Assembles the common fields; provenance extras (store/checkpoint
-    /// linkage, trial data) start empty and are filled by the producer.
+    /// Assembles the common fields; the streaming and trial extras start
+    /// empty and are filled by the producer.
     pub fn new(
         algorithm: impl Into<String>,
         partition: EdgePartition,
@@ -193,13 +175,10 @@ impl RunArtifact {
             num_partitions: partition.num_partitions(),
             partition,
             metrics,
-            trace: None,
             seconds,
             peak_stream_buffer: None,
             trial_rfs: Vec::new(),
             best_trial: None,
-            store_dir: None,
-            checkpoint_dir: None,
             obs: None,
         }
     }
@@ -230,31 +209,9 @@ impl RunArtifact {
     }
 }
 
-/// A runnable, already-configured partitioning algorithm.
-pub trait Algorithm {
-    /// Display label (matches the wrapped partitioner's `name()`).
-    fn label(&self) -> &str;
-
-    /// Whether this algorithm needs random access or streams.
-    fn capability(&self) -> Capability;
-
-    /// Runs the algorithm over `source` and assembles the artifact.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NeedsRandomAccess`] when a random-access algorithm
-    /// meets a streaming-only source; otherwise source and partitioner
-    /// errors.
-    fn run(
-        &self,
-        source: &mut dyn EdgeSource,
-        num_partitions: usize,
-    ) -> Result<RunArtifact, PipelineError>;
-}
-
-/// Opens the mandatory `run` span every [`Algorithm::run`] implementation
-/// emits (fields: algorithm label and partition count). The span skeleton
-/// instrumented runs guarantee is `run` → `trial` → `round`/`pass`.
+/// Opens the mandatory `run` span every registry run emits (fields:
+/// algorithm label and partition count). The span skeleton instrumented
+/// runs guarantee is `run` → `trial` → `round`/`pass`.
 pub fn run_span(label: &str, num_partitions: usize) -> tlp_obs::SpanGuard {
     tlp_obs::span_with(
         "run",
@@ -295,109 +252,89 @@ fn materialize<'s>(
     source.random_access().map_err(PipelineError::Source)
 }
 
-/// Adapter: any [`EdgePartitioner`] as a random-access [`Algorithm`].
-pub struct MaterializedAlgorithm {
-    label: String,
-    inner: Box<dyn EdgePartitioner>,
+/// Runs any [`EdgePartitioner`] over the materialized `source`: one trial
+/// holding one `pass`. The artifact's label is the partitioner's `name()`.
+///
+/// # Errors
+///
+/// [`PipelineError::NeedsRandomAccess`] when `source` is streaming-only,
+/// otherwise source and partitioner errors.
+pub fn run_partitioner(
+    partitioner: &dyn EdgePartitioner,
+    source: &mut dyn EdgeSource,
+    num_partitions: usize,
+) -> Result<RunArtifact, PipelineError> {
+    let label = partitioner.name();
+    let graph = materialize(source, label)?;
+    let _run = run_span(label, num_partitions);
+    let start = Instant::now();
+    let partition = {
+        let _trial = trial_span(0, None);
+        let _pass = tlp_obs::span("pass");
+        partitioner.partition_view(graph, num_partitions)?
+    };
+    let seconds = start.elapsed().as_secs_f64();
+    tlp_obs::counter("run.edges", partition.num_edges() as u64);
+    let metrics = PartitionMetrics::compute(graph, &partition);
+    Ok(RunArtifact::new(label, partition, metrics, seconds))
 }
 
-impl MaterializedAlgorithm {
-    /// Wraps a partitioner; the label is the partitioner's `name()`.
-    pub fn new(inner: Box<dyn EdgePartitioner>) -> Self {
-        MaterializedAlgorithm {
-            label: inner.name().to_string(),
-            inner,
-        }
+/// Runs TLP over the materialized `source`: the `tlp` registry row when
+/// `resume` and `sink` are `None`.
+///
+/// With `config.trials > 1` it races independently seeded runs and keeps
+/// the best RF. A single trial continues from `resume` when given and
+/// hands `sink` a snapshot after every round (see
+/// [`TwoStageLocalPartitioner::partition_with_checkpoints`]); either way
+/// the run emits the same `run` → `trial` → `round` skeleton.
+///
+/// # Errors
+///
+/// [`PipelineError::NeedsRandomAccess`] when `source` is streaming-only,
+/// [`PartitionError::Checkpoint`] when a multi-trial run is given a
+/// checkpoint hook or `resume` does not fit, otherwise TLP's own errors.
+pub fn run_tlp(
+    config: &AlgoConfig,
+    source: &mut dyn EdgeSource,
+    num_partitions: usize,
+    resume: Option<&EngineCheckpoint>,
+    sink: Option<CheckpointSink<'_>>,
+) -> Result<RunArtifact, PipelineError> {
+    let graph = materialize(source, "TLP")?;
+    let tlp = TlpConfig::new()
+        .seed(config.seed)
+        .trials(config.trials)
+        .threads(config.threads);
+    tlp.validate()?;
+    let raced = tlp.trials_value() > 1;
+    if raced && (resume.is_some() || sink.is_some()) {
+        return Err(
+            PartitionError::Checkpoint("a multi-trial run cannot be checkpointed".into()).into(),
+        );
     }
-}
-
-impl Algorithm for MaterializedAlgorithm {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn capability(&self) -> Capability {
-        Capability::RandomAccess
-    }
-
-    fn run(
-        &self,
-        source: &mut dyn EdgeSource,
-        num_partitions: usize,
-    ) -> Result<RunArtifact, PipelineError> {
-        let graph = materialize(source, &self.label)?;
-        let _run = run_span(&self.label, num_partitions);
-        let start = Instant::now();
-        let partition = {
-            let _trial = trial_span(0, None);
-            let _pass = tlp_obs::span("pass");
-            self.inner.partition_view(graph, num_partitions)?
-        };
-        let seconds = start.elapsed().as_secs_f64();
-        tlp_obs::counter("run.edges", partition.num_edges() as u64);
-        let metrics = PartitionMetrics::compute(graph, &partition);
-        Ok(RunArtifact::new(&self.label, partition, metrics, seconds))
-    }
-}
-
-/// TLP as a pipeline [`Algorithm`]: honors `trials` (racing independently
-/// seeded runs, keeping the best RF) and `record_trace` (single trial).
-pub struct TlpAlgorithm {
-    config: TlpConfig,
-}
-
-impl TlpAlgorithm {
-    /// Builds TLP from the unified config.
-    pub fn new(config: &AlgoConfig) -> Self {
-        TlpAlgorithm {
-            config: TlpConfig::new()
-                .seed(config.seed)
-                .trials(config.trials)
-                .threads(config.threads)
-                .record_trace(config.record_trace),
-        }
-    }
-}
-
-impl Algorithm for TlpAlgorithm {
-    fn label(&self) -> &str {
-        "TLP"
-    }
-
-    fn capability(&self) -> Capability {
-        Capability::RandomAccess
-    }
-
-    fn run(
-        &self,
-        source: &mut dyn EdgeSource,
-        num_partitions: usize,
-    ) -> Result<RunArtifact, PipelineError> {
-        let graph = materialize(source, "TLP")?;
-        self.config.validate()?;
-        let _run = run_span("TLP", num_partitions);
-        let start = Instant::now();
-        if self.config.trials_value() > 1 {
-            let report = ParallelTrialRunner::new(self.config).run(graph, num_partitions)?;
-            let seconds = start.elapsed().as_secs_f64();
-            tlp_obs::counter("run.edges", report.partition.num_edges() as u64);
-            let metrics = PartitionMetrics::compute(graph, &report.partition);
-            let mut artifact = RunArtifact::new("TLP", report.partition, metrics, seconds);
-            artifact.trial_rfs = report.trial_rfs;
-            artifact.best_trial = Some(report.best_trial);
-            return Ok(artifact);
-        }
-        let (partition, trace) = {
-            let _trial = trial_span(0, Some(self.config.seed_value()));
-            run_staged(graph, num_partitions, &self.config, ModularitySwitch)?
-        };
-        let seconds = start.elapsed().as_secs_f64();
-        tlp_obs::counter("run.edges", partition.num_edges() as u64);
-        let metrics = PartitionMetrics::compute(graph, &partition);
-        let mut artifact = RunArtifact::new("TLP", partition, metrics, seconds);
-        artifact.trace = trace;
-        Ok(artifact)
-    }
+    let _run = run_span("TLP", num_partitions);
+    let start = Instant::now();
+    let (partition, trial_rfs, best_trial) = if raced {
+        let report = ParallelTrialRunner::new(tlp).run(graph, num_partitions)?;
+        (report.partition, report.trial_rfs, Some(report.best_trial))
+    } else {
+        let _trial = trial_span(0, Some(config.seed));
+        let partition = TwoStageLocalPartitioner::new(tlp).partition_with_checkpoints(
+            graph,
+            num_partitions,
+            resume,
+            sink,
+        )?;
+        (partition, Vec::new(), None)
+    };
+    let seconds = start.elapsed().as_secs_f64();
+    tlp_obs::counter("run.edges", partition.num_edges() as u64);
+    let metrics = PartitionMetrics::compute(graph, &partition);
+    Ok(RunArtifact {
+        trial_rfs,
+        best_trial,
+        ..RunArtifact::new("TLP", partition, metrics, seconds)
+    })
 }
 
 /// Whether (and how) a registered algorithm takes a `name=VALUE` parameter.
@@ -409,63 +346,37 @@ pub enum ParamSpec {
     Required(&'static str),
 }
 
-/// Builder closure: unified config in, runnable algorithm out.
-pub type AlgorithmBuilder =
-    Box<dyn Fn(&AlgoConfig) -> Result<Box<dyn Algorithm>, PipelineError> + Send + Sync>;
-
-/// One registry row: identity, capability, and the builder.
+/// One registry row: identity, capability, and the run function.
 pub struct AlgorithmEntry {
     /// Lookup name (lowercase, e.g. "hdrf").
     pub name: &'static str,
     /// Display label (e.g. "HDRF").
     pub label: &'static str,
-    /// Access pattern the built algorithm declares.
+    /// Access pattern the run function needs.
     pub capability: Capability,
     /// Parameter contract of the spec string.
     pub param: ParamSpec,
-    /// One-line description for listings.
-    pub summary: &'static str,
-    builder: AlgorithmBuilder,
+    /// Runs the algorithm under a config whose `param` the spec filled in.
+    pub run: fn(&AlgoConfig, &mut dyn EdgeSource, usize) -> Result<RunArtifact, PipelineError>,
 }
 
-/// Name → algorithm-builder table: the single place call sites resolve
-/// algorithm names, replacing per-binary `match` wiring.
-#[derive(Default)]
+/// Name → row table: the single place call sites resolve algorithm
+/// names, replacing per-binary `match` wiring. Collect one from its rows
+/// (see `tlp-pipeline`'s `builtin_registry`); a repeated name keeps the
+/// last row.
 pub struct AlgorithmRegistry {
     entries: BTreeMap<&'static str, AlgorithmEntry>,
 }
 
+impl FromIterator<AlgorithmEntry> for AlgorithmRegistry {
+    fn from_iter<I: IntoIterator<Item = AlgorithmEntry>>(rows: I) -> Self {
+        AlgorithmRegistry {
+            entries: rows.into_iter().map(|row| (row.name, row)).collect(),
+        }
+    }
+}
+
 impl AlgorithmRegistry {
-    /// An empty registry (see `tlp-pipeline`'s `builtin_registry` for the
-    /// populated one).
-    pub fn new() -> Self {
-        AlgorithmRegistry::default()
-    }
-
-    /// Registers an algorithm under `name`. Re-registering a name replaces
-    /// the previous entry.
-    pub fn register(
-        &mut self,
-        name: &'static str,
-        label: &'static str,
-        capability: Capability,
-        param: ParamSpec,
-        summary: &'static str,
-        builder: AlgorithmBuilder,
-    ) {
-        self.entries.insert(
-            name,
-            AlgorithmEntry {
-                name,
-                label,
-                capability,
-                param,
-                summary,
-                builder,
-            },
-        );
-    }
-
     /// Registered names in sorted order.
     pub fn names(&self) -> Vec<&'static str> {
         self.entries.keys().copied().collect()
@@ -490,19 +401,21 @@ impl AlgorithmRegistry {
         self.entries.get(name)
     }
 
-    /// Builds the algorithm a spec string names, merging its `=VALUE`
-    /// parameter into `config`.
+    /// Runs the row a spec string names, merging its `=VALUE` parameter
+    /// into `config`: the registry's front door.
     ///
     /// # Errors
     ///
     /// [`PipelineError::UnknownAlgorithm`] for an unregistered name,
     /// [`PipelineError::Spec`] for a missing/extra/unparsable parameter,
-    /// plus whatever the builder reports.
-    pub fn build(
+    /// plus whatever the row's run function reports.
+    pub fn run(
         &self,
         spec: &str,
         config: &AlgoConfig,
-    ) -> Result<Box<dyn Algorithm>, PipelineError> {
+        source: &mut dyn EdgeSource,
+        num_partitions: usize,
+    ) -> Result<RunArtifact, PipelineError> {
         let (name, raw_param) = Self::parse_spec(spec);
         let entry = self
             .entries
@@ -528,23 +441,7 @@ impl AlgorithmRegistry {
                 config.param = Some(value);
             }
         }
-        (entry.builder)(&config)
-    }
-
-    /// Builds and runs in one step: the registry's front door.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`AlgorithmRegistry::build`] and [`Algorithm::run`]
-    /// report.
-    pub fn run(
-        &self,
-        spec: &str,
-        config: &AlgoConfig,
-        source: &mut dyn EdgeSource,
-        num_partitions: usize,
-    ) -> Result<RunArtifact, PipelineError> {
-        self.build(spec, config)?.run(source, num_partitions)
+        (entry.run)(&config, source, num_partitions)
     }
 
     /// [`AlgorithmRegistry::run`] with a recording observer installed: the
@@ -579,21 +476,17 @@ impl AlgorithmRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TwoStageLocalPartitioner;
     use tlp_graph::generators::chung_lu;
     use tlp_graph::CsrSource;
 
     fn tiny_registry() -> AlgorithmRegistry {
-        let mut registry = AlgorithmRegistry::new();
-        registry.register(
-            "tlp",
-            "TLP",
-            Capability::RandomAccess,
-            ParamSpec::None,
-            "two-stage local partitioner",
-            Box::new(|config| Ok(Box::new(TlpAlgorithm::new(config)))),
-        );
-        registry
+        AlgorithmRegistry::from_iter([AlgorithmEntry {
+            name: "tlp",
+            label: "TLP",
+            capability: Capability::RandomAccess,
+            param: ParamSpec::None,
+            run: |config, source, p| run_tlp(config, source, p, None, None),
+        }])
     }
 
     #[test]
@@ -637,20 +530,6 @@ mod tests {
         assert_eq!(artifact.best_trial, Some(report.best_trial));
         let (best, _) = artifact.rf_spread();
         assert_eq!(best, report.rf_spread().0);
-    }
-
-    #[test]
-    fn record_trace_fills_the_artifact() {
-        let g = chung_lu(150, 600, 2.2, 1);
-        let registry = tiny_registry();
-        let config = AlgoConfig {
-            record_trace: true,
-            ..AlgoConfig::default()
-        };
-        let artifact = registry
-            .run("tlp", &config, &mut CsrSource::new(&g), 4)
-            .unwrap();
-        assert!(artifact.trace.is_some());
     }
 
     #[test]

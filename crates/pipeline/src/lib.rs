@@ -1,17 +1,17 @@
 //! The workspace's built-in algorithm registry.
 //!
-//! `tlp-core` defines the pipeline *mechanism* — [`Algorithm`],
-//! [`AlgorithmRegistry`], [`RunArtifact`](tlp_core::RunArtifact) — but it
-//! cannot see the algorithm crates that depend on it. This crate sits
-//! above all of them (`tlp-core`, `tlp-baselines`, `tlp-metis`,
-//! `tlp-store`) and registers every partitioner in the workspace under its
-//! canonical name, so the CLI, the experiment harness, tests, and CI
-//! scripts resolve algorithms with one [`builtin_registry`] call instead
+//! `tlp-core` defines the pipeline *mechanism* — [`AlgorithmRegistry`],
+//! its [`AlgorithmEntry`] rows and [`RunArtifact`] — but it cannot see the
+//! algorithm crates that depend on it. This crate sits above all of them
+//! (`tlp-core`, `tlp-baselines`, `tlp-metis`) and lists every partitioner
+//! in the workspace as one row: a canonical name, a label, a capability
+//! and a plain run function. The CLI, the experiment harness, tests, and
+//! CI scripts resolve algorithms with one [`builtin_registry`] call instead
 //! of per-binary `match` wiring.
 //!
 //! | name     | label        | capability | notes                              |
 //! |----------|--------------|------------|------------------------------------|
-//! | `tlp`    | TLP          | csr-only   | honors `trials` / `record_trace`   |
+//! | `tlp`    | TLP          | csr-only   | honors `trials` / `threads`        |
 //! | `tlp-r`  | TLP_R        | csr-only   | requires `tlp-r=<R>`, `R ∈ [0,1]`  |
 //! | `stage1` | StageI-only  | csr-only   | ablation (`tlp-r` with `R = 1`)    |
 //! | `stage2` | StageII-only | csr-only   | ablation (`tlp-r` with `R = 0`)    |
@@ -24,23 +24,22 @@
 //! | `dbh`    | DBH          | streaming  | needs final degrees up front       |
 //! | `random` | Random       | streaming  | hash of arrival index              |
 //!
-//! The streaming rows run from any [`EdgeSource`](tlp_graph::EdgeSource)
-//! — including strict bounded-memory disk streams — and their artifacts
-//! are bit-identical to the materialized natural-order partitioners. The
-//! csr-only rows materialize the source, or fail with the typed
-//! [`PipelineError::NeedsRandomAccess`](tlp_core::PipelineError) when the
-//! source refuses.
+//! The streaming rows run from any [`EdgeSource`] — including strict
+//! bounded-memory disk streams — and their artifacts are bit-identical to
+//! the materialized natural-order partitioners. The csr-only rows
+//! materialize the source, or fail with the typed
+//! [`PipelineError::NeedsRandomAccess`] when the source refuses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use tlp_baselines::{
-    FennelPartitioner, GreedyState, HdrfState, LdgPartitioner, NePartitioner, StreamingBaseline,
+    run_streaming, FennelPartitioner, GreedyState, HdrfState, LdgPartitioner, NePartitioner,
     StreamingKind, StreamingPlacer, VertexOrder,
 };
 use tlp_core::{
-    AlgoConfig, Algorithm, AlgorithmRegistry, Capability, EdgeRatioLocalPartitioner,
-    MaterializedAlgorithm, ParamSpec, PipelineError, TlpAlgorithm, TlpConfig,
+    run_partitioner, run_tlp, AlgoConfig, AlgorithmEntry, AlgorithmRegistry, Capability,
+    EdgeRatioLocalPartitioner, ParamSpec, PipelineError, TlpConfig,
 };
 use tlp_metis::{MetisConfig, MetisPartitioner};
 
@@ -48,130 +47,123 @@ fn tlp_config(config: &AlgoConfig) -> TlpConfig {
     TlpConfig::new().seed(config.seed)
 }
 
-fn boxed(
-    algorithm: impl tlp_core::EdgePartitioner + 'static,
-) -> Result<Box<dyn Algorithm>, PipelineError> {
-    Ok(Box::new(MaterializedAlgorithm::new(Box::new(algorithm))))
-}
-
-fn streaming(
-    kind: StreamingKind,
-    config: &AlgoConfig,
-) -> Result<Box<dyn Algorithm>, PipelineError> {
-    Ok(Box::new(StreamingBaseline::new(kind, config)))
-}
-
 /// Builds the registry holding every partitioner in the workspace (see the
 /// crate-level table for names and capabilities).
 pub fn builtin_registry() -> AlgorithmRegistry {
-    let mut r = AlgorithmRegistry::new();
-    r.register(
-        "tlp",
-        "TLP",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "two-stage local edge partitioner (the paper's method)",
-        Box::new(|c| Ok(Box::new(TlpAlgorithm::new(c)))),
-    );
-    r.register(
-        "tlp-r",
-        "TLP_R",
-        Capability::RandomAccess,
-        ParamSpec::Required("R"),
-        "fixed edge-ratio ablation; R in [0,1] sets the stage switch",
-        Box::new(|c| {
-            let ratio = c.param.ok_or_else(|| {
-                PipelineError::Spec("tlp-r requires a ratio (tlp-r=<R>)".to_string())
-            })?;
-            boxed(EdgeRatioLocalPartitioner::new(tlp_config(c), ratio)?)
-        }),
-    );
-    r.register(
-        "stage1",
-        "StageI-only",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "stage I heuristic for every selection (ablation)",
-        Box::new(|c| boxed(EdgeRatioLocalPartitioner::stage_one_only(tlp_config(c)))),
-    );
-    r.register(
-        "stage2",
-        "StageII-only",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "stage II heuristic for every selection (ablation)",
-        Box::new(|c| boxed(EdgeRatioLocalPartitioner::stage_two_only(tlp_config(c)))),
-    );
-    r.register(
-        "ne",
-        "NE",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "neighborhood-expansion edge partitioner",
-        Box::new(|c| boxed(NePartitioner::new(c.seed))),
-    );
-    r.register(
-        "metis",
-        "METIS",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "multilevel k-way vertex partitioner, edges derived",
-        Box::new(|c| {
-            boxed(MetisPartitioner::new(MetisConfig {
-                seed: c.seed,
-                ..MetisConfig::default()
-            }))
-        }),
-    );
-    r.register(
-        "ldg",
-        "LDG",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "linear deterministic greedy vertex streaming",
-        Box::new(|c| boxed(LdgPartitioner::new(VertexOrder::Random(c.seed)))),
-    );
-    r.register(
-        "fennel",
-        "FENNEL",
-        Capability::RandomAccess,
-        ParamSpec::None,
-        "FENNEL vertex streaming, edges derived",
-        Box::new(|c| boxed(FennelPartitioner::new(VertexOrder::Random(c.seed)))),
-    );
-    r.register(
-        "greedy",
-        "Greedy",
-        Capability::Streaming,
-        ParamSpec::None,
-        "PowerGraph greedy edge placement (streaming-capable)",
-        Box::new(|c| streaming(StreamingKind::Greedy, c)),
-    );
-    r.register(
-        "hdrf",
-        "HDRF",
-        Capability::Streaming,
-        ParamSpec::None,
-        "high-degree replicated first, lambda 1.1 (streaming-capable)",
-        Box::new(|c| streaming(StreamingKind::Hdrf, c)),
-    );
-    r.register(
-        "dbh",
-        "DBH",
-        Capability::Streaming,
-        ParamSpec::None,
-        "degree-based hashing (streaming-capable)",
-        Box::new(|c| streaming(StreamingKind::Dbh, c)),
-    );
-    r.register(
-        "random",
-        "Random",
-        Capability::Streaming,
-        ParamSpec::None,
-        "uniform random edge assignment (streaming-capable)",
-        Box::new(|c| streaming(StreamingKind::Random, c)),
-    );
-    r
+    use Capability::{RandomAccess, Streaming};
+    [
+        AlgorithmEntry {
+            name: "tlp",
+            label: "TLP",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| run_tlp(c, s, p, None, None),
+        },
+        AlgorithmEntry {
+            name: "tlp-r",
+            label: "TLP_R",
+            capability: RandomAccess,
+            param: ParamSpec::Required("R"),
+            run: |c, s, p| {
+                let ratio = c.param.ok_or_else(|| {
+                    PipelineError::Spec("tlp-r requires a ratio (tlp-r=<R>)".to_string())
+                })?;
+                run_partitioner(&EdgeRatioLocalPartitioner::new(tlp_config(c), ratio)?, s, p)
+            },
+        },
+        AlgorithmEntry {
+            name: "stage1",
+            label: "StageI-only",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| {
+                run_partitioner(
+                    &EdgeRatioLocalPartitioner::stage_one_only(tlp_config(c)),
+                    s,
+                    p,
+                )
+            },
+        },
+        AlgorithmEntry {
+            name: "stage2",
+            label: "StageII-only",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| {
+                run_partitioner(
+                    &EdgeRatioLocalPartitioner::stage_two_only(tlp_config(c)),
+                    s,
+                    p,
+                )
+            },
+        },
+        AlgorithmEntry {
+            name: "ne",
+            label: "NE",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| run_partitioner(&NePartitioner::new(c.seed), s, p),
+        },
+        AlgorithmEntry {
+            name: "metis",
+            label: "METIS",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| {
+                let config = MetisConfig {
+                    seed: c.seed,
+                    ..MetisConfig::default()
+                };
+                run_partitioner(&MetisPartitioner::new(config), s, p)
+            },
+        },
+        AlgorithmEntry {
+            name: "ldg",
+            label: "LDG",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| run_partitioner(&LdgPartitioner::new(VertexOrder::Random(c.seed)), s, p),
+        },
+        AlgorithmEntry {
+            name: "fennel",
+            label: "FENNEL",
+            capability: RandomAccess,
+            param: ParamSpec::None,
+            run: |c, s, p| {
+                run_partitioner(&FennelPartitioner::new(VertexOrder::Random(c.seed)), s, p)
+            },
+        },
+        AlgorithmEntry {
+            name: "greedy",
+            label: "Greedy",
+            capability: Streaming,
+            param: ParamSpec::None,
+            run: |c, s, p| run_streaming(StreamingKind::Greedy, c.seed, s, p),
+        },
+        AlgorithmEntry {
+            name: "hdrf",
+            label: "HDRF",
+            capability: Streaming,
+            param: ParamSpec::None,
+            run: |c, s, p| run_streaming(StreamingKind::Hdrf, c.seed, s, p),
+        },
+        AlgorithmEntry {
+            name: "dbh",
+            label: "DBH",
+            capability: Streaming,
+            param: ParamSpec::None,
+            run: |c, s, p| run_streaming(StreamingKind::Dbh, c.seed, s, p),
+        },
+        AlgorithmEntry {
+            name: "random",
+            label: "Random",
+            capability: Streaming,
+            param: ParamSpec::None,
+            run: |c, s, p| run_streaming(StreamingKind::Random, c.seed, s, p),
+        },
+    ]
+    .into_iter()
+    .collect()
 }
 
 /// Every registry name, in sorted order — the single source the CLI usage
@@ -180,50 +172,37 @@ pub fn builtin_names() -> Vec<&'static str> {
     builtin_registry().names()
 }
 
-/// Builds an online-placement state machine from an algorithm spec string,
+/// Builds an online-placement state machine from an algorithm name,
 /// seeded from a served `(graph, partition)` pair.
 ///
 /// This is the serving layer's counterpart to [`builtin_registry`]: the
-/// same `name[=param]` spec grammar ([`AlgorithmRegistry::parse_spec`]),
-/// resolved to a [`StreamingPlacer`] whose state is *as if* every edge of
-/// `graph` had already been streamed with the outcomes in `partition` —
-/// so `PlaceEdge` traffic continues bit-identically to an uninterrupted
-/// streaming run (see `HdrfState::seeded_from`). Only the stateful
-/// arrival-order heuristics can be resumed this way: `hdrf[=lambda]`
-/// (default `λ = 1.1`) and `greedy`.
+/// registry's `hdrf` or `greedy` row, resolved to a [`StreamingPlacer`]
+/// whose state is *as if* every edge of `graph` had already been streamed
+/// with the outcomes in `partition` — so `PlaceEdge` traffic continues
+/// bit-identically to an uninterrupted streaming run (see
+/// `HdrfState::seeded_from`). Only these stateful arrival-order
+/// heuristics can be resumed this way, HDRF at the registry's
+/// `λ = 1.1`.
 ///
 /// # Errors
 ///
-/// [`PipelineError::Spec`] for an unsupported name or malformed
-/// parameter, [`PipelineError::Partition`] if `partition` does not cover
-/// `graph`'s edges.
+/// [`PipelineError::Spec`] for any other spec, [`PipelineError::Partition`]
+/// if `partition` does not cover `graph`'s edges.
 pub fn seeded_streaming_placer<'a>(
     spec: &str,
     graph: impl Into<tlp_graph::GraphView<'a>>,
     partition: &tlp_core::EdgePartition,
 ) -> Result<Box<dyn StreamingPlacer + Send + Sync>, PipelineError> {
     let graph = graph.into();
-    let (name, param) = AlgorithmRegistry::parse_spec(spec);
-    match name {
-        "hdrf" => {
-            let lambda = match param {
-                None => tlp_baselines::HDRF_LAMBDA,
-                Some(raw) => raw.parse().map_err(|_| {
-                    PipelineError::Spec(format!("hdrf lambda is not a number: {raw:?}"))
-                })?,
-            };
-            Ok(Box::new(HdrfState::seeded_from(graph, partition, lambda)?))
-        }
-        "greedy" => {
-            if let Some(raw) = param {
-                return Err(PipelineError::Spec(format!(
-                    "greedy takes no parameter, got {raw:?}"
-                )));
-            }
-            Ok(Box::new(GreedyState::seeded_from(graph, partition)?))
-        }
+    match spec {
+        "hdrf" => Ok(Box::new(HdrfState::seeded_from(
+            graph,
+            partition,
+            tlp_baselines::HDRF_LAMBDA,
+        )?)),
+        "greedy" => Ok(Box::new(GreedyState::seeded_from(graph, partition)?)),
         other => Err(PipelineError::Spec(format!(
-            "online placement supports hdrf[=lambda] and greedy, not {other:?}"
+            "online placement supports hdrf and greedy, not {other:?}"
         ))),
     }
 }
@@ -231,7 +210,11 @@ pub fn seeded_streaming_placer<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlp_core::{EdgePartitioner, PartitionMetrics};
+    use tlp_baselines::{
+        DbhPartitioner, EdgeOrder, GreedyPartitioner, HdrfPartitioner, RandomPartitioner,
+        HDRF_LAMBDA,
+    };
+    use tlp_core::{EdgePartitioner, PartitionMetrics, TwoStageLocalPartitioner};
     use tlp_graph::generators::chung_lu;
     use tlp_graph::CsrSource;
 
@@ -262,16 +245,66 @@ mod tests {
     }
 
     #[test]
-    fn registry_tlp_matches_direct_invocation() {
+    fn every_registry_row_matches_its_direct_partitioner() {
         let g = chung_lu(300, 1200, 2.2, 5);
-        let artifact = builtin_registry()
-            .run("tlp", &AlgoConfig::seeded(7), &mut CsrSource::new(&g), 6)
-            .expect("run tlp");
-        let direct = tlp_core::TwoStageLocalPartitioner::new(TlpConfig::new().seed(7))
-            .partition(&g, 6)
-            .expect("direct tlp");
-        assert_eq!(artifact.partition, direct);
-        assert_eq!(artifact.metrics, PartitionMetrics::compute(&g, &direct));
+        let seed = 7;
+        let tlp = TlpConfig::new().seed(seed);
+        let hdrf = HdrfPartitioner::new(EdgeOrder::Natural, HDRF_LAMBDA).expect("valid lambda");
+        let metis = MetisPartitioner::new(MetisConfig {
+            seed,
+            ..MetisConfig::default()
+        });
+        let rows: Vec<(&str, Box<dyn EdgePartitioner>)> = vec![
+            ("tlp", Box::new(TwoStageLocalPartitioner::new(tlp))),
+            (
+                "tlp-r=0.3",
+                Box::new(EdgeRatioLocalPartitioner::new(tlp, 0.3).expect("valid ratio")),
+            ),
+            (
+                "stage1",
+                Box::new(EdgeRatioLocalPartitioner::stage_one_only(tlp)),
+            ),
+            (
+                "stage2",
+                Box::new(EdgeRatioLocalPartitioner::stage_two_only(tlp)),
+            ),
+            ("ne", Box::new(NePartitioner::new(seed))),
+            ("metis", Box::new(metis)),
+            (
+                "ldg",
+                Box::new(LdgPartitioner::new(VertexOrder::Random(seed))),
+            ),
+            (
+                "fennel",
+                Box::new(FennelPartitioner::new(VertexOrder::Random(seed))),
+            ),
+            (
+                "greedy",
+                Box::new(GreedyPartitioner::new(EdgeOrder::Natural)),
+            ),
+            ("hdrf", Box::new(hdrf)),
+            ("dbh", Box::new(DbhPartitioner::new(seed))),
+            ("random", Box::new(RandomPartitioner::new(seed))),
+        ];
+        let registry = builtin_registry();
+        assert_eq!(
+            rows.len(),
+            registry.names().len(),
+            "a row has no direct twin"
+        );
+        for (spec, direct) in rows {
+            let artifact = registry
+                .run(spec, &AlgoConfig::seeded(seed), &mut CsrSource::new(&g), 6)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let partition = direct.partition(&g, 6).expect("direct run");
+            assert_eq!(artifact.partition, partition, "{spec}: assignment");
+            assert_eq!(artifact.algorithm, direct.name(), "{spec}: label");
+            assert_eq!(
+                artifact.metrics,
+                PartitionMetrics::compute(&g, &partition),
+                "{spec}: metrics"
+            );
+        }
     }
 
     #[test]
@@ -305,9 +338,8 @@ mod tests {
     #[test]
     fn seeded_placer_specs_parse_and_continue() {
         let g = chung_lu(200, 800, 2.2, 3);
-        let config = AlgoConfig::seeded(7);
-        let artifact = StreamingBaseline::new(StreamingKind::Hdrf, &config)
-            .run(&mut CsrSource::new(&g), 4)
+        let artifact = builtin_registry()
+            .run("hdrf", &AlgoConfig::seeded(7), &mut CsrSource::new(&g), 4)
             .expect("hdrf run");
         // The seeded placer resumes from the artifact's own partition.
         let mut placer =
@@ -315,9 +347,8 @@ mod tests {
         assert_eq!(placer.num_partitions(), 4);
         let pid = placer.place(0, 1);
         assert!((pid as usize) < 4);
-        assert!(seeded_streaming_placer("hdrf=2.5", &g, &artifact.partition).is_ok());
         assert!(seeded_streaming_placer("greedy", &g, &artifact.partition).is_ok());
-        for bad in ["hdrf=nope", "greedy=1", "dbh", "tlp", "mystery"] {
+        for bad in ["hdrf=2.5", "hdrf=nope", "greedy=1", "dbh", "tlp", "mystery"] {
             assert!(
                 matches!(
                     seeded_streaming_placer(bad, &g, &artifact.partition),

@@ -10,15 +10,15 @@
 //! Prints `tlp-serve listening on ADDR` once the listener is bound (with
 //! `--addr 127.0.0.1:0` the kernel-assigned port appears here), then
 //! serves until a client sends `Shutdown` or the process is killed.
-//! Placement uses a streaming placer (`hdrf`, `hdrf=<lambda>`, or
-//! `greedy`) seeded from the served partition; every fresh placement is
-//! appended to the store's durable WAL before it is acknowledged, and
-//! `Flush` rewrites the store in place through the atomic manifest-last
-//! commit (then truncates the WAL). On startup, WAL records left by a
-//! crash are replayed before serving begins. With `--graph`, the base
-//! graph is served from the given `.tlpg` file (for a v2 file, straight
-//! out of the zero-copy arena) and the store contributes only the edge
-//! assignment, cross-checked against the file.
+//! Placement uses a streaming placer (`hdrf` or `greedy`) seeded from
+//! the served partition; every fresh placement is appended to the store's
+//! durable WAL before it is acknowledged, and `Flush` rewrites the store
+//! in place through the atomic manifest-last commit (then truncates the
+//! WAL). On startup, WAL records left by a crash are replayed before
+//! serving begins. With `--graph`, the base graph is served from the
+//! given `.tlpg` file (for a v2 file, straight out of the zero-copy arena)
+//! and the store contributes only the edge assignment, cross-checked
+//! against the file.
 
 use std::io::Write;
 use std::path::PathBuf;

@@ -152,7 +152,7 @@ pub struct PartitionService {
 
 impl PartitionService {
     /// Wraps an in-memory graph + partition, with online placement driven
-    /// by `spec` (`"hdrf"`, `"hdrf=<lambda>"`, or `"greedy"`).
+    /// by `spec` (`"hdrf"` or `"greedy"`).
     ///
     /// # Errors
     ///

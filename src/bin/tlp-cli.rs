@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
-use tlp::core::{AlgoConfig, Capability, PartitionMetrics, RunArtifact, TlpConfig};
+use tlp::core::{run_tlp, AlgoConfig, Capability, RunArtifact};
 use tlp::graph::generators as gen;
 use tlp::graph::io;
 use tlp::graph::CsrSource;
@@ -304,9 +304,8 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
                 ..artifact
             }
         } else if let Some(dir) = checkpoint_dir {
-            // Checkpointed TLP bypasses the registry (the engine snapshot hook
-            // is not part of the Algorithm trait) but still emits the same
-            // artifact as every other path.
+            // Checkpointed TLP runs the registry row's own function, with
+            // the engine's resume point and per-round snapshot hook.
             let dir = Path::new(dir);
             let snapshot = if resume {
                 let snapshot = read_checkpoint(dir).map_err(|e| e.to_string())?;
@@ -323,20 +322,18 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
             } else {
                 None
             };
-            let tlp = tlp::core::TwoStageLocalPartitioner::new(TlpConfig::new().seed(seed));
             let mut persist = |ckpt: &tlp::core::EngineCheckpoint| {
                 write_checkpoint(dir, ckpt)
                     .map_err(|e| tlp::core::PartitionError::Checkpoint(e.to_string()))
             };
-            let start = std::time::Instant::now();
-            let partition = tlp
-                .partition_with_checkpoints(graph, p, snapshot.as_ref(), Some(&mut persist))
-                .map_err(|e| e.to_string())?;
-            let seconds = start.elapsed().as_secs_f64();
-            let metrics = PartitionMetrics::compute(graph, &partition);
-            let mut artifact = RunArtifact::new("TLP", partition, metrics, seconds);
-            artifact.checkpoint_dir = Some(dir.to_path_buf());
-            artifact
+            run_tlp(
+                &config,
+                &mut CsrSource::new(graph),
+                p,
+                snapshot.as_ref(),
+                Some(&mut persist),
+            )
+            .map_err(|e| e.to_string())?
         } else {
             registry
                 .run(algorithm, &config, &mut CsrSource::new(graph), p)
@@ -346,7 +343,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     };
     // Observation is strictly passive: the same compute closure runs either
     // way, and observed partitions are bit-identical to unobserved ones.
-    let mut artifact = if profile_path.is_some() || obs_summary {
+    let artifact = if profile_path.is_some() || obs_summary {
         let (result, events) = tlp::obs::with_recording(compute);
         let mut artifact = result?;
         if let Some(path) = &profile_path {
@@ -399,7 +396,6 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     if let Some(dir) = flags.get("out-store") {
         let manifest = write_partition_store(Path::new(dir), graph, &artifact.partition)
             .map_err(|e| e.to_string())?;
-        artifact.store_dir = Some(Path::new(dir).to_path_buf());
         eprintln!(
             "partition store written to {dir} ({} segments, manifest RF {:.4}, balance {:.4})",
             manifest.segments.len(),

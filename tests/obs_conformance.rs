@@ -3,7 +3,9 @@
 //! (`run` → `trial` → `round`/`pass`) and a `run.edges` counter covering
 //! every edge. Streaming algorithms additionally emit per-chunk
 //! `stream.*` counters whose totals match the source's [`PassStats`]
-//! accounting (two passes over every edge).
+//! accounting (two passes over every edge). A checkpointed
+//! `tlp-cli partition --checkpoint` run writes the same skeleton to its
+//! `--profile` trace.
 
 use tlp::core::{AlgoConfig, Capability};
 use tlp::graph::generators::chung_lu;
@@ -146,4 +148,79 @@ fn kernel_and_scoring_counters_surface_for_the_paper_algorithm() {
         }
     }
     assert!(open.is_empty(), "spans left open: {open:?}");
+}
+
+/// `(id, parent)` of every span named `span`.
+fn span_links(events: &[Event], span: &str) -> Vec<(u64, Option<u64>)> {
+    span_opens(events, span)
+        .into_iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::SpanOpen { id, parent, .. } => Some((*id, *parent)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn checkpointed_cli_runs_emit_the_span_skeleton() {
+    let dir = std::env::temp_dir().join(format!("tlp-obs-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = dir.join("graph.txt");
+    let file = std::fs::File::create(&text).unwrap();
+    tlp::graph::io::write_edge_list(
+        &chung_lu(2_000, 8_000, 2.2, 7),
+        std::io::BufWriter::new(file),
+    )
+    .unwrap();
+    let m = tlp::graph::io::read_edge_list_file(&text)
+        .unwrap()
+        .graph
+        .num_edges() as u64;
+    let trace = dir.join("trace.jsonl");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_tlp-cli"))
+        .args(["partition", "--input", text.to_str().unwrap()])
+        .args(["--partitions", "4", "--seed", "3"])
+        .args(["--checkpoint", dir.join("ckpt").to_str().unwrap()])
+        .args(["--profile", trace.to_str().unwrap()])
+        .output()
+        .expect("run tlp-cli");
+    assert!(
+        output.status.success(),
+        "tlp-cli failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let events = tlp::obs::read_jsonl(&trace).unwrap().events;
+
+    let runs = span_opens(&events, "run");
+    assert_eq!(runs.len(), 1, "expected exactly one run span");
+    let EventKind::SpanOpen {
+        id: run_id,
+        parent,
+        fields,
+        ..
+    } = &runs[0].kind
+    else {
+        unreachable!()
+    };
+    assert_eq!(*parent, None, "run span must be the root");
+    assert!(fields.contains(&("algorithm".to_string(), Field::Str("TLP".to_string()))));
+    assert!(fields.contains(&("p".to_string(), Field::U64(4))));
+
+    let trials = span_links(&events, "trial");
+    assert_eq!(trials.len(), 1, "expected exactly one trial span");
+    let (trial_id, trial_parent) = trials[0];
+    assert_eq!(
+        trial_parent,
+        Some(*run_id),
+        "trial must sit under the run span"
+    );
+
+    let rounds = span_links(&events, "round");
+    assert_eq!(rounds.len(), 4, "one round per partition");
+    for (_, parent) in rounds {
+        assert_eq!(parent, Some(trial_id), "round outside the trial span");
+    }
+    assert_eq!(counter_total(&events, "run.edges"), m);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
