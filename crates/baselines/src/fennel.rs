@@ -157,7 +157,13 @@ mod tests {
         let fennel = FennelPartitioner::new(VertexOrder::Random(4))
             .partition(&g, 10)
             .unwrap();
-        let rnd = crate::RandomPartitioner::new(4).partition(&g, 10).unwrap();
+        let rnd = crate::StreamingPartitioner {
+            kind: crate::StreamingKind::Random,
+            order: crate::EdgeOrder::Natural,
+            seed: 4,
+        }
+        .partition(&g, 10)
+        .unwrap();
         let rf_f = PartitionMetrics::compute(&g, &fennel).replication_factor;
         let rf_r = PartitionMetrics::compute(&g, &rnd).replication_factor;
         assert!(rf_f < rf_r, "FENNEL {rf_f} vs Random {rf_r}");

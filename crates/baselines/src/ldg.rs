@@ -165,7 +165,13 @@ mod tests {
         let ldg = LdgPartitioner::new(VertexOrder::Random(3))
             .partition(&g, 10)
             .unwrap();
-        let rnd = crate::RandomPartitioner::new(3).partition(&g, 10).unwrap();
+        let rnd = crate::StreamingPartitioner {
+            kind: crate::StreamingKind::Random,
+            order: crate::EdgeOrder::Natural,
+            seed: 3,
+        }
+        .partition(&g, 10)
+        .unwrap();
         let rf_ldg = PartitionMetrics::compute(&g, &ldg).replication_factor;
         let rf_rnd = PartitionMetrics::compute(&g, &rnd).replication_factor;
         assert!(rf_ldg < rf_rnd, "LDG {rf_ldg} vs Random {rf_rnd}");

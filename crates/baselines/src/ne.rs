@@ -231,8 +231,16 @@ mod tests {
         let p = 10;
         let rf = |part: &EdgePartition| PartitionMetrics::compute(&g, part).replication_factor;
         let ne = rf(&NePartitioner::new(1).partition(&g, p).unwrap());
-        let rnd = rf(&crate::RandomPartitioner::new(1).partition(&g, p).unwrap());
-        let dbh = rf(&crate::DbhPartitioner::new(1).partition(&g, p).unwrap());
+        let streaming = |kind| {
+            let part = crate::StreamingPartitioner {
+                kind,
+                order: crate::EdgeOrder::Natural,
+                seed: 1,
+            };
+            rf(&part.partition(&g, p).unwrap())
+        };
+        let rnd = streaming(crate::StreamingKind::Random);
+        let dbh = streaming(crate::StreamingKind::Dbh);
         assert!(ne < rnd, "NE {ne} vs Random {rnd}");
         assert!(ne < dbh, "NE {ne} vs DBH {dbh}");
     }

@@ -1,6 +1,6 @@
 //! The streaming baselines' pipeline run function.
 //!
-//! [`run_streaming`] drives the [`StreamingPlacer`] state machines
+//! [`run_streaming`] drives the [`StreamingKind`] placers
 //! (Random, DBH, Greedy, HDRF) for the `tlp-core` pipeline: it consumes
 //! any [`EdgeSource`] in two bounded-memory passes — pass 1 places every
 //! edge in arrival order, pass 2 replays the stream through the canonical
@@ -10,40 +10,14 @@
 //! the materialized graph (pinned by the conformance tests). Because
 //! arrival order over every canonical-order source equals `EdgeId` order,
 //! the streamed assignments double as an [`EdgePartition`], and streamed
-//! runs agree bit-for-bit with the materialized partitioners driven in
-//! natural order.
+//! runs agree bit-for-bit with
+//! [`StreamingPartitioner`](crate::StreamingPartitioner) driven in natural
+//! order.
 
-use crate::streaming::{DbhState, GreedyState, HdrfState, RandomState, StreamingPlacer};
+use crate::streaming::StreamingKind;
+use crate::util::degrees;
 use tlp_core::{EdgePartition, PartitionId, PipelineError, RunArtifact, StreamedMetrics};
 use tlp_graph::{EdgeSource, SourceError};
-
-/// The canonical HDRF balance weight used across the workspace.
-pub const HDRF_LAMBDA: f64 = 1.1;
-
-/// Which streaming heuristic [`run_streaming`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamingKind {
-    /// Stateless hash of the arrival index.
-    Random,
-    /// Degree-based hashing (needs final degrees up front).
-    Dbh,
-    /// PowerGraph greedy placement.
-    Greedy,
-    /// High-degree replicated first, `λ = 1.1`.
-    Hdrf,
-}
-
-impl StreamingKind {
-    /// Display label matching the materialized partitioner's `name()`.
-    pub fn label(self) -> &'static str {
-        match self {
-            StreamingKind::Random => "Random",
-            StreamingKind::Dbh => "DBH",
-            StreamingKind::Greedy => "Greedy",
-            StreamingKind::Hdrf => "HDRF",
-        }
-    }
-}
 
 /// Number of vertices, from the hint or by materializing.
 fn resolve_num_vertices(source: &mut dyn EdgeSource) -> Result<usize, PipelineError> {
@@ -70,8 +44,7 @@ fn resolve_degrees(source: &mut dyn EdgeSource) -> Result<Vec<u32>, PipelineErro
             source: source.describe(),
         }));
     }
-    let graph = source.random_access()?;
-    Ok(graph.vertices().map(|v| graph.degree(v) as u32).collect())
+    Ok(degrees(source.random_access()?))
 }
 
 /// Runs the `kind` heuristic over `source` in arrival order (seeded by
@@ -92,15 +65,11 @@ pub fn run_streaming(
     let _run = tlp_core::run_span(kind.label(), num_partitions);
     let _trial = tlp_core::trial_span(0, Some(seed));
     let num_vertices = resolve_num_vertices(source)?;
-    let mut placer: Box<dyn StreamingPlacer> = match kind {
-        StreamingKind::Random => Box::new(RandomState::new(num_partitions, seed)?),
-        StreamingKind::Dbh => {
-            let degrees = resolve_degrees(source)?;
-            Box::new(DbhState::new(degrees, num_partitions, seed)?)
-        }
-        StreamingKind::Greedy => Box::new(GreedyState::new(num_vertices, num_partitions)?),
-        StreamingKind::Hdrf => Box::new(HdrfState::new(num_vertices, num_partitions, HDRF_LAMBDA)?),
-    };
+    let degrees = kind
+        .needs_degrees()
+        .then(|| resolve_degrees(source))
+        .transpose()?;
+    let mut placer = kind.placer(num_vertices, num_partitions, seed, degrees)?;
 
     // Pass 1: place every edge in arrival order, recording assignments
     // and the replica/load sides of the metrics.

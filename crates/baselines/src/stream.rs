@@ -2,7 +2,7 @@
 //!
 //! Streaming partitioners are sensitive to arrival order; these helpers
 //! produce the standard orders used in the literature (natural file order,
-//! random permutation, BFS, DFS) deterministically.
+//! random permutation, and BFS for vertex streams) deterministically.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -16,8 +16,6 @@ pub enum EdgeOrder {
     Natural,
     /// Seeded uniform shuffle.
     Random(u64),
-    /// Edges in order of BFS discovery of their earlier endpoint.
-    Bfs,
 }
 
 /// Arrival order of a vertex stream.
@@ -30,8 +28,6 @@ pub enum VertexOrder {
     /// BFS from vertex 0, restarting per component (the order recommended
     /// for LDG/FENNEL in Stanton & Kliot's evaluation).
     Bfs,
-    /// DFS from vertex 0, restarting per component.
-    Dfs,
 }
 
 /// Materializes an edge arrival order.
@@ -57,20 +53,6 @@ pub fn edge_order<'a>(graph: impl Into<GraphView<'a>>, order: EdgeOrder) -> Vec<
         EdgeOrder::Random(seed) => {
             let mut ids: Vec<EdgeId> = (0..m).collect();
             ids.shuffle(&mut StdRng::seed_from_u64(seed));
-            ids
-        }
-        EdgeOrder::Bfs => {
-            let vorder = vertex_order(graph, VertexOrder::Bfs);
-            let mut rank = vec![u32::MAX; graph.num_vertices()];
-            for (i, &v) in vorder.iter().enumerate() {
-                rank[v as usize] = i as u32;
-            }
-            let mut ids: Vec<EdgeId> = (0..m).collect();
-            ids.sort_by_key(|&e| {
-                let edge = graph.edge(e);
-                let (a, b) = (rank[edge.source() as usize], rank[edge.target() as usize]);
-                (a.min(b), a.max(b), e)
-            });
             ids
         }
     }
@@ -103,28 +85,6 @@ pub fn vertex_order<'a>(graph: impl Into<GraphView<'a>>, order: VertexOrder) -> 
                         if !visited[w as usize] {
                             visited[w as usize] = true;
                             queue.push_back(w);
-                        }
-                    }
-                }
-            }
-            out
-        }
-        VertexOrder::Dfs => {
-            let mut visited = vec![false; n];
-            let mut out = Vec::with_capacity(n);
-            let mut stack = Vec::new();
-            for s in 0..n as VertexId {
-                if visited[s as usize] {
-                    continue;
-                }
-                stack.push(s);
-                visited[s as usize] = true;
-                while let Some(v) = stack.pop() {
-                    out.push(v);
-                    for &w in graph.neighbors(v) {
-                        if !visited[w as usize] {
-                            visited[w as usize] = true;
-                            stack.push(w);
                         }
                     }
                 }
@@ -179,22 +139,5 @@ mod tests {
         // Component {4,5} appears after component {0..3}.
         let pos4 = order.iter().position(|&v| v == 4).unwrap();
         assert!(pos4 >= 4);
-    }
-
-    #[test]
-    fn dfs_vertex_order_is_complete() {
-        let g = graph();
-        let mut order = vertex_order(&g, VertexOrder::Dfs);
-        order.sort_unstable();
-        assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn bfs_edge_order_groups_by_discovery() {
-        let g = graph();
-        let order = edge_order(&g, EdgeOrder::Bfs);
-        assert_eq!(order.len(), 4);
-        // Edge (0,1) must come first: both endpoints discovered earliest.
-        assert_eq!(g.edge(order[0]).endpoints(), (0, 1));
     }
 }

@@ -1,5 +1,12 @@
 //! Internal helpers shared by the baseline partitioners.
 
+use tlp_graph::GraphView;
+
+/// Every vertex's degree in `graph`: the final degrees DBH places by.
+pub(crate) fn degrees(graph: GraphView<'_>) -> Vec<u32> {
+    graph.vertices().map(|v| graph.degree(v) as u32).collect()
+}
+
 /// SplitMix64: a fast, high-quality deterministic integer mixer, used where
 /// a seeded stateless hash is needed (DBH, Random's per-edge draws).
 pub(crate) fn splitmix64(mut x: u64) -> u64 {

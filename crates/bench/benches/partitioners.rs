@@ -2,7 +2,7 @@
 //! power-law community graph, p = 10.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tlp_baselines::{DbhPartitioner, LdgPartitioner, RandomPartitioner, VertexOrder};
+use tlp_baselines::{EdgeOrder, LdgPartitioner, StreamingKind, StreamingPartitioner, VertexOrder};
 use tlp_core::{EdgePartitioner, TlpConfig, TwoStageLocalPartitioner};
 use tlp_graph::generators::power_law_community;
 use tlp_metis::MetisPartitioner;
@@ -14,8 +14,16 @@ fn bench_lineup(c: &mut Criterion) {
         Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(1))),
         Box::new(MetisPartitioner::default()),
         Box::new(LdgPartitioner::new(VertexOrder::Random(1))),
-        Box::new(DbhPartitioner::new(1)),
-        Box::new(RandomPartitioner::new(1)),
+        Box::new(StreamingPartitioner {
+            kind: StreamingKind::Dbh,
+            order: EdgeOrder::Natural,
+            seed: 1,
+        }),
+        Box::new(StreamingPartitioner {
+            kind: StreamingKind::Random,
+            order: EdgeOrder::Natural,
+            seed: 1,
+        }),
     ];
     let mut group = c.benchmark_group("fig8_lineup_p10");
     group.sample_size(10);

@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tlp_baselines::{EdgeOrder, HdrfPartitioner, HdrfState, StreamingPlacer};
+use tlp_baselines::{EdgeOrder, StreamingKind, StreamingPartitioner};
 use tlp_core::{EdgePartition, EdgePartitioner, PartitionId};
 use tlp_graph::generators::chung_lu;
 use tlp_graph::{io, CsrGraph, EdgeSource};
@@ -85,7 +85,9 @@ fn hdrf_stream(ws: &Workspace, num_vertices: usize, budget: usize) -> (Vec<Parti
     let mut source = BinaryFileSource::open(&ws.bin, budget)
         .unwrap()
         .strict_streaming(true);
-    let mut placer = HdrfState::new(num_vertices, PARTITIONS, 1.1).unwrap();
+    let mut placer = StreamingKind::Hdrf
+        .placer(num_vertices, PARTITIONS, 0, None)
+        .unwrap();
     let mut assignments = Vec::new();
     let stats = source
         .stream_pass(&mut |chunk| {
@@ -151,10 +153,13 @@ fn store_io_checks(_c: &mut Criterion) {
     // bit-identical to the in-memory one, and streamed HDRF matches the
     // natural-order materialized run with the buffer within budget.
     assert_eq!(binary_open(&ws), g, "binary load diverged");
-    let reference = HdrfPartitioner::new(EdgeOrder::Natural, 1.1)
-        .unwrap()
-        .partition(&g, PARTITIONS)
-        .unwrap();
+    let reference = StreamingPartitioner {
+        kind: StreamingKind::Hdrf,
+        order: EdgeOrder::Natural,
+        seed: 0,
+    }
+    .partition(&g, PARTITIONS)
+    .unwrap();
     for budget in BUDGETS {
         let (assignments, peak) = hdrf_stream(&ws, g.num_vertices(), budget);
         assert!(peak <= budget, "peak buffer {peak} exceeds budget {budget}");

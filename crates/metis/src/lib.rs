@@ -182,9 +182,13 @@ mod tests {
     fn beats_random_clearly() {
         let g = chung_lu(800, 4000, 2.2, 13);
         let metis = MetisPartitioner::default().partition(&g, 10).unwrap();
-        let rnd = tlp_baselines::RandomPartitioner::new(0)
-            .partition(&g, 10)
-            .unwrap();
+        let rnd = tlp_baselines::StreamingPartitioner {
+            kind: tlp_baselines::StreamingKind::Random,
+            order: tlp_baselines::EdgeOrder::Natural,
+            seed: 0,
+        }
+        .partition(&g, 10)
+        .unwrap();
         let rf_m = PartitionMetrics::compute(&g, &metis).replication_factor;
         let rf_r = PartitionMetrics::compute(&g, &rnd).replication_factor;
         assert!(rf_m < rf_r, "METIS {rf_m} vs Random {rf_r}");

@@ -1,11 +1,11 @@
 //! The workspace's built-in algorithm registry.
 //!
 //! `tlp-core` defines the pipeline *mechanism* — [`AlgorithmRegistry`],
-//! its [`AlgorithmEntry`] rows and [`RunArtifact`] — but it cannot see the
-//! algorithm crates that depend on it. This crate sits above all of them
-//! (`tlp-core`, `tlp-baselines`, `tlp-metis`) and lists every partitioner
-//! in the workspace as one row: a canonical name, a label, a capability
-//! and a plain run function. The CLI, the experiment harness, tests, and
+//! its [`AlgorithmEntry`] rows and [`RunArtifact`](tlp_core::RunArtifact)
+//! — but it cannot see the algorithm crates that depend on it. This crate
+//! sits above all of them (`tlp-core`, `tlp-baselines`, `tlp-metis`) and
+//! lists every partitioner in the workspace as one row: a canonical name,
+//! a label, a capability and a plain run function. The CLI, the experiment harness, tests, and
 //! CI scripts resolve algorithms with one [`builtin_registry`] call instead
 //! of per-binary `match` wiring.
 //!
@@ -19,23 +19,30 @@
 //! | `metis`  | METIS        | csr-only   | multilevel k-way, seeded           |
 //! | `ldg`    | LDG          | csr-only   | vertex streaming, random order     |
 //! | `fennel` | FENNEL       | csr-only   | vertex streaming, random order     |
-//! | `greedy` | Greedy       | streaming  | PowerGraph greedy, arrival order   |
+//! | `greedy` | Greedy       | streaming  | `EdgeId` order: one partition (†)  |
 //! | `hdrf`   | HDRF         | streaming  | `λ = 1.1`, arrival order           |
 //! | `dbh`    | DBH          | streaming  | needs final degrees up front       |
 //! | `random` | Random       | streaming  | hash of arrival index              |
 //!
-//! The streaming rows run from any [`EdgeSource`] — including strict
-//! bounded-memory disk streams — and their artifacts are bit-identical to
-//! the materialized natural-order partitioners. The csr-only rows
-//! materialize the source, or fail with the typed
+//! (†) The `greedy` row streams in source (`EdgeId`) order, where
+//! PowerGraph greedy puts every edge of a connected graph in one
+//! partition: RF 1.0000 and balance ≈ p. That is why
+//! `scripts/pipeline_golden.txt` pins `greedy 1.0000`; Greedy is balanced
+//! only on a shuffled order (ROADMAP item 5).
+//!
+//! The streaming rows run from any [`EdgeSource`](tlp_graph::EdgeSource)
+//! — including strict bounded-memory disk streams — and their artifacts
+//! are bit-identical to the natural-order
+//! [`StreamingPartitioner`](tlp_baselines::StreamingPartitioner). The
+//! csr-only rows materialize the source, or fail with the typed
 //! [`PipelineError::NeedsRandomAccess`] when the source refuses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use tlp_baselines::{
-    run_streaming, FennelPartitioner, GreedyState, HdrfState, LdgPartitioner, NePartitioner,
-    StreamingKind, StreamingPlacer, VertexOrder,
+    run_streaming, FennelPartitioner, LdgPartitioner, NePartitioner, StreamingKind,
+    StreamingPlacer, VertexOrder,
 };
 use tlp_core::{
     run_partitioner, run_tlp, AlgoConfig, AlgorithmEntry, AlgorithmRegistry, Capability,
@@ -180,9 +187,8 @@ pub fn builtin_names() -> Vec<&'static str> {
 /// whose state is *as if* every edge of `graph` had already been streamed
 /// with the outcomes in `partition` — so `PlaceEdge` traffic continues
 /// bit-identically to an uninterrupted streaming run (see
-/// `HdrfState::seeded_from`). Only these stateful arrival-order
-/// heuristics can be resumed this way, HDRF at the registry's
-/// `λ = 1.1`.
+/// [`StreamingKind::seeded_placer`]). Only these stateful arrival-order
+/// heuristics can be resumed this way.
 ///
 /// # Errors
 ///
@@ -193,27 +199,24 @@ pub fn seeded_streaming_placer<'a>(
     graph: impl Into<tlp_graph::GraphView<'a>>,
     partition: &tlp_core::EdgePartition,
 ) -> Result<Box<dyn StreamingPlacer + Send + Sync>, PipelineError> {
-    let graph = graph.into();
-    match spec {
-        "hdrf" => Ok(Box::new(HdrfState::seeded_from(
-            graph,
-            partition,
-            tlp_baselines::HDRF_LAMBDA,
-        )?)),
-        "greedy" => Ok(Box::new(GreedyState::seeded_from(graph, partition)?)),
-        other => Err(PipelineError::Spec(format!(
-            "online placement supports hdrf and greedy, not {other:?}"
-        ))),
-    }
+    let unsupported = || {
+        PipelineError::Spec(format!(
+            "online placement supports hdrf and greedy, not {spec:?}"
+        ))
+    };
+    let kind = match spec {
+        "hdrf" => StreamingKind::Hdrf,
+        "greedy" => StreamingKind::Greedy,
+        _ => return Err(unsupported()),
+    };
+    kind.seeded_placer(graph, partition)?
+        .ok_or_else(unsupported)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlp_baselines::{
-        DbhPartitioner, EdgeOrder, GreedyPartitioner, HdrfPartitioner, RandomPartitioner,
-        HDRF_LAMBDA,
-    };
+    use tlp_baselines::{EdgeOrder, StreamingPartitioner};
     use tlp_core::{EdgePartitioner, PartitionMetrics, TwoStageLocalPartitioner};
     use tlp_graph::generators::chung_lu;
     use tlp_graph::CsrSource;
@@ -249,11 +252,17 @@ mod tests {
         let g = chung_lu(300, 1200, 2.2, 5);
         let seed = 7;
         let tlp = TlpConfig::new().seed(seed);
-        let hdrf = HdrfPartitioner::new(EdgeOrder::Natural, HDRF_LAMBDA).expect("valid lambda");
         let metis = MetisPartitioner::new(MetisConfig {
             seed,
             ..MetisConfig::default()
         });
+        let streaming = |kind| {
+            Box::new(StreamingPartitioner {
+                kind,
+                order: EdgeOrder::Natural,
+                seed,
+            })
+        };
         let rows: Vec<(&str, Box<dyn EdgePartitioner>)> = vec![
             ("tlp", Box::new(TwoStageLocalPartitioner::new(tlp))),
             (
@@ -278,13 +287,10 @@ mod tests {
                 "fennel",
                 Box::new(FennelPartitioner::new(VertexOrder::Random(seed))),
             ),
-            (
-                "greedy",
-                Box::new(GreedyPartitioner::new(EdgeOrder::Natural)),
-            ),
-            ("hdrf", Box::new(hdrf)),
-            ("dbh", Box::new(DbhPartitioner::new(seed))),
-            ("random", Box::new(RandomPartitioner::new(seed))),
+            ("greedy", streaming(StreamingKind::Greedy)),
+            ("hdrf", streaming(StreamingKind::Hdrf)),
+            ("dbh", streaming(StreamingKind::Dbh)),
+            ("random", streaming(StreamingKind::Random)),
         ];
         let registry = builtin_registry();
         assert_eq!(
@@ -344,7 +350,6 @@ mod tests {
         // The seeded placer resumes from the artifact's own partition.
         let mut placer =
             seeded_streaming_placer("hdrf", &g, &artifact.partition).expect("seeded hdrf");
-        assert_eq!(placer.num_partitions(), 4);
         let pid = placer.place(0, 1);
         assert!((pid as usize) < 4);
         assert!(seeded_streaming_placer("greedy", &g, &artifact.partition).is_ok());

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tlp_baselines::{HdrfState, StreamingPlacer};
+use tlp_baselines::StreamingKind;
 use tlp_core::EdgePartition;
 use tlp_graph::{CsrGraph, GraphBuilder};
 use tlp_serve::{
@@ -33,8 +33,9 @@ fn graph_and_partition(n: u32, m: usize, p: usize, seed: u64) -> (CsrGraph, Edge
         builder.push_edge(u, v);
     }
     let graph = builder.build();
-    let mut placer =
-        HdrfState::new(graph.num_vertices(), p, tlp_baselines::HDRF_LAMBDA).expect("placer");
+    let mut placer = StreamingKind::Hdrf
+        .placer(graph.num_vertices(), p, 0, None)
+        .expect("placer");
     let assignment = graph
         .edges()
         .iter()

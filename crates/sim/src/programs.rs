@@ -227,9 +227,13 @@ mod tests {
     fn better_partitions_pay_fewer_messages() {
         let g = power_law_community(800, 4000, 2.1, 16, 0.2, 6);
         let tlp_part = partitioned(&g, 8);
-        let random_part = tlp_baselines::RandomPartitioner::new(1)
-            .partition(&g, 8)
-            .unwrap();
+        let random_part = tlp_baselines::StreamingPartitioner {
+            kind: tlp_baselines::StreamingKind::Random,
+            order: tlp_baselines::EdgeOrder::Natural,
+            seed: 1,
+        }
+        .partition(&g, 8)
+        .unwrap();
         let pr = PageRank::default();
         let run_tlp = Engine::new(&Cluster::new(&g, &tlp_part)).run(&pr, 30);
         let run_rnd = Engine::new(&Cluster::new(&g, &random_part)).run(&pr, 30);

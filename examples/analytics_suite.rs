@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example analytics_suite`
 
-use tlp::baselines::{NePartitioner, RandomPartitioner};
+use tlp::baselines::{EdgeOrder, NePartitioner, StreamingKind, StreamingPartitioner};
 use tlp::core::{
     EdgePartition, EdgePartitioner, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner,
 };
@@ -20,7 +20,11 @@ fn partitions(graph: &CsrGraph, p: usize) -> Vec<(String, EdgePartition)> {
     let algos: Vec<Box<dyn EdgePartitioner>> = vec![
         Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(1))),
         Box::new(NePartitioner::new(1)),
-        Box::new(RandomPartitioner::new(1)),
+        Box::new(StreamingPartitioner {
+            kind: StreamingKind::Random,
+            order: EdgeOrder::Natural,
+            seed: 1,
+        }),
     ];
     algos
         .into_iter()

@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --release --example distributed_pagerank`
 
-use tlp::baselines::RandomPartitioner;
+use tlp::baselines::{EdgeOrder, StreamingKind, StreamingPartitioner};
 use tlp::core::{
     EdgePartition, EdgePartitioner, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner,
 };
@@ -83,7 +83,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let p = 10;
 
     let tlp_part = TwoStageLocalPartitioner::new(TlpConfig::new().seed(1)).partition(&graph, p)?;
-    let rnd_part = RandomPartitioner::new(1).partition(&graph, p)?;
+    let rnd_part = StreamingPartitioner {
+        kind: StreamingKind::Random,
+        order: EdgeOrder::Natural,
+        seed: 1,
+    }
+    .partition(&graph, p)?;
     let rf_tlp = PartitionMetrics::compute(&graph, &tlp_part).replication_factor;
     let rf_rnd = PartitionMetrics::compute(&graph, &rnd_part).replication_factor;
 

@@ -9,8 +9,7 @@
 //! Run with: `cargo run --release --example social_network`
 
 use tlp::baselines::{
-    DbhPartitioner, EdgeOrder, FennelPartitioner, GreedyPartitioner, HdrfPartitioner,
-    LdgPartitioner, RandomPartitioner, VertexOrder,
+    EdgeOrder, FennelPartitioner, LdgPartitioner, StreamingKind, StreamingPartitioner, VertexOrder,
 };
 use tlp::core::{EdgePartitioner, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner};
 use tlp::graph::generators::power_law_community;
@@ -26,15 +25,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let seed = 9;
+    let streaming = |kind, order| Box::new(StreamingPartitioner { kind, order, seed });
     let lineup: Vec<Box<dyn EdgePartitioner>> = vec![
         Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(seed))),
         Box::new(MetisPartitioner::default()),
         Box::new(LdgPartitioner::new(VertexOrder::Random(seed))),
         Box::new(FennelPartitioner::new(VertexOrder::Random(seed))),
-        Box::new(GreedyPartitioner::new(EdgeOrder::Random(seed))),
-        Box::new(HdrfPartitioner::default()),
-        Box::new(DbhPartitioner::new(seed)),
-        Box::new(RandomPartitioner::new(seed)),
+        streaming(StreamingKind::Greedy, EdgeOrder::Random(seed)),
+        streaming(StreamingKind::Hdrf, EdgeOrder::Random(0)),
+        streaming(StreamingKind::Dbh, EdgeOrder::Natural),
+        streaming(StreamingKind::Random, EdgeOrder::Natural),
     ];
 
     println!(

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example streaming_vs_local`
 
-use tlp::baselines::{DbhPartitioner, EdgeOrder, GreedyPartitioner, LdgPartitioner, VertexOrder};
+use tlp::baselines::{EdgeOrder, LdgPartitioner, StreamingKind, StreamingPartitioner, VertexOrder};
 use tlp::core::{EdgePartitioner, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner};
 use tlp::graph::generators::power_law_community;
 use tlp::metis::MetisPartitioner;
@@ -42,13 +42,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             state_words: |n, _, p| n + p,
         },
         Contender {
-            algo: Box::new(GreedyPartitioner::new(EdgeOrder::Random(3))),
+            algo: Box::new(StreamingPartitioner {
+                kind: StreamingKind::Greedy,
+                order: EdgeOrder::Random(3),
+                seed: 3,
+            }),
             class: "streaming",
             // Replica sets A(v) for every vertex seen so far.
             state_words: |n, _, p| n * p.div_ceil(64) + p,
         },
         Contender {
-            algo: Box::new(DbhPartitioner::new(3)),
+            algo: Box::new(StreamingPartitioner {
+                kind: StreamingKind::Dbh,
+                order: EdgeOrder::Natural,
+                seed: 3,
+            }),
             class: "streaming",
             // Stateless apart from the degree table.
             state_words: |n, _, _| n,

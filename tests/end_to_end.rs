@@ -2,8 +2,7 @@
 //! metrics, across the full algorithm line-up.
 
 use tlp::baselines::{
-    DbhPartitioner, EdgeOrder, FennelPartitioner, GreedyPartitioner, HdrfPartitioner,
-    LdgPartitioner, RandomPartitioner, VertexOrder,
+    EdgeOrder, FennelPartitioner, LdgPartitioner, StreamingKind, StreamingPartitioner, VertexOrder,
 };
 use tlp::core::{
     EdgePartitioner, EdgeRatioLocalPartitioner, PartitionMetrics, TlpConfig,
@@ -14,6 +13,7 @@ use tlp::metis::MetisPartitioner;
 
 fn full_lineup() -> Vec<Box<dyn EdgePartitioner>> {
     let seed = 11;
+    let streaming = |kind, order| Box::new(StreamingPartitioner { kind, order, seed });
     vec![
         Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(seed))),
         Box::new(EdgeRatioLocalPartitioner::stage_one_only(
@@ -25,10 +25,10 @@ fn full_lineup() -> Vec<Box<dyn EdgePartitioner>> {
         Box::new(MetisPartitioner::default()),
         Box::new(LdgPartitioner::new(VertexOrder::Random(seed))),
         Box::new(FennelPartitioner::new(VertexOrder::Random(seed))),
-        Box::new(GreedyPartitioner::new(EdgeOrder::Random(seed))),
-        Box::new(HdrfPartitioner::default()),
-        Box::new(DbhPartitioner::new(seed)),
-        Box::new(RandomPartitioner::new(seed)),
+        streaming(StreamingKind::Greedy, EdgeOrder::Random(seed)),
+        streaming(StreamingKind::Hdrf, EdgeOrder::Random(0)),
+        streaming(StreamingKind::Dbh, EdgeOrder::Natural),
+        streaming(StreamingKind::Random, EdgeOrder::Natural),
     ]
 }
 
@@ -68,7 +68,11 @@ fn structured_partitioners_beat_random_on_every_dataset_family() {
             let part = algo.partition(&graph, p).unwrap();
             PartitionMetrics::compute(&graph, &part).replication_factor
         };
-        let rf_random = rf(&RandomPartitioner::new(1));
+        let rf_random = rf(&StreamingPartitioner {
+            kind: StreamingKind::Random,
+            order: EdgeOrder::Natural,
+            seed: 1,
+        });
         let rf_tlp = rf(&TwoStageLocalPartitioner::new(TlpConfig::new().seed(1)));
         let rf_metis = rf(&MetisPartitioner::default());
         assert!(

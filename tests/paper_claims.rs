@@ -1,6 +1,6 @@
 //! Tests pinned to specific claims and worked examples of the paper.
 
-use tlp::baselines::RandomPartitioner;
+use tlp::baselines::{EdgeOrder, StreamingKind, StreamingPartitioner};
 use tlp::core::stage2::{delta_m, mu_s2};
 use tlp::core::{
     EdgePartitioner, Modularity, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner,
@@ -56,7 +56,13 @@ fn higher_modularity_means_lower_rf() {
     let tlp_part = TwoStageLocalPartitioner::new(TlpConfig::new().seed(3))
         .partition(&g, p)
         .unwrap();
-    let rnd_part = RandomPartitioner::new(3).partition(&g, p).unwrap();
+    let rnd_part = StreamingPartitioner {
+        kind: StreamingKind::Random,
+        order: EdgeOrder::Natural,
+        seed: 3,
+    }
+    .partition(&g, p)
+    .unwrap();
     let tlp = PartitionMetrics::compute(&g, &tlp_part);
     let rnd = PartitionMetrics::compute(&g, &rnd_part);
     let mean = |xs: &[f64]| xs.iter().filter(|x| x.is_finite()).sum::<f64>() / xs.len() as f64;

@@ -2,7 +2,7 @@
 //! produce valid, total, well-measured partitions no matter the input.
 
 use proptest::prelude::*;
-use tlp::baselines::{DbhPartitioner, EdgeOrder, GreedyPartitioner, RandomPartitioner};
+use tlp::baselines::{EdgeOrder, StreamingKind, StreamingPartitioner};
 use tlp::core::{EdgePartitioner, PartitionMetrics, TlpConfig, TwoStageLocalPartitioner};
 use tlp::graph::{CsrGraph, GraphBuilder};
 use tlp::metis::MetisPartitioner;
@@ -51,9 +51,10 @@ proptest! {
 
     #[test]
     fn baselines_are_valid_on_arbitrary_graphs(graph in arb_graph(60, 200), p in 1usize..8) {
-        check_partitioner(&graph, &RandomPartitioner::new(1), p);
-        check_partitioner(&graph, &DbhPartitioner::new(1), p);
-        check_partitioner(&graph, &GreedyPartitioner::new(EdgeOrder::Natural), p);
+        for kind in [StreamingKind::Random, StreamingKind::Dbh, StreamingKind::Greedy] {
+            let order = EdgeOrder::Natural;
+            check_partitioner(&graph, &StreamingPartitioner { kind, order, seed: 1 }, p);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use tlp::baselines::{EdgeOrder, HdrfPartitioner};
+use tlp::baselines::{EdgeOrder, StreamingKind, StreamingPartitioner};
 use tlp::core::{EdgePartitioner, PartitionMetrics};
 use tlp::graph::generators::chung_lu;
 use tlp::graph::io;
@@ -91,11 +91,14 @@ fn cli_streams_binary_store_and_roundtrips_the_partition_store() {
     ]);
 
     // The streamed run must report exactly what an in-memory natural-order
-    // HDRF run computes (λ matches the CLI's placer).
-    let reference = HdrfPartitioner::new(EdgeOrder::Natural, 1.1)
-        .unwrap()
-        .partition(&s.graph, P)
-        .unwrap();
+    // HDRF run computes.
+    let reference = StreamingPartitioner {
+        kind: StreamingKind::Hdrf,
+        order: EdgeOrder::Natural,
+        seed: 0,
+    }
+    .partition(&s.graph, P)
+    .unwrap();
     let live = PartitionMetrics::compute(&s.graph, &reference);
     assert_eq!(
         field(&stdout, "replication factor:"),
