@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde::Serialize;
 use std::time::{Duration, Instant};
-use tlp_core::engine::{self, ModularitySwitch, ScanPolicy, SelectionPolicy, StagedPolicy};
+use tlp_core::engine::{self, ScanPolicy, SelectionPolicy, StagedPolicy};
 use tlp_core::{EdgePartition, TlpConfig};
 use tlp_graph::generators::{chung_lu, rmat, RmatProbabilities};
 use tlp_graph::CsrGraph;
@@ -32,17 +32,15 @@ const SELECTORS: [(&str, Selector); 2] = [("linear_scan", run_scan), ("indexed_h
 
 fn run_with<P: SelectionPolicy>(graph: &CsrGraph, mut policy: P) -> EdgePartition {
     let config = TlpConfig::new().seed(1);
-    let (partition, _) =
-        engine::run(graph, PARTITIONS, &config, &mut policy).expect("partitioning");
-    partition
+    engine::run(graph, PARTITIONS, &config, &mut policy).expect("partitioning")
 }
 
 fn run_scan(graph: &CsrGraph) -> EdgePartition {
-    run_with(graph, ScanPolicy::new(ModularitySwitch))
+    run_with(graph, ScanPolicy)
 }
 
 fn run_indexed(graph: &CsrGraph) -> EdgePartition {
-    run_with(graph, StagedPolicy::new(ModularitySwitch))
+    run_with(graph, StagedPolicy::default())
 }
 
 fn graphs(smoke: bool) -> Vec<(&'static str, CsrGraph)> {

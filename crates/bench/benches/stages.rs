@@ -1,12 +1,10 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
-//! reseed policy, the TLP_R stage-ratio sweep (Figs. 9-11 flavored), and
-//! the frontier cap. The indexed-vs-scan selection comparison lives in the
+//! reseed policy and the TLP_R stage-ratio sweep (Figs. 9-11 flavored).
+//! The indexed-vs-scan selection comparison lives in the
 //! `frontier_scoring` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tlp_core::{
-    EdgePartitioner, EdgeRatioLocalPartitioner, ReseedPolicy, TlpConfig, TwoStageLocalPartitioner,
-};
+use tlp_core::{EdgePartitioner, ReseedPolicy, StageSwitch, TlpConfig, TwoStageLocalPartitioner};
 use tlp_graph::generators::power_law_community;
 
 fn bench_reseed_policy(c: &mut Criterion) {
@@ -40,36 +38,15 @@ fn bench_tlp_r(c: &mut Criterion) {
     group.sample_size(10);
     for r in [0.0, 0.3, 0.5, 0.7, 1.0] {
         group.bench_with_input(BenchmarkId::from_parameter(r), &r, |b, &r| {
-            let algo = EdgeRatioLocalPartitioner::new(TlpConfig::new().seed(1), r).unwrap();
+            let config = TlpConfig::new()
+                .seed(1)
+                .stage_switch(StageSwitch::EdgeRatio(r));
+            let algo = TwoStageLocalPartitioner::new(config);
             b.iter(|| algo.partition(&graph, 10).unwrap())
         });
     }
     group.finish();
 }
 
-fn bench_frontier_cap(c: &mut Criterion) {
-    // The paper's sliding-window future-work idea: cap the candidate
-    // frontier and measure the speed side of the speed/quality trade-off.
-    let graph = power_law_community(4_000, 24_000, 2.1, 40, 0.25, 7);
-    let mut group = c.benchmark_group("ablation_frontier_cap");
-    group.sample_size(10);
-    for cap in [64usize, 512, 4096] {
-        group.bench_with_input(BenchmarkId::from_parameter(cap), &cap, |b, &cap| {
-            let tlp = TwoStageLocalPartitioner::new(TlpConfig::new().seed(1).frontier_cap(cap));
-            b.iter(|| tlp.partition(&graph, 10).unwrap())
-        });
-    }
-    group.bench_function("uncapped", |b| {
-        let tlp = TwoStageLocalPartitioner::new(TlpConfig::new().seed(1));
-        b.iter(|| tlp.partition(&graph, 10).unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_reseed_policy,
-    bench_tlp_r,
-    bench_frontier_cap
-);
+criterion_group!(benches, bench_reseed_policy, bench_tlp_r);
 criterion_main!(benches);

@@ -1,5 +1,7 @@
 //! Configuration for the local partitioning drivers.
 
+use crate::modularity::Modularity;
+use crate::trace::Stage;
 use crate::PartitionError;
 
 /// What to do when the frontier `N(P_k)` empties before the partition is
@@ -18,26 +20,65 @@ pub enum ReseedPolicy {
     Break,
 }
 
-/// Configuration shared by [`crate::TwoStageLocalPartitioner`] and the
-/// TLP_R / single-stage variants.
+/// Which stage's criterion picks the next frontier vertex: the one rule
+/// that tells TLP, TLP_R and the single-stage ablations apart (they all
+/// run Algorithm 1).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub enum StageSwitch {
+    /// TLP (Table II): Stage I while `M(P_k) <= 1`, Stage II afterwards.
+    /// **Default.**
+    #[default]
+    Modularity,
+    /// TLP_R (Table V): Stage I while `|E(P_k)| <= R * C`, Stage II
+    /// afterwards, with `R` in `[0, 1]` (validated when partitioning). The
+    /// paper shows both extremes are the worst configurations, while
+    /// interior `R` approaches (but needs tuning to match) TLP's switch.
+    EdgeRatio(f64),
+    /// Stage I (Eq. 7) for every selection: TLP_R at `R = 1`.
+    StageOneOnly,
+    /// Stage II (Eq. 9) for every selection: TLP_R at `R = 0`.
+    StageTwoOnly,
+}
+
+impl StageSwitch {
+    /// The stage that picks the next vertex of a partition holding
+    /// `internal` edges with `external` boundary edges, under capacity `C`.
+    pub(crate) fn stage(self, internal: usize, external: usize, capacity: usize) -> Stage {
+        let stage_one = match self {
+            StageSwitch::Modularity => Modularity::new(internal, external).is_stage_one(),
+            StageSwitch::EdgeRatio(ratio) => {
+                ratio > 0.0 && (internal as f64) <= ratio * capacity as f64
+            }
+            StageSwitch::StageOneOnly => true,
+            StageSwitch::StageTwoOnly => false,
+        };
+        if stage_one {
+            Stage::One
+        } else {
+            Stage::Two
+        }
+    }
+}
+
+/// Configuration of [`crate::TwoStageLocalPartitioner`]: TLP, TLP_R or a
+/// single-stage ablation, depending on the [`StageSwitch`].
 ///
 /// `TlpConfig` is a small consuming builder:
 ///
 /// ```
-/// use tlp_core::{ReseedPolicy, TlpConfig};
+/// use tlp_core::{ReseedPolicy, StageSwitch, TlpConfig};
 ///
 /// let config = TlpConfig::new()
 ///     .seed(42)
 ///     .reseed_policy(ReseedPolicy::Break)
-///     .record_trace(true);
+///     .stage_switch(StageSwitch::EdgeRatio(0.3));
 /// assert_eq!(config.seed_value(), 42);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TlpConfig {
     seed: u64,
     reseed: ReseedPolicy,
-    record_trace: bool,
-    frontier_cap: Option<usize>,
+    switch: StageSwitch,
     trials: usize,
     threads: usize,
 }
@@ -47,8 +88,7 @@ impl Default for TlpConfig {
         TlpConfig {
             seed: 0,
             reseed: ReseedPolicy::default(),
-            record_trace: false,
-            frontier_cap: None,
+            switch: StageSwitch::default(),
             trials: 1,
             threads: 0,
         }
@@ -56,8 +96,8 @@ impl Default for TlpConfig {
 }
 
 impl TlpConfig {
-    /// Creates the default configuration (seed 0, capacity `ceil(m/p)`,
-    /// reseeding enabled, no trace).
+    /// Creates the default configuration: TLP's modularity switch, seed 0,
+    /// capacity `ceil(m/p)`, reseeding enabled, one trial.
     pub fn new() -> Self {
         Self::default()
     }
@@ -76,11 +116,10 @@ impl TlpConfig {
         self
     }
 
-    /// Enables recording of a per-selection [`crate::Trace`] (needed for the
-    /// Table VI experiment). Off by default because it allocates per vertex.
+    /// Sets the rule that picks the stage of each selection.
     #[must_use]
-    pub fn record_trace(mut self, record: bool) -> Self {
-        self.record_trace = record;
+    pub fn stage_switch(mut self, switch: StageSwitch) -> Self {
+        self.switch = switch;
         self
     }
 
@@ -94,28 +133,9 @@ impl TlpConfig {
         self.reseed
     }
 
-    /// Whether trace recording is enabled.
-    pub fn records_trace(&self) -> bool {
-        self.record_trace
-    }
-
-    /// Caps the candidate frontier `N(P_k)` at `cap` vertices: once the
-    /// frontier is full, vertices touched by new member edges are not
-    /// enrolled as candidates until admissions free up space.
-    ///
-    /// This is the sliding-window mechanism sketched in the paper's future
-    /// work (§V): it bounds per-round memory and selection effort at a
-    /// quality cost. Unset (no cap) by default; the cap must be at least 1
-    /// (validated when partitioning).
-    #[must_use]
-    pub fn frontier_cap(mut self, cap: usize) -> Self {
-        self.frontier_cap = Some(cap);
-        self
-    }
-
-    /// The configured frontier cap, if any.
-    pub fn frontier_cap_value(&self) -> Option<usize> {
-        self.frontier_cap
+    /// The configured stage switch.
+    pub fn stage_switch_value(&self) -> StageSwitch {
+        self.switch
     }
 
     /// Runs `trials` independently seeded partitioning attempts and keeps
@@ -150,12 +170,14 @@ impl TlpConfig {
 
     /// Validates ranges; called by the partitioners before running.
     pub(crate) fn validate(&self) -> Result<(), PartitionError> {
-        if self.frontier_cap == Some(0) {
-            return Err(PartitionError::InvalidParameter {
-                name: "frontier_cap",
-                value: 0.0,
-                constraint: "must be at least 1",
-            });
+        if let StageSwitch::EdgeRatio(ratio) = self.switch {
+            if !(0.0..=1.0).contains(&ratio) {
+                return Err(PartitionError::InvalidParameter {
+                    name: "ratio",
+                    value: ratio,
+                    constraint: "must be in [0, 1]",
+                });
+            }
         }
         if self.trials == 0 {
             return Err(PartitionError::InvalidParameter {
@@ -180,9 +202,8 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = TlpConfig::new().seed(9).record_trace(true);
+        let c = TlpConfig::new().seed(9);
         assert_eq!(c.seed_value(), 9);
-        assert!(c.records_trace());
         assert_eq!(c.reseed_policy_value(), ReseedPolicy::Reseed);
     }
 
@@ -206,6 +227,27 @@ mod tests {
         assert_eq!(c.threads_value(), 4);
         assert_eq!(TlpConfig::new().trials_value(), 1);
         assert_eq!(TlpConfig::new().threads_value(), 0);
+    }
+
+    #[test]
+    fn edge_ratio_switch_boundaries() {
+        assert_eq!(StageSwitch::EdgeRatio(1.0).stage(5, 1, 10), Stage::One);
+        assert_eq!(StageSwitch::EdgeRatio(0.0).stage(0, 1, 10), Stage::Two);
+        let half = StageSwitch::EdgeRatio(0.5);
+        assert_eq!(half.stage(4, 1, 10), Stage::One);
+        assert_eq!(half.stage(6, 1, 10), Stage::Two);
+        // The single-stage ablations are the ratio extremes wherever the
+        // engine asks (`|E(P_k)| <= C` while a round grows).
+        for internal in 0..=10 {
+            assert_eq!(StageSwitch::StageOneOnly.stage(internal, 1, 10), Stage::One);
+            assert_eq!(StageSwitch::StageTwoOnly.stage(internal, 1, 10), Stage::Two);
+        }
+    }
+
+    #[test]
+    fn modularity_switch_switches_at_one() {
+        assert_eq!(StageSwitch::Modularity.stage(3, 4, 100), Stage::One);
+        assert_eq!(StageSwitch::Modularity.stage(5, 4, 100), Stage::Two);
     }
 
     #[test]

@@ -29,14 +29,6 @@ pub(super) fn enroll_frontier_edge<P: SelectionPolicy + ?Sized>(
     if ws.in_frontier[ui] {
         ws.e_in[ui] += 1;
     } else {
-        // Sliding-window mode: once the frontier is at its cap, further
-        // vertices are not enrolled as candidates. Their edges still count
-        // as external, and they are picked up by later edge events (or
-        // later rounds) once space frees up — coverage is unaffected, only
-        // candidate quality.
-        if ws.frontier.len() >= ws.frontier_cap {
-            return;
-        }
         ws.in_frontier[ui] = true;
         ws.frontier_pos[ui] = ws.frontier.len() as u32;
         ws.frontier.push(u);

@@ -1,5 +1,5 @@
 //! The local-expansion engine behind TLP, TLP_R and the single-stage
-//! ablations (Algorithm 1 of the paper, generic over the stage switch).
+//! ablations (Algorithm 1 of the paper).
 //!
 //! One partition is grown per round. The engine maintains:
 //!
@@ -15,12 +15,11 @@
 //!
 //! Admission is lazy: an edge is allocated when its second endpoint joins
 //! the partition. What distinguishes the algorithms built on top is only
-//! *which stage picks the next frontier vertex*, the [`StageSwitch`]:
-//! [`ModularitySwitch`] gives two-stage TLP, [`EdgeRatioSwitch`] gives
-//! TLP_R and, at `R = 1` or `R = 0`, the single-stage ablations. The
-//! sealed [`SelectionPolicy`] passed to [`run`] wraps the switch. The NE
-//! baseline (`tlp-baselines`) grows partitions too, but by eager
-//! admission, in its own loop.
+//! *which stage picks the next frontier vertex*: the engine asks the
+//! config's [`StageSwitch`](crate::StageSwitch) for the stage of every
+//! selection, and the sealed [`SelectionPolicy`] passed to [`run`] finds
+//! that stage's argmax. The NE baseline (`tlp-baselines`) grows partitions
+//! too, but by eager admission, in its own loop.
 //!
 //! # Frontier selection
 //!
@@ -58,17 +57,10 @@ mod policy;
 mod round;
 mod workspace;
 
-pub use policy::{
-    EdgeRatioSwitch, ModularitySwitch, ScanPolicy, SelectionPolicy, StageSwitch, StagedPolicy,
-};
-pub(crate) use round::run_engine;
-pub use round::{run, run_with_checkpoints, CheckpointSink};
+pub use policy::{ScanPolicy, SelectionPolicy, StagedPolicy};
+pub use round::{run, CheckpointSink};
+pub(crate) use round::{run_engine, RunExtras};
 
-use crate::checkpoint::EngineCheckpoint;
-use crate::config::TlpConfig;
-use crate::partition::EdgePartition;
-use crate::trace::Trace;
-use crate::PartitionError;
 use tlp_graph::GraphView;
 
 /// Builds the per-edge triangle table Stage I reads, under one `tri.build`
@@ -81,29 +73,4 @@ pub(crate) fn triangle_table(graph: GraphView<'_>) -> Vec<u32> {
         tlp_obs::counter("tri.triangles", credits / 3);
     }
     table
-}
-
-/// Convenience: runs the staged (TLP-family) policy under `switch`.
-pub(crate) fn run_staged<'g, S: StageSwitch>(
-    graph: impl Into<GraphView<'g>>,
-    num_partitions: usize,
-    config: &TlpConfig,
-    switch: S,
-) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
-    let mut policy = StagedPolicy::new(switch);
-    run(graph, num_partitions, config, &mut policy)
-}
-
-/// [`run_staged`] with kill-and-resume support (see
-/// [`run_with_checkpoints`]).
-pub(crate) fn run_staged_with_checkpoints<'g, S: StageSwitch>(
-    graph: impl Into<GraphView<'g>>,
-    num_partitions: usize,
-    config: &TlpConfig,
-    switch: S,
-    resume: Option<&EngineCheckpoint>,
-    sink: Option<CheckpointSink<'_>>,
-) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
-    let mut policy = StagedPolicy::new(switch);
-    run_with_checkpoints(graph, num_partitions, config, &mut policy, resume, sink)
 }

@@ -1,34 +1,14 @@
 //! The sealed [`SelectionPolicy`] trait — "which frontier vertex joins
-//! next" — and its two implementations, both generic over a
-//! [`StageSwitch`]: the production [`StagedPolicy`] (lazy heaps) and the
-//! reference [`ScanPolicy`] (full frontier scans).
+//! next" — and its two implementations: the production [`StagedPolicy`]
+//! (lazy heaps) and the reference [`ScanPolicy`] (full frontier scans).
+//! The engine decides the stage from the config's
+//! [`StageSwitch`](crate::StageSwitch); a policy only finds that stage's
+//! argmax.
 
 use super::frontier;
 use super::workspace::{StagedIndex, Workspace};
-use crate::modularity::Modularity;
 use crate::trace::Stage;
 use tlp_graph::{ResidualGraph, VertexId};
-
-/// The partition's growth counters at selection time.
-#[derive(Clone, Copy, Debug)]
-pub struct GrowthState {
-    /// Edges allocated to the partition so far (`|E(P_k)|`).
-    pub internal: usize,
-    /// Residual edges crossing the partition boundary (`|E_out(P_k)|`).
-    pub external: usize,
-    /// The capacity bound `C` for this run.
-    pub capacity: usize,
-}
-
-/// A selection decision: the vertex to admit and the stage label recorded
-/// in traces.
-#[derive(Clone, Copy, Debug)]
-pub struct Selection {
-    /// The frontier vertex to admit next.
-    pub vertex: VertexId,
-    /// Which stage's criterion picked it (trace bookkeeping only).
-    pub stage: Stage,
-}
 
 /// Scores frontier candidates and picks the next vertex to admit.
 ///
@@ -59,13 +39,16 @@ pub trait SelectionPolicy: sealed::Sealed {
         round: u32,
     );
 
-    /// Picks the next vertex from a non-empty frontier.
+    /// Picks `stage`'s best vertex from a non-empty frontier of a
+    /// partition holding `internal` edges with `external` boundary edges.
     fn select(
         &mut self,
         ws: &Workspace,
         residual: &ResidualGraph<'_>,
-        state: GrowthState,
-    ) -> Selection;
+        stage: Stage,
+        internal: usize,
+        external: usize,
+    ) -> VertexId;
 
     /// Hook run after each round; policies drop per-round entries here.
     fn end_round(&mut self) {}
@@ -75,76 +58,19 @@ mod sealed {
     /// Closes [`SelectionPolicy`](super::SelectionPolicy) to this crate.
     pub trait Sealed {}
 
-    impl<S> Sealed for super::StagedPolicy<S> {}
-    impl<S> Sealed for super::ScanPolicy<S> {}
+    impl Sealed for super::StagedPolicy {}
+    impl Sealed for super::ScanPolicy {}
 }
 
-/// Decides which stage's criterion selects the next vertex (the staged
-/// policies' switching rule).
-pub trait StageSwitch {
-    /// Chooses the stage given the partition's current state.
-    fn choose(&self, modularity: Modularity, internal: usize, capacity: usize) -> Stage;
-}
-
-/// The paper's TLP switch (Table II): Stage I while `M(P_k) <= 1`.
-#[derive(Clone, Copy, Debug)]
-pub struct ModularitySwitch;
-
-impl StageSwitch for ModularitySwitch {
-    fn choose(&self, modularity: Modularity, _internal: usize, _capacity: usize) -> Stage {
-        if modularity.is_stage_one() {
-            Stage::One
-        } else {
-            Stage::Two
-        }
-    }
-}
-
-/// The TLP_R switch (Table V): Stage I while `|E(P_k)| <= R * C`.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeRatioSwitch {
-    /// The stage-switch ratio `R` in `[0, 1]`.
-    pub ratio: f64,
-}
-
-impl StageSwitch for EdgeRatioSwitch {
-    fn choose(&self, _modularity: Modularity, internal: usize, capacity: usize) -> Stage {
-        if self.ratio > 0.0 && (internal as f64) <= self.ratio * capacity as f64 {
-            Stage::One
-        } else {
-            Stage::Two
-        }
-    }
-}
-
-/// The [`GrowthState`]'s stage under `switch`.
-fn stage_of<S: StageSwitch>(switch: &S, state: GrowthState) -> Stage {
-    switch.choose(
-        Modularity::new(state.internal, state.external),
-        state.internal,
-        state.capacity,
-    )
-}
-
-/// The TLP-family selection policy: a [`StageSwitch`] decides the stage,
-/// then lazy heaps locate the stage's argmax without scanning the frontier
-/// (the same vertex [`ScanPolicy`] picks, ties included).
-pub struct StagedPolicy<S> {
-    switch: S,
+/// The TLP-family selection policy: lazy heaps locate the stage's argmax
+/// without scanning the frontier (the same vertex [`ScanPolicy`] picks,
+/// ties included).
+#[derive(Default)]
+pub struct StagedPolicy {
     index: StagedIndex,
 }
 
-impl<S: StageSwitch> StagedPolicy<S> {
-    /// Creates the policy with the given switching rule.
-    pub fn new(switch: S) -> Self {
-        StagedPolicy {
-            switch,
-            index: StagedIndex::default(),
-        }
-    }
-}
-
-impl<S: StageSwitch> SelectionPolicy for StagedPolicy<S> {
+impl SelectionPolicy for StagedPolicy {
     fn on_candidate(
         &mut self,
         ws: &Workspace,
@@ -159,20 +85,16 @@ impl<S: StageSwitch> SelectionPolicy for StagedPolicy<S> {
         &mut self,
         ws: &Workspace,
         residual: &ResidualGraph<'_>,
-        state: GrowthState,
-    ) -> Selection {
-        let stage = stage_of(&self.switch, state);
-        let vertex = match stage {
+        stage: Stage,
+        internal: usize,
+        external: usize,
+    ) -> VertexId {
+        match stage {
             Stage::One => frontier::select_stage_one_heap(&mut self.index, ws, residual),
-            Stage::Two => frontier::select_stage_two_heap(
-                &mut self.index,
-                ws,
-                residual,
-                state.internal,
-                state.external,
-            ),
-        };
-        Selection { vertex, stage }
+            Stage::Two => {
+                frontier::select_stage_two_heap(&mut self.index, ws, residual, internal, external)
+            }
+        }
     }
 
     fn end_round(&mut self) {
@@ -185,18 +107,9 @@ impl<S: StageSwitch> SelectionPolicy for StagedPolicy<S> {
 ///
 /// This is the reference [`StagedPolicy`] is tested against; no
 /// configuration selects it. Run it through [`run`](super::run).
-pub struct ScanPolicy<S> {
-    switch: S,
-}
+pub struct ScanPolicy;
 
-impl<S: StageSwitch> ScanPolicy<S> {
-    /// Creates the reference policy with the given switching rule.
-    pub fn new(switch: S) -> Self {
-        ScanPolicy { switch }
-    }
-}
-
-impl<S: StageSwitch> SelectionPolicy for ScanPolicy<S> {
+impl SelectionPolicy for ScanPolicy {
     fn on_candidate(
         &mut self,
         _ws: &Workspace,
@@ -210,44 +123,13 @@ impl<S: StageSwitch> SelectionPolicy for ScanPolicy<S> {
         &mut self,
         ws: &Workspace,
         residual: &ResidualGraph<'_>,
-        state: GrowthState,
-    ) -> Selection {
-        let stage = stage_of(&self.switch, state);
-        let vertex = match stage {
+        stage: Stage,
+        internal: usize,
+        external: usize,
+    ) -> VertexId {
+        match stage {
             Stage::One => frontier::select_stage_one_scan(ws, residual),
-            Stage::Two => {
-                frontier::select_stage_two_scan(ws, residual, state.internal, state.external)
-            }
-        };
-        Selection { vertex, stage }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn edge_ratio_switch_boundaries() {
-        let policy_all_one = EdgeRatioSwitch { ratio: 1.0 };
-        let policy_all_two = EdgeRatioSwitch { ratio: 0.0 };
-        let m = Modularity::new(5, 1);
-        assert_eq!(policy_all_one.choose(m, 5, 10), Stage::One);
-        assert_eq!(policy_all_two.choose(m, 0, 10), Stage::Two);
-        let half = EdgeRatioSwitch { ratio: 0.5 };
-        assert_eq!(half.choose(m, 4, 10), Stage::One);
-        assert_eq!(half.choose(m, 6, 10), Stage::Two);
-    }
-
-    #[test]
-    fn modularity_switch_switches_at_one() {
-        assert_eq!(
-            ModularitySwitch.choose(Modularity::new(3, 4), 3, 100),
-            Stage::One
-        );
-        assert_eq!(
-            ModularitySwitch.choose(Modularity::new(5, 4), 5, 100),
-            Stage::Two
-        );
+            Stage::Two => frontier::select_stage_two_scan(ws, residual, internal, external),
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! over the [`SelectionPolicy`] that scores and picks frontier vertices.
 
 use super::frontier::enroll_frontier_edge;
-use super::policy::{GrowthState, Selection, SelectionPolicy};
+use super::policy::SelectionPolicy;
 use super::triangle_table;
 use super::workspace::Workspace;
 use crate::checkpoint::EngineCheckpoint;
@@ -18,62 +18,65 @@ use tlp_graph::{GraphView, ResidualGraph, VertexId};
 /// Returning an error aborts the run (persisting a checkpoint failed).
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(&EngineCheckpoint) -> Result<(), PartitionError>;
 
-/// Runs the full local partitioning (all `p` rounds) under `policy`.
+/// Runs the full local partitioning (all `p` rounds) under `policy`, with
+/// the stage of every selection chosen by `config`'s
+/// [`StageSwitch`](crate::StageSwitch).
 ///
-/// Returns the edge partition and, when `config.record_trace()` holds, the
-/// per-selection trace. The RNG is seeded once from `config.seed()` and
-/// consumed only by seed/reseed draws, so the stream a policy observes is a
-/// function of the seed alone.
+/// The RNG is seeded once from `config.seed()` and consumed only by
+/// seed/reseed draws, so the stream a policy observes is a function of the
+/// seed alone.
+///
+/// # Errors
+///
+/// [`PartitionError::ZeroPartitions`] for `num_partitions == 0`, and
+/// [`PartitionError::InvalidParameter`] for a config out of range.
 pub fn run<'g, P: SelectionPolicy + ?Sized>(
     graph: impl Into<GraphView<'g>>,
     num_partitions: usize,
     config: &TlpConfig,
     policy: &mut P,
-) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
-    run_with_checkpoints(graph, num_partitions, config, policy, None, None)
+) -> Result<EdgePartition, PartitionError> {
+    run_engine(graph, num_partitions, config, policy, RunExtras::default())
 }
 
-/// [`run`] with kill-and-resume support.
-///
-/// When `resume` is given, the run starts from that snapshot instead of
-/// round 0: the assignment and residual graph are restored from the
-/// checkpoint's arrays and the RNG continues from its saved state, so the
-/// final partition is bit-identical to the uninterrupted run's. When
-/// `sink` is given, it receives a consistent [`EngineCheckpoint`] after
-/// each completed round (and policies may not carry cross-round state of
-/// their own — true of every policy in this workspace, whose state is
-/// per-round and cleared by `end_round`).
-///
-/// A resumed run with `config.record_trace()` only records the rounds it
-/// actually executes; the assignment is still exact.
+/// What a crate-internal run may add to a plain [`run`].
+#[derive(Default)]
+pub(crate) struct RunExtras<'a> {
+    /// Start from this round-boundary snapshot instead of round 0: the
+    /// assignment and residual graph are restored from its arrays and the
+    /// RNG continues from its saved state, so the final partition is
+    /// bit-identical to the uninterrupted run's.
+    pub(crate) resume: Option<&'a EngineCheckpoint>,
+    /// Receives a consistent [`EngineCheckpoint`] after each completed
+    /// round. Sound because policies carry no cross-round state (theirs is
+    /// per-round, cleared by `end_round`).
+    pub(crate) sink: Option<CheckpointSink<'a>>,
+    /// The [`triangle_table`] of the graph, so several runs over one graph
+    /// share a single build; without it, the run builds its own.
+    pub(crate) triangles: Option<&'a [u32]>,
+    /// Receives one record per selection of the rounds the run executes.
+    pub(crate) trace: Option<&'a mut Trace>,
+}
+
+/// [`run`] with the [`RunExtras`].
 ///
 /// # Errors
 ///
-/// [`PartitionError::Checkpoint`] if `resume` does not match this
-/// graph/config, plus everything [`run`] can return.
-pub fn run_with_checkpoints<'g, P: SelectionPolicy + ?Sized>(
-    graph: impl Into<GraphView<'g>>,
-    num_partitions: usize,
-    config: &TlpConfig,
-    policy: &mut P,
-    resume: Option<&EngineCheckpoint>,
-    sink: Option<CheckpointSink<'_>>,
-) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
-    run_engine(graph, num_partitions, config, policy, resume, sink, None)
-}
-
-/// [`run_with_checkpoints`] that reads Stage I numerators from `triangles`
-/// when given (the [`triangle_table`] of `graph`), so several runs over one
-/// graph share a single build. Without it, the run builds its own table.
+/// [`PartitionError::Checkpoint`] if `extras.resume` does not match this
+/// graph/config or the sink fails, plus everything [`run`] can return.
 pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
     graph: impl Into<GraphView<'g>>,
     num_partitions: usize,
     config: &TlpConfig,
     policy: &mut P,
-    resume: Option<&EngineCheckpoint>,
-    mut sink: Option<CheckpointSink<'_>>,
-    triangles: Option<&[u32]>,
-) -> Result<(EdgePartition, Option<Trace>), PartitionError> {
+    extras: RunExtras<'_>,
+) -> Result<EdgePartition, PartitionError> {
+    let RunExtras {
+        resume,
+        mut sink,
+        triangles,
+        mut trace,
+    } = extras;
     let graph = graph.into();
     if num_partitions == 0 {
         return Err(PartitionError::ZeroPartitions);
@@ -82,15 +85,13 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
 
     let m = graph.num_edges();
     let n = graph.num_vertices();
-    let trace = config.records_trace().then(Trace::new);
     if m == 0 {
-        return Ok((EdgePartition::new(num_partitions, vec![])?, trace));
+        return EdgePartition::new(num_partitions, vec![]);
     }
-    let mut trace = trace;
 
     let capacity = capacity(m, num_partitions);
     let mut residual = ResidualGraph::new(graph);
-    let mut ws = Workspace::new(n, config.frontier_cap_value().unwrap_or(usize::MAX));
+    let mut ws = Workspace::new(n);
 
     let (mut assignment, mut rng, start_round) = match resume {
         None => {
@@ -135,9 +136,9 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
             &mut rng,
             k,
             capacity,
-            config.reseed_policy_value(),
+            config,
             policy,
-            trace.as_mut(),
+            trace.as_deref_mut(),
         );
         if let Some(sink) = sink.as_mut() {
             let _checkpoint_span = tlp_obs::span("checkpoint");
@@ -182,7 +183,7 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
         }
     }
 
-    Ok((EdgePartition::new(num_partitions, assignment)?, trace))
+    EdgePartition::new(num_partitions, assignment)
 }
 
 /// Grows partition `k` until capacity is exceeded or edges run out
@@ -197,7 +198,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     rng: &mut StdRng,
     k: u32,
     capacity: usize,
-    reseed_policy: ReseedPolicy,
+    config: &TlpConfig,
     policy: &mut P,
     mut trace: Option<&mut Trace>,
 ) {
@@ -228,7 +229,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     while internal <= capacity {
         if ws.frontier.is_empty() {
             // Line 11-13: frontier exhausted.
-            if residual.is_exhausted() || reseed_policy == ReseedPolicy::Break {
+            if residual.is_exhausted() || config.reseed_policy_value() == ReseedPolicy::Break {
                 break;
             }
             seed_vertex(
@@ -246,16 +247,12 @@ fn run_round<P: SelectionPolicy + ?Sized>(
             continue;
         }
 
-        // Lines 5-9: the policy picks the stage and the optimal vertex.
-        let Selection { vertex: v, stage } = policy.select(
-            ws,
-            residual,
-            GrowthState {
-                internal,
-                external,
-                capacity,
-            },
-        );
+        // Lines 5-9: the switch picks the stage, the policy its optimal
+        // vertex.
+        let stage = config
+            .stage_switch_value()
+            .stage(internal, external, capacity);
+        let v = policy.select(ws, residual, stage, internal, external);
 
         // Line 10: allocate the edges between v and P_k.
         admit_vertex(
@@ -297,9 +294,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     policy.end_round();
 }
 
-/// Admits a fresh random seed vertex as a member (admission handles any
-/// residual edges it already has towards existing members, possible under
-/// a frontier cap).
+/// Admits a fresh random seed vertex as a member.
 #[allow(clippy::too_many_arguments)]
 fn seed_vertex<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
@@ -339,8 +334,7 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
     internal: &mut usize,
     external: &mut usize,
 ) {
-    // Seed vertices (and, under a frontier cap, reseeds of never-enrolled
-    // vertices) are admitted without having been candidates.
+    // Seed vertices are admitted without having been candidates.
     if ws.in_frontier[v as usize] {
         ws.frontier_remove(v);
     }
@@ -385,8 +379,9 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{run_staged, EdgeRatioSwitch, ModularitySwitch, ScanPolicy};
+    use super::super::{ScanPolicy, StagedPolicy};
     use super::*;
+    use crate::StageSwitch;
     use tlp_graph::{CsrGraph, GraphBuilder};
 
     fn small_graph() -> CsrGraph {
@@ -398,7 +393,7 @@ mod tests {
 
     fn run_tlp(graph: &CsrGraph, p: usize, seed: u64) -> EdgePartition {
         let config = TlpConfig::new().seed(seed);
-        run_staged(graph, p, &config, ModularitySwitch).unwrap().0
+        run(graph, p, &config, &mut StagedPolicy::default()).unwrap()
     }
 
     #[test]
@@ -429,7 +424,7 @@ mod tests {
         let g = small_graph();
         let config = TlpConfig::new();
         assert_eq!(
-            run_staged(&g, 0, &config, ModularitySwitch).unwrap_err(),
+            run(&g, 0, &config, &mut StagedPolicy::default()).unwrap_err(),
             PartitionError::ZeroPartitions
         );
     }
@@ -438,7 +433,7 @@ mod tests {
     fn empty_graph_produces_empty_partition() {
         let g = GraphBuilder::new().build();
         let config = TlpConfig::new();
-        let (part, _) = run_staged(&g, 4, &config, ModularitySwitch).unwrap();
+        let part = run(&g, 4, &config, &mut StagedPolicy::default()).unwrap();
         assert_eq!(part.num_edges(), 0);
         assert_eq!(part.edge_counts(), vec![0, 0, 0, 0]);
     }
@@ -458,7 +453,7 @@ mod tests {
             .add_edges([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
             .build();
         let config = TlpConfig::new().reseed_policy(ReseedPolicy::Break).seed(2);
-        let (part, _) = run_staged(&g, 2, &config, ModularitySwitch).unwrap();
+        let part = run(&g, 2, &config, &mut StagedPolicy::default()).unwrap();
         // All 5 edges must still be assigned even though each round's
         // frontier dies immediately in this perfect matching.
         assert_eq!(part.edge_counts().iter().sum::<usize>(), 5);
@@ -482,23 +477,19 @@ mod tests {
     #[test]
     fn trace_is_recorded_when_requested() {
         let g = small_graph();
-        let config = TlpConfig::new().record_trace(true).seed(1);
-        let (_, trace) = run_staged(&g, 2, &config, ModularitySwitch).unwrap();
-        let trace = trace.expect("trace requested");
+        let config = TlpConfig::new().seed(1);
+        let mut trace = Trace::new();
+        let extras = RunExtras {
+            trace: Some(&mut trace),
+            ..RunExtras::default()
+        };
+        run_engine(&g, 2, &config, &mut StagedPolicy::default(), extras).unwrap();
         assert!(!trace.is_empty());
         // Selections must name real vertices with their true degrees.
         for r in trace.records() {
             assert_eq!(r.degree as usize, g.degree(r.vertex));
             assert!((r.partition as usize) < 2);
         }
-    }
-
-    #[test]
-    fn no_trace_by_default() {
-        let g = small_graph();
-        let config = TlpConfig::new();
-        let (_, trace) = run_staged(&g, 2, &config, ModularitySwitch).unwrap();
-        assert!(trace.is_none());
     }
 
     #[test]
@@ -528,10 +519,8 @@ mod tests {
                 for p in [2, 5, 9] {
                     for seed in [0u64, 1, 2] {
                         let config = TlpConfig::new().seed(seed).reseed_policy(reseed);
-                        let scan = run(graph, p, &config, &mut ScanPolicy::new(ModularitySwitch))
-                            .unwrap()
-                            .0;
-                        let heap = run_staged(graph, p, &config, ModularitySwitch).unwrap().0;
+                        let scan = run(graph, p, &config, &mut ScanPolicy).unwrap();
+                        let heap = run(graph, p, &config, &mut StagedPolicy::default()).unwrap();
                         assert_eq!(
                             scan, heap,
                             "graph {gi}, reseed {reseed:?}, p={p}, seed={seed}"
@@ -542,57 +531,15 @@ mod tests {
         }
     }
 
-    /// A frontier cap (the paper's §V sliding-window idea) must never break
-    /// coverage or determinism, only bound the candidate set.
-    #[test]
-    fn frontier_cap_keeps_coverage() {
-        let g = tlp_graph::generators::chung_lu(400, 2000, 2.1, 3);
-        for cap in [1usize, 4, 64, 100_000] {
-            let config = TlpConfig::new().seed(5).frontier_cap(cap);
-            let (part, _) = run_staged(&g, 6, &config, ModularitySwitch).unwrap();
-            assert_eq!(
-                part.edge_counts().iter().sum::<usize>(),
-                g.num_edges(),
-                "cap {cap} lost edges"
-            );
-            let (part2, _) = run_staged(&g, 6, &config, ModularitySwitch).unwrap();
-            assert_eq!(part, part2, "cap {cap} nondeterministic");
-        }
-    }
-
-    #[test]
-    fn zero_frontier_cap_is_rejected() {
-        let g = small_graph();
-        let config = TlpConfig::new().frontier_cap(0);
-        assert!(matches!(
-            run_staged(&g, 2, &config, ModularitySwitch).unwrap_err(),
-            PartitionError::InvalidParameter {
-                name: "frontier_cap",
-                ..
-            }
-        ));
-    }
-
-    /// An uncapped run and a cap larger than any frontier are identical.
-    #[test]
-    fn huge_cap_equals_uncapped() {
-        let g = tlp_graph::generators::erdos_renyi(150, 600, 8);
-        let base = TlpConfig::new().seed(2);
-        let capped = base.frontier_cap(1_000_000);
-        let a = run_staged(&g, 5, &base, ModularitySwitch).unwrap().0;
-        let b = run_staged(&g, 5, &capped, ModularitySwitch).unwrap().0;
-        assert_eq!(a, b);
-    }
-
     /// Same equivalence for the TLP_R stage policy across the R sweep.
     #[test]
     fn indexed_selection_equals_linear_scan_for_tlp_r() {
         let g = tlp_graph::generators::chung_lu(250, 1200, 2.2, 9);
         let config = TlpConfig::new().seed(4);
         for r in [0.0, 0.3, 0.7, 1.0] {
-            let switch = EdgeRatioSwitch { ratio: r };
-            let scan = run(&g, 6, &config, &mut ScanPolicy::new(switch)).unwrap().0;
-            let indexed = run_staged(&g, 6, &config, switch).unwrap().0;
+            let config = config.stage_switch(StageSwitch::EdgeRatio(r));
+            let scan = run(&g, 6, &config, &mut ScanPolicy).unwrap();
+            let indexed = run(&g, 6, &config, &mut StagedPolicy::default()).unwrap();
             assert_eq!(scan, indexed, "R = {r}");
         }
     }

@@ -1,6 +1,6 @@
 //! Per-run scratch state shared by every selection policy: round-stamped
 //! membership, the frontier dense list, per-candidate scores, and the
-//! staged priority structures (heaps) used by the indexed TLP policies.
+//! staged priority structures (heaps) used by the indexed policy.
 //!
 //! Stage I scores are folded by [`Workspace::refresh_mu1`] from numerators
 //! the caller reads in the run's triangle table, so the workspace itself
@@ -34,8 +34,6 @@ pub struct Workspace {
     pub(crate) frontier_pos: Vec<u32>,
     /// Scratch for collecting a vertex's residual incidence.
     pub(crate) incident_scratch: Vec<(VertexId, EdgeId)>,
-    /// Maximum candidates held in the frontier (sliding-window mode).
-    pub(crate) frontier_cap: usize,
     /// Stage I closeness terms folded in the current round, flushed as the
     /// `scoring.terms` obs counter.
     pub(crate) scoring_terms: u64,
@@ -43,7 +41,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Allocates a workspace for an `n`-vertex graph.
-    pub(crate) fn new(n: usize, frontier_cap: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Workspace {
             member_round: vec![u32::MAX; n],
             in_frontier: vec![false; n],
@@ -52,7 +50,6 @@ impl Workspace {
             frontier: Vec::new(),
             frontier_pos: vec![0; n],
             incident_scratch: Vec::new(),
-            frontier_cap,
             scoring_terms: 0,
         }
     }
@@ -129,10 +126,10 @@ impl PartialOrd for Stage1Entry {
     }
 }
 
-/// The staged policies' priority structures: a lazy max-heap over the
+/// The staged policy's priority structures: a lazy max-heap over the
 /// Stage I key plus per-`e_in` lazy min-heap buckets on `e_ext` for
 /// Stage II. Owned by [`StagedPolicy`](super::StagedPolicy), not the
-/// workspace, so non-staged policies pay nothing for it.
+/// workspace, so the reference scan pays nothing for it.
 #[derive(Default)]
 pub(crate) struct StagedIndex {
     /// Stage I priority queue (lazy; entries validated against `mu1`/`e_in`).

@@ -13,6 +13,12 @@
 //! * **Stage II** (`M > 1`, tight partition): select the frontier vertex
 //!   with the largest modularity gain ([`stage2`], Eq. 9-11).
 //!
+//! The paper's variants differ only in that switching rule, so one
+//! [`TwoStageLocalPartitioner`] runs them all: the [`StageSwitch`] in its
+//! [`TlpConfig`] is TLP's modularity rule by default, `EdgeRatio(R)` for
+//! TLP_R (Stage I while `|E(P_k)| <= R * C`), or one of the two
+//! single-stage ablations.
+//!
 //! # Quick start
 //!
 //! ```
@@ -44,14 +50,13 @@ mod partition;
 mod partitioner;
 mod pipeline;
 mod tlp;
-mod tlp_r;
 mod trace;
 
 pub mod engine;
 pub mod stage2;
 
 pub use checkpoint::EngineCheckpoint;
-pub use config::{ReseedPolicy, TlpConfig};
+pub use config::{ReseedPolicy, StageSwitch, TlpConfig};
 pub use error::PartitionError;
 pub use metrics::{PartitionMetrics, StreamedMetrics};
 pub use modularity::Modularity;
@@ -66,5 +71,4 @@ pub use pipeline::{
     Capability, ParamSpec, PipelineError, RunArtifact,
 };
 pub use tlp::TwoStageLocalPartitioner;
-pub use tlp_r::EdgeRatioLocalPartitioner;
 pub use trace::{SelectionRecord, Stage, StageDegreeSummary, Trace};

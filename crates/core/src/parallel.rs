@@ -1,6 +1,6 @@
 //! Thread-parallel execution utilities: an order-preserving `parallel_map`
 //! built on scoped threads, and the [`ParallelTrialRunner`] that races `t`
-//! independently seeded TLP runs and keeps the best-RF partition.
+//! independently seeded TLP-family runs and keeps the best-RF partition.
 //!
 //! Everything here is deterministic given the same inputs: per-trial seeds
 //! are derived from the base seed by a fixed mixing function (independent
@@ -8,7 +8,7 @@
 //! the winner is chosen by `(replication factor, trial index)` — so a run
 //! with 1 thread and a run with 16 produce bit-identical partitions.
 
-use crate::engine::{run_engine, triangle_table, ModularitySwitch, StagedPolicy};
+use crate::engine::{run_engine, triangle_table, RunExtras, StagedPolicy};
 use crate::metrics::PartitionMetrics;
 use crate::partition::EdgePartition;
 use crate::pipeline::trial_span;
@@ -183,9 +183,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `config.trials()` independently seeded TLP partitionings across
-/// worker threads and keeps the partition with the lowest replication
-/// factor.
+/// Runs `config.trials()` independently seeded partitionings under the
+/// config's [`StageSwitch`](crate::StageSwitch) across worker threads and
+/// keeps the partition with the lowest replication factor.
 ///
 /// Seed growth is cheap but seed-sensitive (the paper reports averages
 /// over runs for exactly this reason); racing a handful of seeds and
@@ -251,9 +251,6 @@ impl ParallelTrialRunner {
         let seeds: Vec<u64> = (0..trials)
             .map(|i| trial_seed(self.config.seed_value(), i))
             .collect();
-        // Trace recording is a single-run concern; trials race plain runs.
-        let base = self.config.record_trace(false);
-
         // The triangle table depends on the graph alone: build it once and
         // lend it to every trial.
         let triangles = triangle_table(graph);
@@ -267,7 +264,7 @@ impl ParallelTrialRunner {
                 graph,
                 &triangles,
                 num_partitions,
-                base.seed(seed),
+                self.config.seed(seed),
                 self.probe,
                 i,
             )
@@ -329,17 +326,18 @@ fn run_trial(
         if let Some(probe) = probe {
             probe(index);
         }
-        let mut policy = StagedPolicy::new(ModularitySwitch);
+        let extras = RunExtras {
+            triangles: Some(triangles),
+            ..RunExtras::default()
+        };
         let run = run_engine(
             graph,
             num_partitions,
             &config,
-            &mut policy,
-            None,
-            None,
-            Some(triangles),
+            &mut StagedPolicy::default(),
+            extras,
         );
-        run.map(|(partition, _)| {
+        run.map(|partition| {
             let rf = PartitionMetrics::compute(graph, &partition).replication_factor;
             (partition, rf)
         })

@@ -1,30 +1,38 @@
-//! The paper's TLP algorithm: modularity-switched two-stage local
-//! partitioning.
+//! The paper's TLP family: two-stage local partitioning (Algorithm 1)
+//! under a configurable stage switch.
 
-use crate::engine::{run_staged, run_staged_with_checkpoints, CheckpointSink, ModularitySwitch};
+use crate::engine::{run_engine, CheckpointSink, RunExtras, StagedPolicy};
 use crate::{
     EdgePartition, EdgePartitioner, EngineCheckpoint, ParallelTrialRunner, PartitionError,
-    TlpConfig, Trace,
+    StageSwitch, TlpConfig, Trace,
 };
 use tlp_graph::GraphView;
 
-/// The two-stage local partitioner (TLP, Algorithm 1 of the paper).
+/// The two-stage local partitioner (TLP, Algorithm 1 of the paper) and its
+/// variants.
 ///
-/// Each partition is grown from a random seed vertex. While its modularity
-/// `M(P_k) <= 1` the Stage I criterion (closeness x degree, Eq. 7) selects
-/// vertices; once `M(P_k) > 1` the Stage II criterion (modularity gain,
-/// Eq. 9) takes over.
+/// Each partition is grown from a random seed vertex, and the config's
+/// [`StageSwitch`] picks the criterion of every selection: Stage I
+/// (closeness x degree, Eq. 7) or Stage II (modularity gain, Eq. 9). The
+/// default switch is TLP's own: Stage I while `M(P_k) <= 1`, Stage II once
+/// `M(P_k) > 1`. [`StageSwitch::EdgeRatio`] gives TLP_R, and the two
+/// single-stage switches give the ablations.
 ///
 /// # Example
 ///
 /// ```
-/// use tlp_core::{EdgePartitioner, TlpConfig, TwoStageLocalPartitioner};
+/// use tlp_core::{EdgePartitioner, StageSwitch, TlpConfig, TwoStageLocalPartitioner};
 /// use tlp_graph::generators::chung_lu;
 ///
 /// let graph = chung_lu(300, 1_200, 2.2, 5);
 /// let tlp = TwoStageLocalPartitioner::new(TlpConfig::new().seed(1));
 /// let partition = tlp.partition(&graph, 6)?;
 /// assert_eq!(partition.num_edges(), graph.num_edges());
+///
+/// let config = TlpConfig::new().stage_switch(StageSwitch::EdgeRatio(0.4));
+/// let tlp_r = TwoStageLocalPartitioner::new(config);
+/// assert_eq!(tlp_r.name(), "TLP_R");
+/// assert_eq!(tlp_r.partition(&graph, 6)?.num_edges(), graph.num_edges());
 /// # Ok::<(), tlp_core::PartitionError>(())
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
@@ -33,7 +41,7 @@ pub struct TwoStageLocalPartitioner {
 }
 
 impl TwoStageLocalPartitioner {
-    /// Creates a TLP partitioner with the given configuration.
+    /// Creates a partitioner with the given configuration.
     pub fn new(config: TlpConfig) -> Self {
         TwoStageLocalPartitioner { config }
     }
@@ -44,9 +52,9 @@ impl TwoStageLocalPartitioner {
     }
 
     /// Partitions and returns the per-selection [`Trace`] (used by the
-    /// Table VI experiment), regardless of the configured trace flag.
-    /// Always a single run with the configured seed — the multi-trial
-    /// racing of [`EdgePartitioner::partition`] does not apply here.
+    /// Table VI experiment). Always a single run with the configured seed
+    /// — the multi-trial racing of [`EdgePartitioner::partition`] does not
+    /// apply here.
     ///
     /// # Errors
     ///
@@ -56,9 +64,13 @@ impl TwoStageLocalPartitioner {
         graph: impl Into<GraphView<'g>>,
         num_partitions: usize,
     ) -> Result<(EdgePartition, Trace), PartitionError> {
-        let config = self.config.record_trace(true);
-        let (partition, trace) = run_staged(graph, num_partitions, &config, ModularitySwitch)?;
-        Ok((partition, trace.expect("trace was requested")))
+        let mut trace = Trace::new();
+        let extras = RunExtras {
+            trace: Some(&mut trace),
+            ..RunExtras::default()
+        };
+        let partition = self.run_single(graph, num_partitions, extras)?;
+        Ok((partition, trace))
     }
 
     /// Single-trial partitioning with kill-and-resume support.
@@ -67,10 +79,12 @@ impl TwoStageLocalPartitioner {
     /// snapshot; when `sink` is given, it receives an [`EngineCheckpoint`]
     /// after each completed round. A resumed run produces the exact
     /// partition the uninterrupted run with the same seed would have (the
-    /// resume bit-identity tests pin this). Multi-trial racing
-    /// (`config.trials() > 1`) is a different execution model and is not
-    /// checkpointable; this method always runs one trial with the
-    /// configured seed.
+    /// resume bit-identity tests pin this). A snapshot records the seed
+    /// and the graph's shape but neither the stage switch nor the reseed
+    /// policy, so a resume must run under the config the snapshot was
+    /// taken with. Multi-trial racing (`config.trials() > 1`) is a
+    /// different execution model and is not checkpointable; this method
+    /// always runs one trial with the configured seed.
     ///
     /// # Errors
     ///
@@ -83,21 +97,36 @@ impl TwoStageLocalPartitioner {
         resume: Option<&EngineCheckpoint>,
         sink: Option<CheckpointSink<'_>>,
     ) -> Result<EdgePartition, PartitionError> {
-        run_staged_with_checkpoints(
-            graph,
-            num_partitions,
-            &self.config,
-            ModularitySwitch,
+        let extras = RunExtras {
             resume,
-            sink,
-        )
-        .map(|(partition, _)| partition)
+            // Shortens the sink's trait-object lifetime to the borrow of
+            // `resume`, so both fit one `RunExtras` lifetime.
+            sink: sink.map(|sink| sink as CheckpointSink<'_>),
+            ..RunExtras::default()
+        };
+        self.run_single(graph, num_partitions, extras)
+    }
+
+    /// One run with the configured seed under the production policy.
+    fn run_single<'g>(
+        &self,
+        graph: impl Into<GraphView<'g>>,
+        num_partitions: usize,
+        extras: RunExtras<'_>,
+    ) -> Result<EdgePartition, PartitionError> {
+        let mut policy = StagedPolicy::default();
+        run_engine(graph, num_partitions, &self.config, &mut policy, extras)
     }
 }
 
 impl EdgePartitioner for TwoStageLocalPartitioner {
     fn name(&self) -> &str {
-        "TLP"
+        match self.config.stage_switch_value() {
+            StageSwitch::Modularity => "TLP",
+            StageSwitch::EdgeRatio(_) => "TLP_R",
+            StageSwitch::StageOneOnly => "StageI-only",
+            StageSwitch::StageTwoOnly => "StageII-only",
+        }
     }
 
     fn partition_view(
@@ -110,16 +139,22 @@ impl EdgePartitioner for TwoStageLocalPartitioner {
                 .run(graph, num_partitions)
                 .map(|report| report.partition);
         }
-        run_staged(graph, num_partitions, &self.config, ModularitySwitch)
-            .map(|(partition, _)| partition)
+        self.run_single(graph, num_partitions, RunExtras::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PartitionMetrics;
+    use crate::{PartitionMetrics, Stage};
     use tlp_graph::generators::{chung_lu, erdos_renyi};
+
+    fn tlp_r(seed: u64, ratio: f64) -> TwoStageLocalPartitioner {
+        let config = TlpConfig::new()
+            .seed(seed)
+            .stage_switch(StageSwitch::EdgeRatio(ratio));
+        TwoStageLocalPartitioner::new(config)
+    }
 
     #[test]
     fn partitions_cover_all_edges() {
@@ -166,5 +201,72 @@ mod tests {
     #[test]
     fn name_is_tlp() {
         assert_eq!(TwoStageLocalPartitioner::default().name(), "TLP");
+    }
+
+    #[test]
+    fn rejects_out_of_range_ratio() {
+        let g = chung_lu(50, 150, 2.2, 1);
+        for ratio in [-0.1, 1.1, f64::NAN] {
+            assert!(matches!(
+                tlp_r(0, ratio).partition(&g, 2).unwrap_err(),
+                PartitionError::InvalidParameter { name: "ratio", .. }
+            ));
+        }
+        assert!(tlp_r(0, 0.0).partition(&g, 2).is_ok());
+        assert!(tlp_r(0, 1.0).partition(&g, 2).is_ok());
+    }
+
+    #[test]
+    fn single_stage_switches_are_the_named_extremes() {
+        let g = chung_lu(200, 900, 2.2, 6);
+        let with = |switch| TwoStageLocalPartitioner::new(TlpConfig::new().stage_switch(switch));
+        let one = with(StageSwitch::StageOneOnly);
+        let two = with(StageSwitch::StageTwoOnly);
+        assert_eq!(one.name(), "StageI-only");
+        assert_eq!(two.name(), "StageII-only");
+        assert_eq!(
+            one.partition(&g, 4).unwrap(),
+            tlp_r(0, 1.0).partition(&g, 4).unwrap()
+        );
+        assert_eq!(
+            two.partition(&g, 4).unwrap(),
+            tlp_r(0, 0.0).partition(&g, 4).unwrap()
+        );
+    }
+
+    #[test]
+    fn r_zero_uses_only_stage_two() {
+        let g = chung_lu(200, 900, 2.2, 6);
+        let (_, trace) = tlp_r(3, 0.0).partition_with_trace(&g, 4).unwrap();
+        assert!(trace.records().iter().all(|r| r.stage == Stage::Two));
+    }
+
+    #[test]
+    fn r_one_uses_only_stage_one() {
+        let g = chung_lu(200, 900, 2.2, 6);
+        let (_, trace) = tlp_r(3, 1.0).partition_with_trace(&g, 4).unwrap();
+        assert!(trace.records().iter().all(|r| r.stage == Stage::One));
+    }
+
+    #[test]
+    fn interior_r_uses_both_stages() {
+        let g = chung_lu(200, 900, 2.2, 6);
+        let (_, trace) = tlp_r(3, 0.5).partition_with_trace(&g, 4).unwrap();
+        let s = trace.stage_degree_summary();
+        assert!(s.stage1_count > 0 && s.stage2_count > 0);
+    }
+
+    #[test]
+    fn covers_all_edges_for_every_r() {
+        let g = chung_lu(150, 600, 2.2, 2);
+        for i in 0..=10 {
+            let r = i as f64 / 10.0;
+            let part = tlp_r(4, r).partition(&g, 5).unwrap();
+            assert_eq!(
+                part.edge_counts().iter().sum::<usize>(),
+                g.num_edges(),
+                "R = {r}"
+            );
+        }
     }
 }

@@ -41,7 +41,7 @@ pub struct StageDegreeSummary {
 
 /// The complete selection log of one partitioning run.
 ///
-/// Produced when [`crate::TlpConfig::record_trace`] is enabled.
+/// Produced by [`crate::TwoStageLocalPartitioner::partition_with_trace`].
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     records: Vec<SelectionRecord>,

@@ -3,8 +3,7 @@
 use crate::report::{write_csv, TextTable};
 use crate::{ExperimentContext, HarnessError, PARTITION_COUNTS};
 use tlp_core::{
-    EdgePartitioner, EdgeRatioLocalPartitioner, PartitionMetrics, TlpConfig,
-    TwoStageLocalPartitioner,
+    EdgePartitioner, PartitionMetrics, StageSwitch, TlpConfig, TwoStageLocalPartitioner,
 };
 
 /// The 11 sweep values of `R` used by the paper.
@@ -66,11 +65,14 @@ pub fn run(ctx: &ExperimentContext) -> Result<Vec<SweepSeries>, HarnessError> {
 
             let mut curve = Vec::with_capacity(ratios.len());
             for &r in &ratios {
-                let algo = EdgeRatioLocalPartitioner::new(TlpConfig::new().seed(ctx.seed), r)
-                    .map_err(|e| HarnessError::partition(format!("TLP_R R={r}"), e))?;
-                let part = algo.partition(&graph, p).map_err(|e| {
-                    HarnessError::partition(format!("TLP_R R={r} on {id} p={p}"), e)
-                })?;
+                let config = TlpConfig::new()
+                    .seed(ctx.seed)
+                    .stage_switch(StageSwitch::EdgeRatio(r));
+                let part = TwoStageLocalPartitioner::new(config)
+                    .partition(&graph, p)
+                    .map_err(|e| {
+                        HarnessError::partition(format!("TLP_R R={r} on {id} p={p}"), e)
+                    })?;
                 let rf = PartitionMetrics::compute(&graph, &part).replication_factor;
                 curve.push((r, rf));
             }

@@ -45,13 +45,15 @@ use tlp_baselines::{
     StreamingPlacer, VertexOrder,
 };
 use tlp_core::{
-    run_partitioner, run_tlp, AlgoConfig, AlgorithmEntry, AlgorithmRegistry, Capability,
-    EdgeRatioLocalPartitioner, ParamSpec, PipelineError, TlpConfig,
+    run_partitioner, run_tlp, AlgoConfig, AlgorithmEntry, AlgorithmRegistry, Capability, ParamSpec,
+    PipelineError, StageSwitch, TlpConfig, TwoStageLocalPartitioner,
 };
 use tlp_metis::{MetisConfig, MetisPartitioner};
 
-fn tlp_config(config: &AlgoConfig) -> TlpConfig {
-    TlpConfig::new().seed(config.seed)
+/// The single-run TLP-family partitioner behind the `tlp-r`, `stage1` and
+/// `stage2` rows.
+fn tlp_family(config: &AlgoConfig, switch: StageSwitch) -> TwoStageLocalPartitioner {
+    TwoStageLocalPartitioner::new(TlpConfig::new().seed(config.seed).stage_switch(switch))
 }
 
 /// Builds the registry holding every partitioner in the workspace (see the
@@ -75,7 +77,7 @@ pub fn builtin_registry() -> AlgorithmRegistry {
                 let ratio = c.param.ok_or_else(|| {
                     PipelineError::Spec("tlp-r requires a ratio (tlp-r=<R>)".to_string())
                 })?;
-                run_partitioner(&EdgeRatioLocalPartitioner::new(tlp_config(c), ratio)?, s, p)
+                run_partitioner(&tlp_family(c, StageSwitch::EdgeRatio(ratio)), s, p)
             },
         },
         AlgorithmEntry {
@@ -83,26 +85,14 @@ pub fn builtin_registry() -> AlgorithmRegistry {
             label: "StageI-only",
             capability: RandomAccess,
             param: ParamSpec::None,
-            run: |c, s, p| {
-                run_partitioner(
-                    &EdgeRatioLocalPartitioner::stage_one_only(tlp_config(c)),
-                    s,
-                    p,
-                )
-            },
+            run: |c, s, p| run_partitioner(&tlp_family(c, StageSwitch::StageOneOnly), s, p),
         },
         AlgorithmEntry {
             name: "stage2",
             label: "StageII-only",
             capability: RandomAccess,
             param: ParamSpec::None,
-            run: |c, s, p| {
-                run_partitioner(
-                    &EdgeRatioLocalPartitioner::stage_two_only(tlp_config(c)),
-                    s,
-                    p,
-                )
-            },
+            run: |c, s, p| run_partitioner(&tlp_family(c, StageSwitch::StageTwoOnly), s, p),
         },
         AlgorithmEntry {
             name: "ne",
@@ -217,7 +207,7 @@ pub fn seeded_streaming_placer<'a>(
 mod tests {
     use super::*;
     use tlp_baselines::{EdgeOrder, StreamingPartitioner};
-    use tlp_core::{EdgePartitioner, PartitionMetrics, TwoStageLocalPartitioner};
+    use tlp_core::{EdgePartitioner, PartitionMetrics};
     use tlp_graph::generators::chung_lu;
     use tlp_graph::CsrSource;
 
@@ -252,6 +242,7 @@ mod tests {
         let g = chung_lu(300, 1200, 2.2, 5);
         let seed = 7;
         let tlp = TlpConfig::new().seed(seed);
+        let tlp_family = |switch| TwoStageLocalPartitioner::new(tlp.stage_switch(switch));
         let metis = MetisPartitioner::new(MetisConfig {
             seed,
             ..MetisConfig::default()
@@ -267,16 +258,10 @@ mod tests {
             ("tlp", Box::new(TwoStageLocalPartitioner::new(tlp))),
             (
                 "tlp-r=0.3",
-                Box::new(EdgeRatioLocalPartitioner::new(tlp, 0.3).expect("valid ratio")),
+                Box::new(tlp_family(StageSwitch::EdgeRatio(0.3))),
             ),
-            (
-                "stage1",
-                Box::new(EdgeRatioLocalPartitioner::stage_one_only(tlp)),
-            ),
-            (
-                "stage2",
-                Box::new(EdgeRatioLocalPartitioner::stage_two_only(tlp)),
-            ),
+            ("stage1", Box::new(tlp_family(StageSwitch::StageOneOnly))),
+            ("stage2", Box::new(tlp_family(StageSwitch::StageTwoOnly))),
             ("ne", Box::new(NePartitioner::new(seed))),
             ("metis", Box::new(metis)),
             (

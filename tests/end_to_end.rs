@@ -5,8 +5,7 @@ use tlp::baselines::{
     EdgeOrder, FennelPartitioner, LdgPartitioner, StreamingKind, StreamingPartitioner, VertexOrder,
 };
 use tlp::core::{
-    EdgePartitioner, EdgeRatioLocalPartitioner, PartitionMetrics, TlpConfig,
-    TwoStageLocalPartitioner,
+    EdgePartitioner, PartitionMetrics, StageSwitch, TlpConfig, TwoStageLocalPartitioner,
 };
 use tlp::datasets::{DatasetId, DatasetSpec};
 use tlp::metis::MetisPartitioner;
@@ -16,11 +15,15 @@ fn full_lineup() -> Vec<Box<dyn EdgePartitioner>> {
     let streaming = |kind, order| Box::new(StreamingPartitioner { kind, order, seed });
     vec![
         Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(seed))),
-        Box::new(EdgeRatioLocalPartitioner::stage_one_only(
-            TlpConfig::new().seed(seed),
+        Box::new(TwoStageLocalPartitioner::new(
+            TlpConfig::new()
+                .seed(seed)
+                .stage_switch(StageSwitch::StageOneOnly),
         )),
-        Box::new(EdgeRatioLocalPartitioner::stage_two_only(
-            TlpConfig::new().seed(seed),
+        Box::new(TwoStageLocalPartitioner::new(
+            TlpConfig::new()
+                .seed(seed)
+                .stage_switch(StageSwitch::StageTwoOnly),
         )),
         Box::new(MetisPartitioner::default()),
         Box::new(LdgPartitioner::new(VertexOrder::Random(seed))),
@@ -107,13 +110,17 @@ fn two_stage_is_at_least_as_good_as_the_worse_single_stage() {
     };
     let tlp = mean_rf(&|s| Box::new(TwoStageLocalPartitioner::new(TlpConfig::new().seed(s))));
     let s1 = mean_rf(&|s| {
-        Box::new(EdgeRatioLocalPartitioner::stage_one_only(
-            TlpConfig::new().seed(s),
+        Box::new(TwoStageLocalPartitioner::new(
+            TlpConfig::new()
+                .seed(s)
+                .stage_switch(StageSwitch::StageOneOnly),
         ))
     });
     let s2 = mean_rf(&|s| {
-        Box::new(EdgeRatioLocalPartitioner::stage_two_only(
-            TlpConfig::new().seed(s),
+        Box::new(TwoStageLocalPartitioner::new(
+            TlpConfig::new()
+                .seed(s)
+                .stage_switch(StageSwitch::StageTwoOnly),
         ))
     });
     // 1% relative slack: the two-stage run is statistically tied with the

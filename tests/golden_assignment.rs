@@ -12,10 +12,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use tlp::baselines::NePartitioner;
-use tlp::core::engine::{self, ModularitySwitch, ScanPolicy};
-use tlp::core::{
-    EdgePartition, EdgePartitioner, EdgeRatioLocalPartitioner, TlpConfig, TwoStageLocalPartitioner,
-};
+use tlp::core::engine::{self, ScanPolicy};
+use tlp::core::{EdgePartition, EdgePartitioner, StageSwitch, TlpConfig, TwoStageLocalPartitioner};
 use tlp::graph::generators::{chung_lu, genealogy};
 use tlp::graph::CsrGraph;
 
@@ -93,23 +91,20 @@ fn tlp_indexed_heap_matches_golden() {
 #[test]
 fn tlp_linear_scan_matches_golden() {
     let config = TlpConfig::new().seed(42);
-    let (partition, _) = engine::run(
-        &chung_lu_graph(),
-        8,
-        &config,
-        &mut ScanPolicy::new(ModularitySwitch),
-    )
-    .expect("TLP scan failed");
+    let partition =
+        engine::run(&chung_lu_graph(), 8, &config, &mut ScanPolicy).expect("TLP scan failed");
     check_golden_partition("tlp_linear_chung_lu.txt", "TLP", &partition);
 }
 
 #[test]
 fn tlp_r_matches_golden() {
-    let config = TlpConfig::new().seed(42);
+    let config = TlpConfig::new()
+        .seed(42)
+        .stage_switch(StageSwitch::EdgeRatio(0.2));
     check_golden(
         "tlp_r_chung_lu.txt",
         &chung_lu_graph(),
-        &EdgeRatioLocalPartitioner::new(config, 0.2).unwrap(),
+        &TwoStageLocalPartitioner::new(config),
         8,
     );
 }

@@ -9,7 +9,7 @@
 //! bit-identical assignments; the triangle table is additionally checked
 //! against the merge counter on real adjacency.
 
-use tlp::core::engine::{self, ModularitySwitch, ScanPolicy};
+use tlp::core::engine::{self, ScanPolicy};
 use tlp::core::{
     EdgePartition, EdgePartitioner, ReseedPolicy, TlpConfig, TwoStageLocalPartitioner,
 };
@@ -38,9 +38,7 @@ fn generator_zoo() -> Vec<(&'static str, CsrGraph)> {
 
 /// The reference run: Algorithm 1's frontier scan through the engine.
 fn run_scan(graph: &CsrGraph, p: usize, config: &TlpConfig) -> EdgePartition {
-    engine::run(graph, p, config, &mut ScanPolicy::new(ModularitySwitch))
-        .expect("partitioning failed")
-        .0
+    engine::run(graph, p, config, &mut ScanPolicy).expect("partitioning failed")
 }
 
 /// The production run: the lazy-heap selector behind the public API.

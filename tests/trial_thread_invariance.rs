@@ -1,11 +1,16 @@
 //! Thread-count invariance of the parallel trial runner.
 //!
-//! PR 1 promised that `--threads` is a throughput knob only: the winning
-//! trial (ties broken by lowest trial index), its partition, and the full
-//! per-trial RF vector are a function of the seed matrix alone. This pins
-//! that promise over a seed × trials matrix at 1 vs. N worker threads.
+//! `--threads` is a throughput knob only: the winning trial (ties broken
+//! by lowest trial index), its partition, and the full per-trial RF vector
+//! are a function of the seed matrix alone. This pins that promise over a
+//! seed × trials × stage-switch matrix at 1 vs. N worker threads, and pins
+//! trial 0 to the plain single run under every switch, since the race
+//! serves every TLP-family switch through one path.
 
-use tlp::core::{ParallelTrialRunner, TlpConfig};
+use tlp::core::{
+    EdgePartitioner, ParallelTrialRunner, PartitionMetrics, StageSwitch, TlpConfig,
+    TwoStageLocalPartitioner,
+};
 use tlp::graph::generators::{chung_lu, rmat, RmatProbabilities};
 use tlp::graph::CsrGraph;
 
@@ -16,24 +21,39 @@ fn graphs() -> Vec<(&'static str, CsrGraph)> {
     ]
 }
 
+const SWITCHES: [StageSwitch; 2] = [StageSwitch::Modularity, StageSwitch::EdgeRatio(0.3)];
+
 #[test]
 fn trial_results_are_invariant_under_thread_count() {
     for (name, graph) in graphs() {
-        for seed in [0u64, 7, 42] {
-            for trials in [2usize, 5] {
-                let base = TlpConfig::new().seed(seed).trials(trials);
-                let single = ParallelTrialRunner::new(base.threads(1))
-                    .run(&graph, 6)
-                    .expect("single-threaded run failed");
-                for threads in [2usize, 4, 0] {
-                    let multi = ParallelTrialRunner::new(base.threads(threads))
+        for switch in SWITCHES {
+            for seed in [0u64, 7, 42] {
+                let config = TlpConfig::new().seed(seed).stage_switch(switch);
+                let plain = TwoStageLocalPartitioner::new(config)
+                    .partition(&graph, 6)
+                    .expect("plain run failed");
+                let plain_rf = PartitionMetrics::compute(&graph, &plain).replication_factor;
+                for trials in [2usize, 5] {
+                    let base = config.trials(trials);
+                    let single = ParallelTrialRunner::new(base.threads(1))
                         .run(&graph, 6)
-                        .expect("multi-threaded run failed");
-                    let label = format!("{name} seed={seed} trials={trials} threads={threads}");
-                    assert_eq!(single.best_trial, multi.best_trial, "{label}: winner");
-                    assert_eq!(single.partition, multi.partition, "{label}: partition");
-                    assert_eq!(single.trial_rfs, multi.trial_rfs, "{label}: RF vector");
+                        .expect("single-threaded run failed");
+                    let label = format!("{name} {switch:?} seed={seed} trials={trials}");
+                    assert_eq!(single.trial_rfs[0], plain_rf, "{label}: trial 0");
+                    for threads in [2usize, 4, 0] {
+                        let multi = ParallelTrialRunner::new(base.threads(threads))
+                            .run(&graph, 6)
+                            .expect("multi-threaded run failed");
+                        let label = format!("{label} threads={threads}");
+                        assert_eq!(single.best_trial, multi.best_trial, "{label}: winner");
+                        assert_eq!(single.partition, multi.partition, "{label}: partition");
+                        assert_eq!(single.trial_rfs, multi.trial_rfs, "{label}: RF vector");
+                    }
                 }
+                let one = ParallelTrialRunner::new(config)
+                    .run(&graph, 6)
+                    .expect("one-trial run failed");
+                assert_eq!(one.partition, plain, "{name} {switch:?} seed={seed}");
             }
         }
     }
