@@ -1,50 +1,10 @@
-//! Frontier enrollment plus the staged selection functions (linear-scan
-//! reference and lazy-heap indexed, for both stages).
-//!
-//! Admission is lazy, as in Algorithm 1: [`enroll_frontier_edge`] bumps a
-//! candidate's `e_in` per residual edge into the partition, and the
-//! candidate's edges are allocated only when it is selected.
+//! The staged selection functions: the linear-scan reference and the
+//! indexed versions over [`StagedIndex`], for both stages.
 
-use super::policy::SelectionPolicy;
 use super::workspace::{StagedIndex, Workspace};
 use crate::stage2::GainRatio;
 use std::cmp::Reverse;
-use tlp_graph::{GraphView, ResidualGraph, VertexId};
-
-/// Registers one new residual edge from frontier candidate `u` into the
-/// partition: bumps `e_in`, inserting `u` (and computing its initial Stage I
-/// score against all current member neighbors) if it was not yet a
-/// candidate. Notifies the policy of the refreshed state.
-pub(super) fn enroll_frontier_edge<P: SelectionPolicy + ?Sized>(
-    graph: GraphView<'_>,
-    triangles: &[u32],
-    residual: &ResidualGraph<'_>,
-    ws: &mut Workspace,
-    policy: &mut P,
-    k: u32,
-    u: VertexId,
-) {
-    let ui = u as usize;
-    debug_assert_ne!(ws.member_round[ui], k, "members cannot be candidates");
-    if ws.in_frontier[ui] {
-        ws.e_in[ui] += 1;
-    } else {
-        ws.in_frontier[ui] = true;
-        ws.frontier_pos[ui] = ws.frontier.len() as u32;
-        ws.frontier.push(u);
-        ws.e_in[ui] = 1;
-        // Initial mu_s1: max closeness term against members already adjacent
-        // (static adjacency — including edges consumed by earlier rounds),
-        // each term's numerator read from the triangle table by edge id.
-        ws.mu1[ui] = 0.0;
-        for (w, e) in graph.incident(u) {
-            if ws.member_round[w as usize] == k {
-                ws.refresh_mu1(u, triangles[e as usize], graph.degree(w));
-            }
-        }
-    }
-    policy.on_candidate(ws, residual, u, k);
-}
+use tlp_graph::{ResidualGraph, VertexId};
 
 type StageOneKey = (f64, u32, usize);
 
@@ -73,24 +33,22 @@ pub(super) fn select_stage_one_scan(ws: &Workspace, residual: &ResidualGraph<'_>
     best
 }
 
-/// Stage I selection via the lazy max-heap: pop until the top entry matches
-/// the candidate's current `(mu1, e_in)` state.
+/// Stage I selection via the indexed max-heap: its top is the argmax, as
+/// every candidate's entry is kept current.
 pub(super) fn select_stage_one_heap(
     index: &mut StagedIndex,
     ws: &Workspace,
     residual: &ResidualGraph<'_>,
 ) -> VertexId {
-    while let Some(entry) = index.stage1_heap.pop() {
-        let vi = entry.vertex as usize;
-        if ws.in_frontier[vi]
-            && ws.e_in[vi] == entry.e_in
-            && ws.mu1[vi].total_cmp(&entry.mu1).is_eq()
-        {
-            debug_assert_eq!(residual.residual_degree(entry.vertex) as u32, entry.res_deg);
-            return entry.vertex;
-        }
-    }
-    unreachable!("frontier non-empty but stage-1 heap exhausted");
+    let entry = index
+        .stage1_heap
+        .pop()
+        .expect("frontier non-empty but stage-1 heap exhausted");
+    let vi = entry.vertex as usize;
+    debug_assert!(ws.in_frontier[vi] && ws.e_in[vi] == entry.e_in);
+    debug_assert!(ws.mu1[vi].total_cmp(&entry.mu1).is_eq());
+    debug_assert_eq!(residual.residual_degree(entry.vertex) as u32, entry.res_deg);
+    entry.vertex
 }
 
 type StageTwoKey = (GainRatio, u32, Reverse<usize>);
@@ -142,7 +100,7 @@ pub(super) fn select_stage_two_heap(
     internal: usize,
     external: usize,
 ) -> VertexId {
-    let mut best: Option<(StageTwoKey, VertexId)> = None;
+    let mut best: Option<(StageTwoKey, VertexId, usize)> = None;
     for bi in 0..index.active_buckets.len() {
         let bucket = index.active_buckets[bi] as usize;
         // Drop stale tops: an entry is valid iff the vertex is still a
@@ -157,6 +115,7 @@ pub(super) fn select_stage_two_heap(
                         break Some(v);
                     }
                     index.stage2_buckets[bucket].pop();
+                    index.stale += 1;
                 }
             }
         };
@@ -164,11 +123,15 @@ pub(super) fn select_stage_two_heap(
         let key = stage_two_key(ws, residual, internal, external, v);
         let better = match &best {
             None => true,
-            Some((bk, bv)) => key > *bk || (key == *bk && v < *bv),
+            Some((bk, bv, _)) => key > *bk || (key == *bk && v < *bv),
         };
         if better {
-            best = Some((key, v));
+            best = Some((key, v, bucket));
         }
     }
-    best.expect("frontier non-empty but no stage-2 candidate").1
+    let (_, v, bucket) = best.expect("frontier non-empty but no stage-2 candidate");
+    // The winner leaves the frontier: drop its entry now rather than as a
+    // stale top later.
+    index.stage2_buckets[bucket].pop();
+    v
 }

@@ -10,7 +10,7 @@
 //!   into the partition, each carrying
 //!   - `e_in`: residual edges into the partition (Stage II input), and
 //!   - `mu1`: the running maximum of Eq. 7's closeness term (Stage I
-//!     input), updated incrementally as members join;
+//!     input), folded in as members join;
 //! * exact integer counts of internal and external edges (the modularity).
 //!
 //! Admission is lazy: an edge is allocated when its second endpoint joins
@@ -21,33 +21,42 @@
 //! that stage's argmax. The NE baseline (`tlp-baselines`) grows partitions
 //! too, but by eager admission, in its own loop.
 //!
+//! # Admission
+//!
+//! Admitting `v` is one walk over its static neighbours. A member
+//! neighbour's free edge is allocated. Every non-member neighbour `u`,
+//! candidate or not, folds `v`'s closeness term into `mu1[u]`, and if the
+//! edge is free, `u` enrolls (its `e_in` rises, or it joins the
+//! frontier). Eq. 7 scores a candidate `u` by `max |N(u) ∩ N(w)| / |N(w)|`
+//! over its member neighbours `w`; each numerator is the triangle count
+//! of the edge `(u, w)`, which depends on the input graph alone, so the
+//! run reads it from a per-edge triangle table built once per graph (and
+//! shared by every trial of a
+//! [`ParallelTrialRunner`](crate::ParallelTrialRunner)) instead of
+//! intersecting adjacency lists. `mu1` is stamped with the round, so a
+//! vertex joining the frontier already holds the maximum over every member
+//! adjacent to it and enrollment walks nothing; a maximum does not depend
+//! on the order of its terms, so the scores are Eq. 7's exact values.
+//!
 //! # Frontier selection
 //!
-//! [`StagedPolicy`] locates the stage's argmax with lazy heaps: a max-heap
-//! over the Stage I key, plus one min-heap on `e_ext` per `e_in` value for
-//! Stage II. The latter is sound because a frontier candidate's residual
+//! [`StagedPolicy`] keeps an index of the live stage only (the stage of
+//! the latest selection) and rebuilds it from the frontier on a round's
+//! first selection and whenever the stage changes. Stage I's index is an
+//! indexed max-heap with one entry per candidate: a candidate's residual
 //! degree never changes while it waits (its edges are only consumed when
-//! it joins), so `e_in` grows monotonically, `e_ext = residual_degree -
-//! e_in` shrinks monotonically, and the Stage II objective is increasing
-//! in `e_in` / decreasing in `e_ext` — the bucket minimum is the only
-//! candidate of its `e_in` class that can win. Stale entries are dropped
-//! when they reach the top.
+//! it joins), and within a round its `mu1` and `e_in` only rise, so its
+//! key only rises and is raised in place. Stage II's index is one lazy
+//! min-heap on `e_ext` per `e_in` value: `e_ext = residual_degree - e_in`
+//! shrinks monotonically and the Stage II objective is increasing in
+//! `e_in` / decreasing in `e_ext`, so the bucket minimum is the only
+//! candidate of its `e_in` class that can win. A bucket's stale entries
+//! are dropped when they reach its top.
 //!
 //! [`ScanPolicy`] is the reference: it scans the whole frontier per step,
 //! exactly as Algorithm 1 is written (`O(|N(P_k)|)` per step). The two
 //! compute the identical argmax, ties included, and therefore identical
 //! partitions; tests pin that by running both through [`run`].
-//!
-//! Under either policy, Stage I scores (`mu1`) are maintained
-//! incrementally by `Workspace::refresh_mu1`: when a member is admitted,
-//! only frontier vertices adjacent to it are rescored. Eq. 7 scores a
-//! candidate `u` by `max |N(u) ∩ N(w)| / |N(w)|` over its member
-//! neighbors `w`; each numerator is the triangle count of the edge
-//! `(u, w)`, which depends on the input graph alone, so the run reads it
-//! from a per-edge triangle table built once per graph (and shared by
-//! every trial of a [`ParallelTrialRunner`](crate::ParallelTrialRunner))
-//! instead of intersecting adjacency lists. Both policies see the exact
-//! Eq. 7 scores.
 //!
 //! All ties are broken by explicit deterministic keys, so results are
 //! reproducible across runs and platforms.

@@ -1,6 +1,7 @@
 //! The sealed [`SelectionPolicy`] trait — "which frontier vertex joins
 //! next" — and its two implementations: the production [`StagedPolicy`]
-//! (lazy heaps) and the reference [`ScanPolicy`] (full frontier scans).
+//! (an index of the live stage) and the reference [`ScanPolicy`] (full
+//! frontier scans).
 //! The engine decides the stage from the config's
 //! [`StageSwitch`](crate::StageSwitch); a policy only finds that stage's
 //! argmax.
@@ -27,16 +28,16 @@ use tlp_graph::{ResidualGraph, VertexId};
 /// impl tlp_core::engine::SelectionPolicy for Mine {}
 /// ```
 pub trait SelectionPolicy: sealed::Sealed {
-    /// Observes that `v` is a (new or refreshed) frontier candidate; the
-    /// workspace already holds its up-to-date `e_in`/`mu1` state. Called
-    /// once per state change, so lazy-heap policies can push an entry per
-    /// call and invalidate stale ones at pop time.
+    /// Observes that frontier candidate `v` is new or its state rose:
+    /// its `e_in` when `e_in_rose`, otherwise only its `mu1`. The
+    /// workspace already holds the final state of the admission that
+    /// changed it; each admission notifies a candidate at most once.
     fn on_candidate(
         &mut self,
         ws: &Workspace,
         residual: &ResidualGraph<'_>,
         v: VertexId,
-        round: u32,
+        e_in_rose: bool,
     );
 
     /// Picks `stage`'s best vertex from a non-empty frontier of a
@@ -50,7 +51,8 @@ pub trait SelectionPolicy: sealed::Sealed {
         external: usize,
     ) -> VertexId;
 
-    /// Hook run after each round; policies drop per-round entries here.
+    /// Hook run after each round, inside its `round` span; policies drop
+    /// per-round entries and flush per-round counters here.
     fn end_round(&mut self) {}
 }
 
@@ -62,9 +64,16 @@ mod sealed {
     impl Sealed for super::ScanPolicy {}
 }
 
-/// The TLP-family selection policy: lazy heaps locate the stage's argmax
-/// without scanning the frontier (the same vertex [`ScanPolicy`] picks,
-/// ties included).
+/// The TLP-family selection policy: an index of the live stage locates its
+/// argmax without scanning the frontier (the same vertex [`ScanPolicy`]
+/// picks, ties included).
+///
+/// Only the stage that made the latest selection keeps a structure: an
+/// indexed max-heap for Stage I, updated in place as keys rise, or lazy
+/// per-`e_in` buckets for Stage II, whose stale entries are dropped when
+/// they reach a bucket's top. A selection in the other stage (and a
+/// round's first selection) rebuilds that stage's structure from the
+/// frontier.
 #[derive(Default)]
 pub struct StagedPolicy {
     index: StagedIndex,
@@ -76,9 +85,9 @@ impl SelectionPolicy for StagedPolicy {
         ws: &Workspace,
         residual: &ResidualGraph<'_>,
         v: VertexId,
-        round: u32,
+        e_in_rose: bool,
     ) {
-        self.index.push_candidate_state(ws, residual, v, round);
+        self.index.on_candidate(ws, residual, v, e_in_rose);
     }
 
     fn select(
@@ -89,6 +98,7 @@ impl SelectionPolicy for StagedPolicy {
         internal: usize,
         external: usize,
     ) -> VertexId {
+        self.index.make_live(ws, residual, stage);
         match stage {
             Stage::One => frontier::select_stage_one_heap(&mut self.index, ws, residual),
             Stage::Two => {
@@ -98,7 +108,7 @@ impl SelectionPolicy for StagedPolicy {
     }
 
     fn end_round(&mut self) {
-        self.index.clear();
+        self.index.end_round();
     }
 }
 
@@ -115,7 +125,7 @@ impl SelectionPolicy for ScanPolicy {
         _ws: &Workspace,
         _residual: &ResidualGraph<'_>,
         _v: VertexId,
-        _round: u32,
+        _e_in_rose: bool,
     ) {
     }
 

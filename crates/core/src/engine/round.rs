@@ -1,11 +1,10 @@
 //! The seed -> grow -> allocate loop (Algorithm 1 of the paper), generic
 //! over the [`SelectionPolicy`] that scores and picks frontier vertices.
 
-use super::frontier::enroll_frontier_edge;
 use super::policy::SelectionPolicy;
 use super::triangle_table;
 use super::workspace::Workspace;
-use crate::checkpoint::EngineCheckpoint;
+use crate::checkpoint::{graph_fingerprint, EngineCheckpoint};
 use crate::config::{capacity, ReseedPolicy, TlpConfig};
 use crate::partition::{EdgePartition, PartitionId};
 use crate::trace::{SelectionRecord, Trace};
@@ -99,7 +98,7 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
             (assignment, StdRng::seed_from_u64(config.seed_value()), 0u32)
         }
         Some(ckpt) => {
-            ckpt.validate_for(n, m, num_partitions, config.seed_value())?;
+            ckpt.validate_for(graph, num_partitions, config)?;
             for (e, &alloc) in ckpt.allocated.iter().enumerate() {
                 if alloc {
                     residual.allocate(e as tlp_graph::EdgeId);
@@ -122,6 +121,8 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
         }
     };
     debug_assert_eq!(triangles.len(), m);
+    // Bound into every snapshot; a plain run never computes it.
+    let fingerprint = sink.is_some().then(|| graph_fingerprint(graph));
 
     for k in start_round..num_partitions as u32 {
         if residual.is_exhausted() {
@@ -144,6 +145,8 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
             let _checkpoint_span = tlp_obs::span("checkpoint");
             let snapshot = EngineCheckpoint {
                 seed: config.seed_value(),
+                stage_switch: config.stage_switch_value(),
+                reseed_policy: config.reseed_policy_value(),
                 num_partitions,
                 next_round: k + 1,
                 rng_state: rng.state(),
@@ -153,6 +156,7 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
                     .collect(),
                 num_vertices: n,
                 num_edges: m,
+                graph_fingerprint: fingerprint.expect("computed when a sink is set"),
             };
             sink(&snapshot)?;
         }
@@ -210,6 +214,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
     let mut external = 0usize;
     let mut step = 0u32;
     ws.scoring_terms = 0;
+    ws.adjacency_steps = 0;
 
     // Line 1-3: random seed vertex; its neighbors form the frontier.
     seed_vertex(
@@ -289,6 +294,7 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         tlp_obs::counter("round.select", u64::from(step));
         tlp_obs::counter("round.edges", internal as u64);
         tlp_obs::counter("scoring.terms", ws.scoring_terms);
+        tlp_obs::counter("admit.adjacency", ws.adjacency_steps);
     }
     ws.frontier_clear();
     policy.end_round();
@@ -317,10 +323,16 @@ fn seed_vertex<P: SelectionPolicy + ?Sized>(
     }
 }
 
-/// Moves `v` from the frontier into the partition: allocates all residual
-/// edges between `v` and members, updates the modularity counters, enrolls
-/// `v`'s remaining residual neighbors, and refreshes Stage I scores of
-/// frontier candidates adjacent to `v`.
+/// Moves `v` from the frontier into the partition in one walk of its
+/// static neighbours: allocates the residual edges between `v` and members,
+/// folds `v`'s Stage I term into every non-member neighbour, enrolls the
+/// far endpoints of `v`'s remaining residual edges, and keeps the
+/// modularity counters.
+///
+/// Folding into every non-member (candidate or not) is what lets
+/// enrollment walk nothing: when a vertex later joins the frontier, its
+/// `mu1` already holds the maximum over all members adjacent to it, the
+/// same value whatever order the members were admitted in.
 #[allow(clippy::too_many_arguments)]
 fn admit_vertex<P: SelectionPolicy + ?Sized>(
     graph: GraphView<'_>,
@@ -340,47 +352,40 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
     }
     ws.member_round[v as usize] = k;
 
-    // Allocate edges v -> members (they were external; now internal).
-    ws.incident_scratch.clear();
-    ws.incident_scratch.extend(residual.residual_incident(v));
+    let dv = graph.degree(v);
+    ws.adjacency_steps += dv as u64;
     let mut absorbed = 0usize;
-    for i in 0..ws.incident_scratch.len() {
-        let (u, eid) = ws.incident_scratch[i];
+    for (u, e) in graph.incident(v) {
+        let free = residual.is_free(e);
         if ws.member_round[u as usize] == k {
-            residual.allocate(eid);
-            assignment[eid as usize] = k;
-            absorbed += 1;
+            // An edge to a member: it was external, now it is internal.
+            if free {
+                residual.allocate(e);
+                assignment[e as usize] = k;
+                absorbed += 1;
+            }
+            continue;
+        }
+        let rose = ws.refresh_mu1(u, triangles[e as usize], dv, k);
+        if free {
+            // A residual edge to a non-member becomes external; its far
+            // endpoint joins (or strengthens) the frontier.
+            *external += 1;
+            ws.enroll_frontier_edge(u);
+            policy.on_candidate(ws, residual, u, true);
+        } else if rose && ws.in_frontier[u as usize] {
+            policy.on_candidate(ws, residual, u, false);
         }
     }
     *internal += absorbed;
     *external -= absorbed;
-
-    // Remaining residual edges of v become external; their far endpoints
-    // join (or strengthen) the frontier.
-    ws.incident_scratch.clear();
-    ws.incident_scratch.extend(residual.residual_incident(v));
-    *external += ws.incident_scratch.len();
-    for i in 0..ws.incident_scratch.len() {
-        let (u, _) = ws.incident_scratch[i];
-        enroll_frontier_edge(graph, triangles, residual, ws, policy, k, u);
-    }
-
-    // Incremental Stage I refresh: v is a new member, so every frontier
-    // candidate statically adjacent to v gains a candidate term. Candidates
-    // enrolled moments ago already folded this term in, so only previously
-    // existing candidates can improve.
-    let dv = graph.degree(v);
-    for (u, e) in graph.incident(v) {
-        if ws.in_frontier[u as usize] && ws.refresh_mu1(u, triangles[e as usize], dv) {
-            policy.on_candidate(ws, residual, u, k);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::{ScanPolicy, StagedPolicy};
     use super::*;
+    use crate::trace::Stage;
     use crate::StageSwitch;
     use tlp_graph::{CsrGraph, GraphBuilder};
 
@@ -529,6 +534,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A round that leaves Stage II and later re-enters it makes the
+    /// staged index rebuild its Stage II buckets twice in one round (the
+    /// case that needs `StagedIndex::clear` to unlist every bucket). The
+    /// indexed run must still equal the scan.
+    #[test]
+    fn indexed_selection_equals_linear_scan_across_repeated_stage_switches() {
+        let graph = tlp_graph::generators::erdos_renyi(200, 600, 0);
+        let p = 4;
+        let config = TlpConfig::new().seed(1);
+        let mut trace = Trace::new();
+        let extras = RunExtras {
+            trace: Some(&mut trace),
+            ..RunExtras::default()
+        };
+        let heap = run_engine(&graph, p, &config, &mut StagedPolicy::default(), extras).unwrap();
+        // Per round, how many times Stage II starts picking.
+        let stage_two_entries = |k: u32| {
+            let mut previous = None;
+            let mut entries = 0;
+            for r in trace.records().iter().filter(|r| r.partition == k) {
+                if r.stage == Stage::Two && previous != Some(Stage::Two) {
+                    entries += 1;
+                }
+                previous = Some(r.stage);
+            }
+            entries
+        };
+        let most = (0..p as u32).map(stage_two_entries).max().unwrap();
+        assert!(
+            most >= 2,
+            "no round re-enters Stage II (most entries: {most})"
+        );
+        assert_eq!(heap, run(&graph, p, &config, &mut ScanPolicy).unwrap());
     }
 
     /// Same equivalence for the TLP_R stage policy across the R sweep.

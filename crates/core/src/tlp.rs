@@ -79,17 +79,17 @@ impl TwoStageLocalPartitioner {
     /// snapshot; when `sink` is given, it receives an [`EngineCheckpoint`]
     /// after each completed round. A resumed run produces the exact
     /// partition the uninterrupted run with the same seed would have (the
-    /// resume bit-identity tests pin this). A snapshot records the seed
-    /// and the graph's shape but neither the stage switch nor the reseed
-    /// policy, so a resume must run under the config the snapshot was
-    /// taken with. Multi-trial racing (`config.trials() > 1`) is a
+    /// resume bit-identity tests pin this). A snapshot records the seed,
+    /// the stage switch, the reseed policy and a fingerprint of the graph,
+    /// so a resume under another config or graph fails. Multi-trial racing (`config.trials() > 1`) is a
     /// different execution model and is not checkpointable; this method
     /// always runs one trial with the configured seed.
     ///
     /// # Errors
     ///
-    /// [`PartitionError::Checkpoint`] if `resume` does not match this
-    /// graph/config, plus everything [`EdgePartitioner::partition`] returns.
+    /// [`PartitionError::Checkpoint`] if `resume` was taken on another
+    /// graph or under another seed, partition count, stage switch or
+    /// reseed policy, plus everything [`EdgePartitioner::partition`] returns.
     pub fn partition_with_checkpoints<'g>(
         &self,
         graph: impl Into<GraphView<'g>>,
@@ -146,7 +146,7 @@ impl EdgePartitioner for TwoStageLocalPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PartitionMetrics, Stage};
+    use crate::{PartitionMetrics, ReseedPolicy, Stage};
     use tlp_graph::generators::{chung_lu, erdos_renyi};
 
     fn tlp_r(seed: u64, ratio: f64) -> TwoStageLocalPartitioner {
@@ -266,6 +266,77 @@ mod tests {
                 part.edge_counts().iter().sum::<usize>(),
                 g.num_edges(),
                 "R = {r}"
+            );
+        }
+    }
+
+    /// Snapshots of one run, one per completed round.
+    fn checkpoints_of(
+        tlp: &TwoStageLocalPartitioner,
+        g: &tlp_graph::CsrGraph,
+        p: usize,
+    ) -> Vec<EngineCheckpoint> {
+        let mut checkpoints = Vec::new();
+        let mut sink = |ckpt: &EngineCheckpoint| {
+            checkpoints.push(ckpt.clone());
+            Ok(())
+        };
+        tlp.partition_with_checkpoints(g, p, None, Some(&mut sink))
+            .unwrap();
+        checkpoints
+    }
+
+    #[test]
+    fn resume_under_another_switch_reseed_policy_or_graph_fails() {
+        let g = chung_lu(300, 1200, 2.2, 5);
+        let config = TlpConfig::new().seed(21);
+        let tlp = TwoStageLocalPartitioner::new(config);
+        let checkpoints = checkpoints_of(&tlp, &g, 4);
+        let mid = &checkpoints[1];
+        assert_eq!(mid.stage_switch, StageSwitch::Modularity);
+        assert_eq!(mid.reseed_policy, ReseedPolicy::Reseed);
+
+        let resume_err = |tlp: &TwoStageLocalPartitioner, g: &tlp_graph::CsrGraph| match tlp
+            .partition_with_checkpoints(g, 4, Some(mid), None)
+        {
+            Err(PartitionError::Checkpoint(message)) => message,
+            other => panic!("resume should fail with a checkpoint error, got {other:?}"),
+        };
+        let other_switch =
+            TwoStageLocalPartitioner::new(config.stage_switch(StageSwitch::EdgeRatio(0.3)));
+        assert!(resume_err(&other_switch, &g).contains("stage switch"));
+        let other_reseed = TwoStageLocalPartitioner::new(config.reseed_policy(ReseedPolicy::Break));
+        assert!(resume_err(&other_reseed, &g).contains("reseed policy"));
+
+        // Same vertex and edge counts, different edges.
+        let other_graph = chung_lu(300, 1200, 2.2, 6);
+        assert_eq!(other_graph.num_vertices(), g.num_vertices());
+        assert_eq!(other_graph.num_edges(), g.num_edges());
+        assert!(resume_err(&tlp, &other_graph).contains("graph fingerprint"));
+
+        // The matching run still resumes to the uninterrupted result.
+        assert_eq!(
+            tlp.partition_with_checkpoints(&g, 4, Some(mid), None)
+                .unwrap(),
+            tlp.partition(&g, 4).unwrap()
+        );
+    }
+
+    #[test]
+    fn snapshots_record_the_run_they_came_from() {
+        let g = chung_lu(200, 900, 2.2, 6);
+        let config = TlpConfig::new()
+            .seed(3)
+            .stage_switch(StageSwitch::EdgeRatio(0.4))
+            .reseed_policy(ReseedPolicy::Break);
+        let checkpoints = checkpoints_of(&TwoStageLocalPartitioner::new(config), &g, 3);
+        assert!(!checkpoints.is_empty());
+        for ckpt in &checkpoints {
+            assert_eq!(ckpt.stage_switch, StageSwitch::EdgeRatio(0.4));
+            assert_eq!(ckpt.reseed_policy, ReseedPolicy::Break);
+            assert_eq!(
+                ckpt.graph_fingerprint,
+                crate::checkpoint::graph_fingerprint((&g).into())
             );
         }
     }

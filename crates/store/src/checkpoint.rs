@@ -4,13 +4,17 @@
 //! replaced atomically after every completed round:
 //!
 //! ```text
-//! magic      8 bytes  "TLPCKPT\x01"
+//! magic      8 bytes  "TLPCKPT\x02"
 //! seed       u64
 //! partitions u64
 //! next_round u32      (+ 4 reserved bytes)
 //! rng_state  4 x u64
 //! vertices   u64
 //! edges      u64      = m
+//! graph      u64      fingerprint of the edge list
+//! switch     u8       0 modularity, 1 edge ratio, 2 Stage I only, 3 Stage II only
+//! reseed     u8       0 reseed, 1 break (+ 6 reserved bytes)
+//! ratio      f64      the edge ratio R (0 for the other switches)
 //! assignment m x u32
 //! allocated  ceil(m/8) bytes, bit e = edge e assigned (LSB-first)
 //! checksum   u64      FNV-1a over everything above
@@ -22,6 +26,12 @@
 //! previous round's file; a torn or flipped file fails the trailing
 //! checksum and surfaces as a typed [`StoreError`], never as a bogus
 //! resume state.
+//!
+//! Format 1 (`TLPCKPT\x01`) did not record the stage switch, the reseed
+//! policy or the graph fingerprint, so nothing could check that a resume
+//! ran under the snapshot's own rules. Such files are rejected with
+//! [`StoreError::UnsupportedVersion`] `{ found: 1 }`: a checkpoint only
+//! shortens one interrupted run, and restarting that run is always sound.
 
 use crate::atomic::atomic_write;
 use crate::faults::FaultFile;
@@ -29,16 +39,53 @@ use crate::format::{check_magic, checksummed, le_u32, le_u64, seal};
 use crate::StoreError;
 use std::io::{Read, Write};
 use std::path::Path;
-use tlp_core::EngineCheckpoint;
+use tlp_core::{EngineCheckpoint, ReseedPolicy, StageSwitch};
 
 /// File name of the checkpoint inside a checkpoint directory.
 pub const CHECKPOINT_NAME: &str = "checkpoint.tlpc";
 
 /// Magic prefix of a checkpoint file.
-const CHECKPOINT_MAGIC: [u8; 8] = *b"TLPCKPT\x01";
+const CHECKPOINT_MAGIC: [u8; 8] = *b"TLPCKPT\x02";
+
+/// Magic prefix of a format-1 checkpoint file, which is no longer read.
+const CHECKPOINT_MAGIC_V1: [u8; 8] = *b"TLPCKPT\x01";
 
 /// Fixed-size prefix before the assignment array.
-const FIXED_LEN: usize = 8 + 8 + 8 + 4 + 4 + 32 + 8 + 8;
+const FIXED_LEN: usize = 8 + 8 + 8 + 4 + 4 + 32 + 8 + 8 + 8 + 8 + 8;
+
+/// The on-disk `(switch tag, ratio)` of a stage switch.
+fn encode_switch(switch: StageSwitch) -> (u8, f64) {
+    match switch {
+        StageSwitch::Modularity => (0, 0.0),
+        StageSwitch::EdgeRatio(ratio) => (1, ratio),
+        StageSwitch::StageOneOnly => (2, 0.0),
+        StageSwitch::StageTwoOnly => (3, 0.0),
+    }
+}
+
+fn decode_switch(tag: u8, ratio: f64) -> Result<StageSwitch, StoreError> {
+    Ok(match tag {
+        0 => StageSwitch::Modularity,
+        1 => StageSwitch::EdgeRatio(ratio),
+        2 => StageSwitch::StageOneOnly,
+        3 => StageSwitch::StageTwoOnly,
+        _ => {
+            return Err(StoreError::Corrupt(format!(
+                "checkpoint stage switch tag {tag}"
+            )))
+        }
+    })
+}
+
+fn decode_reseed(tag: u8) -> Result<ReseedPolicy, StoreError> {
+    match tag {
+        0 => Ok(ReseedPolicy::Reseed),
+        1 => Ok(ReseedPolicy::Break),
+        _ => Err(StoreError::Corrupt(format!(
+            "checkpoint reseed policy tag {tag}"
+        ))),
+    }
+}
 
 /// Serialized byte length of `ckpt`.
 fn encoded_len(num_edges: usize) -> usize {
@@ -66,6 +113,14 @@ pub fn write_checkpoint(dir: &Path, ckpt: &EngineCheckpoint) -> Result<(), Store
     }
     bytes.extend_from_slice(&(ckpt.num_vertices as u64).to_le_bytes());
     bytes.extend_from_slice(&(ckpt.num_edges as u64).to_le_bytes());
+    bytes.extend_from_slice(&ckpt.graph_fingerprint.to_le_bytes());
+    let (switch, ratio) = encode_switch(ckpt.stage_switch);
+    let reseed = match ckpt.reseed_policy {
+        ReseedPolicy::Reseed => 0u8,
+        ReseedPolicy::Break => 1,
+    };
+    bytes.extend_from_slice(&[switch, reseed, 0, 0, 0, 0, 0, 0]);
+    bytes.extend_from_slice(&ratio.to_bits().to_le_bytes());
     for &pid in &ckpt.assignment {
         bytes.extend_from_slice(&pid.to_le_bytes());
     }
@@ -92,7 +147,8 @@ pub fn write_checkpoint(dir: &Path, ckpt: &EngineCheckpoint) -> Result<(), Store
 ///
 /// [`StoreError::BadMagic`], [`StoreError::Truncated`],
 /// [`StoreError::ChecksumMismatch`], or [`StoreError::Corrupt`] for a
-/// damaged file; [`StoreError::Io`] for unreadable ones.
+/// damaged file; [`StoreError::UnsupportedVersion`] for a format-1 file;
+/// [`StoreError::Io`] for unreadable ones.
 pub fn read_checkpoint(dir: &Path) -> Result<Option<EngineCheckpoint>, StoreError> {
     let path = dir.join(CHECKPOINT_NAME);
     let mut file = match FaultFile::open(&path) {
@@ -103,6 +159,9 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<EngineCheckpoint>, StoreErro
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes).map_err(StoreError::Io)?;
 
+    if bytes.starts_with(&CHECKPOINT_MAGIC_V1) {
+        return Err(StoreError::UnsupportedVersion { found: 1 });
+    }
     if bytes.len() < FIXED_LEN + 8 {
         return Err(StoreError::Truncated { what: "checkpoint" });
     }
@@ -121,6 +180,8 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<EngineCheckpoint>, StoreErro
     let bitmap = &bytes[FIXED_LEN + 4 * num_edges..bytes.len() - 8];
     Ok(Some(EngineCheckpoint {
         seed: le_u64(&bytes, 8),
+        stage_switch: decode_switch(bytes[88], f64::from_bits(le_u64(&bytes, 96)))?,
+        reseed_policy: decode_reseed(bytes[89])?,
         num_partitions: le_u64(&bytes, 16) as usize,
         next_round: le_u32(&bytes, 24),
         rng_state: std::array::from_fn(|i| le_u64(&bytes, 32 + 8 * i)),
@@ -133,6 +194,7 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<EngineCheckpoint>, StoreErro
             .collect(),
         num_vertices: le_u64(&bytes, 64) as usize,
         num_edges,
+        graph_fingerprint: le_u64(&bytes, 80),
     }))
 }
 
@@ -153,6 +215,8 @@ mod tests {
     fn sample() -> EngineCheckpoint {
         EngineCheckpoint {
             seed: 99,
+            stage_switch: StageSwitch::EdgeRatio(0.3),
+            reseed_policy: ReseedPolicy::Break,
             num_partitions: 8,
             next_round: 3,
             rng_state: [11, 22, 33, 44],
@@ -160,6 +224,7 @@ mod tests {
             allocated: vec![true, true, true, false, true, true, false, false, true],
             num_vertices: 12,
             num_edges: 9,
+            graph_fingerprint: 0x0123_4567_89ab_cdef,
         }
     }
 
@@ -170,6 +235,28 @@ mod tests {
         let ckpt = sample();
         write_checkpoint(&dir, &ckpt).unwrap();
         assert_eq!(read_checkpoint(&dir).unwrap().unwrap(), ckpt);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_stage_switch_and_reseed_policy_roundtrips() {
+        let _guard = faults::test_lock();
+        let dir = temp_dir("switch");
+        let mut ckpt = sample();
+        for switch in [
+            StageSwitch::Modularity,
+            StageSwitch::EdgeRatio(0.0),
+            StageSwitch::EdgeRatio(0.7),
+            StageSwitch::StageOneOnly,
+            StageSwitch::StageTwoOnly,
+        ] {
+            for reseed in [ReseedPolicy::Reseed, ReseedPolicy::Break] {
+                ckpt.stage_switch = switch;
+                ckpt.reseed_policy = reseed;
+                write_checkpoint(&dir, &ckpt).unwrap();
+                assert_eq!(read_checkpoint(&dir).unwrap().unwrap(), ckpt);
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use std::path::{Path, PathBuf};
-use tlp_core::{EdgePartition, EngineCheckpoint};
+use tlp_core::{EdgePartition, EngineCheckpoint, ReseedPolicy, StageSwitch};
 use tlp_graph::generators::chung_lu;
 use tlp_graph::CsrGraph;
 use tlp_store::faults::{self, FaultKind, FaultSchedule};
@@ -475,6 +475,8 @@ fn checkpoint_rewrite_sweep_preserves_previous_snapshot() {
     let m = 9;
     let old = EngineCheckpoint {
         seed: 5,
+        stage_switch: StageSwitch::Modularity,
+        reseed_policy: ReseedPolicy::Reseed,
         num_partitions: 4,
         next_round: 2,
         rng_state: [1, 2, 3, 4],
@@ -482,6 +484,7 @@ fn checkpoint_rewrite_sweep_preserves_previous_snapshot() {
         allocated: vec![true, true, false, true, false, false, true, true, false],
         num_vertices: 8,
         num_edges: m,
+        graph_fingerprint: 17,
     };
     let mut new = old.clone();
     new.next_round = 3;

@@ -6,20 +6,21 @@
 //! input it was written from.
 //!
 //! To regenerate the fixtures after an intentional format change (the
-//! readers must still accept the old bytes!):
+//! readers must still accept the old bytes, except a format-1 checkpoint,
+//! which must be rejected with a typed error):
 //!
 //! ```text
 //! TLP_GOLDEN_UPDATE=1 cargo test --test store_golden
 //! ```
 
 use std::path::{Path, PathBuf};
-use tlp::core::{EdgePartition, EngineCheckpoint, PartitionMetrics};
+use tlp::core::{EdgePartition, EngineCheckpoint, PartitionMetrics, ReseedPolicy, StageSwitch};
 use tlp::graph::{CsrGraph, GraphBuilder};
 use tlp::store::format::SourceStamp;
 use tlp::store::{
     read_checkpoint, read_wal, write_checkpoint, write_graph, write_partition_store, GraphBuf,
-    LoadedGraph, PartitionStoreReader, PlacementWal, StoreReader, WalRecord, WriteOptions,
-    CHECKPOINT_NAME, MANIFEST_NAME, VERSION_V2, WAL_NAME,
+    LoadedGraph, PartitionStoreReader, PlacementWal, StoreError, StoreReader, WalRecord,
+    WriteOptions, CHECKPOINT_NAME, MANIFEST_NAME, VERSION_V2, WAL_NAME,
 };
 
 fn golden(name: &str) -> PathBuf {
@@ -111,6 +112,8 @@ fn v2_graph_with_original_ids_is_pinned() {
 fn checkpoint_is_pinned() {
     let ckpt = EngineCheckpoint {
         seed: 99,
+        stage_switch: StageSwitch::EdgeRatio(0.25),
+        reseed_policy: ReseedPolicy::Break,
         num_partitions: 3,
         next_round: 2,
         rng_state: [11, 22, 33, 0xDEAD_BEEF_0BAD_F00D],
@@ -118,16 +121,31 @@ fn checkpoint_is_pinned() {
         allocated: vec![true, true, true, false, true, true, false, false, true],
         num_vertices: 12,
         num_edges: 9,
+        graph_fingerprint: 0x0123_4567_89AB_CDEF,
     };
     let dir = scratch("ckpt");
     write_checkpoint(&dir, &ckpt).unwrap();
-    assert_pinned(&dir.join(CHECKPOINT_NAME), "checkpoint.tlpc");
+    assert_pinned(&dir.join(CHECKPOINT_NAME), "checkpoint_v2.tlpc");
 
     // The reader takes a directory: read the fixture from a copy.
     let copy = scratch("ckpt-read");
-    std::fs::copy(golden("checkpoint.tlpc"), copy.join(CHECKPOINT_NAME)).unwrap();
+    std::fs::copy(golden("checkpoint_v2.tlpc"), copy.join(CHECKPOINT_NAME)).unwrap();
     assert_eq!(read_checkpoint(&copy).unwrap(), Some(ckpt));
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&copy).unwrap();
+}
+
+/// A format-1 checkpoint records neither the stage switch, the reseed
+/// policy nor a graph fingerprint, so a resume from it cannot be checked;
+/// the reader refuses it with a typed error instead of guessing.
+#[test]
+fn checkpoint_v1_is_rejected_with_a_typed_error() {
+    let copy = scratch("ckpt-v1");
+    std::fs::copy(golden("checkpoint_v1.tlpc"), copy.join(CHECKPOINT_NAME)).unwrap();
+    assert!(matches!(
+        read_checkpoint(&copy),
+        Err(StoreError::UnsupportedVersion { found: 1 })
+    ));
     std::fs::remove_dir_all(&copy).unwrap();
 }
 
