@@ -3,8 +3,9 @@
 //!
 //! Like TLP, NE grows one partition per round from a random seed, so it is
 //! the most closely related comparator. It keeps its own expansion loop
-//! over a [`ResidualGraph`]; TLP's engine in `tlp_core::engine` shares no
-//! state with it.
+//! over a [`ResidualGraph`]; TLP's engine, private to `tlp-core` behind
+//! [`TwoStageLocalPartitioner`](tlp_core::TwoStageLocalPartitioner), shares
+//! no state with it.
 //!
 //! Each round keeps a *boundary set* `S` and a *core* `C ⊆ S`. A vertex
 //! that joins `S` allocates every residual edge between itself and `S` to

@@ -1,7 +1,5 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //! reseed policy and the TLP_R stage-ratio sweep (Figs. 9-11 flavored).
-//! The indexed-vs-scan selection comparison lives in the
-//! `frontier_scoring` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tlp_core::{EdgePartitioner, ReseedPolicy, StageSwitch, TlpConfig, TwoStageLocalPartitioner};

@@ -1,5 +1,6 @@
-//! The staged selection functions: the linear-scan reference and the
-//! indexed versions over [`StagedIndex`], for both stages.
+//! The staged selection functions for both stages: the indexed versions
+//! over [`StagedIndex`] the engine selects with, and the linear scans of
+//! Algorithm 1 that debug builds check every indexed pick against.
 
 use super::workspace::{StagedIndex, Workspace};
 use crate::stage2::GainRatio;

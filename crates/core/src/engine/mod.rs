@@ -17,9 +17,9 @@
 //! the partition. What distinguishes the algorithms built on top is only
 //! *which stage picks the next frontier vertex*: the engine asks the
 //! config's [`StageSwitch`](crate::StageSwitch) for the stage of every
-//! selection, and the sealed [`SelectionPolicy`] passed to [`run`] finds
-//! that stage's argmax. The NE baseline (`tlp-baselines`) grows partitions
-//! too, but by eager admission, in its own loop.
+//! selection, and its staged index finds that stage's argmax. The NE
+//! baseline (`tlp-baselines`) grows partitions too, but by eager
+//! admission, in its own loop.
 //!
 //! # Admission
 //!
@@ -40,34 +40,34 @@
 //!
 //! # Frontier selection
 //!
-//! [`StagedPolicy`] keeps an index of the live stage only (the stage of
-//! the latest selection) and rebuilds it from the frontier on a round's
-//! first selection and whenever the stage changes. Stage I's index is an
-//! indexed max-heap with one entry per candidate: a candidate's residual
-//! degree never changes while it waits (its edges are only consumed when
-//! it joins), and within a round its `mu1` and `e_in` only rise, so its
-//! key only rises and is raised in place. Stage II's index is one lazy
-//! min-heap on `e_ext` per `e_in` value: `e_ext = residual_degree - e_in`
-//! shrinks monotonically and the Stage II objective is increasing in
-//! `e_in` / decreasing in `e_ext`, so the bucket minimum is the only
-//! candidate of its `e_in` class that can win. A bucket's stale entries
-//! are dropped when they reach its top.
+//! The engine keeps one [`StagedIndex`](workspace::StagedIndex) beside
+//! its [`Workspace`](workspace::Workspace), holding the live stage only
+//! (the stage of the latest selection), and rebuilds it from the frontier
+//! on a round's first selection and whenever the stage changes. Stage I's
+//! index is an indexed max-heap with one entry per candidate: a
+//! candidate's residual degree never changes while it waits (its edges are
+//! only consumed when it joins), and within a round its `mu1` and `e_in`
+//! only rise, so its key only rises and is raised in place. Stage II's
+//! index is one lazy min-heap on `e_ext` per `e_in` value: `e_ext =
+//! residual_degree - e_in` shrinks monotonically and the Stage II
+//! objective is increasing in `e_in` / decreasing in `e_ext`, so the
+//! bucket minimum is the only candidate of its `e_in` class that can win.
+//! A bucket's stale entries are dropped when they reach its top.
 //!
-//! [`ScanPolicy`] is the reference: it scans the whole frontier per step,
-//! exactly as Algorithm 1 is written (`O(|N(P_k)|)` per step). The two
-//! compute the identical argmax, ties included, and therefore identical
-//! partitions; tests pin that by running both through [`run`].
+//! The index returns the argmax of Algorithm 1's literal per-step frontier
+//! scan (`O(|N(P_k)|)` per step), ties included, so partitions are the
+//! scan's. Debug builds check that on every selection: the scan runs
+//! beside the index before admission changes the frontier, and a
+//! difference panics. Release builds compile the check out.
 //!
 //! All ties are broken by explicit deterministic keys, so results are
 //! reproducible across runs and platforms.
 
 mod frontier;
-mod policy;
 mod round;
 mod workspace;
 
-pub use policy::{ScanPolicy, SelectionPolicy, StagedPolicy};
-pub use round::{run, CheckpointSink};
+pub use round::CheckpointSink;
 pub(crate) use round::{run_engine, RunExtras};
 
 use tlp_graph::GraphView;

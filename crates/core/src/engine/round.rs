@@ -1,13 +1,13 @@
-//! The seed -> grow -> allocate loop (Algorithm 1 of the paper), generic
-//! over the [`SelectionPolicy`] that scores and picks frontier vertices.
+//! The seed -> grow -> allocate loop (Algorithm 1 of the paper), selecting
+//! frontier vertices through the staged index.
 
-use super::policy::SelectionPolicy;
+use super::frontier;
 use super::triangle_table;
-use super::workspace::Workspace;
+use super::workspace::{StagedIndex, Workspace};
 use crate::checkpoint::{graph_fingerprint, EngineCheckpoint};
 use crate::config::{capacity, ReseedPolicy, TlpConfig};
 use crate::partition::{EdgePartition, PartitionId};
-use crate::trace::{SelectionRecord, Trace};
+use crate::trace::{SelectionRecord, Stage, Trace};
 use crate::PartitionError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,28 +17,7 @@ use tlp_graph::{GraphView, ResidualGraph, VertexId};
 /// Returning an error aborts the run (persisting a checkpoint failed).
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(&EngineCheckpoint) -> Result<(), PartitionError>;
 
-/// Runs the full local partitioning (all `p` rounds) under `policy`, with
-/// the stage of every selection chosen by `config`'s
-/// [`StageSwitch`](crate::StageSwitch).
-///
-/// The RNG is seeded once from `config.seed()` and consumed only by
-/// seed/reseed draws, so the stream a policy observes is a function of the
-/// seed alone.
-///
-/// # Errors
-///
-/// [`PartitionError::ZeroPartitions`] for `num_partitions == 0`, and
-/// [`PartitionError::InvalidParameter`] for a config out of range.
-pub fn run<'g, P: SelectionPolicy + ?Sized>(
-    graph: impl Into<GraphView<'g>>,
-    num_partitions: usize,
-    config: &TlpConfig,
-    policy: &mut P,
-) -> Result<EdgePartition, PartitionError> {
-    run_engine(graph, num_partitions, config, policy, RunExtras::default())
-}
-
-/// What a crate-internal run may add to a plain [`run`].
+/// What a run may add to a plain partitioning.
 #[derive(Default)]
 pub(crate) struct RunExtras<'a> {
     /// Start from this round-boundary snapshot instead of round 0: the
@@ -47,8 +26,8 @@ pub(crate) struct RunExtras<'a> {
     /// bit-identical to the uninterrupted run's.
     pub(crate) resume: Option<&'a EngineCheckpoint>,
     /// Receives a consistent [`EngineCheckpoint`] after each completed
-    /// round. Sound because policies carry no cross-round state (theirs is
-    /// per-round, cleared by `end_round`).
+    /// round. Sound because the staged index carries no cross-round state
+    /// (`StagedIndex::end_round` clears it).
     pub(crate) sink: Option<CheckpointSink<'a>>,
     /// The [`triangle_table`] of the graph, so several runs over one graph
     /// share a single build; without it, the run builds its own.
@@ -57,17 +36,24 @@ pub(crate) struct RunExtras<'a> {
     pub(crate) trace: Option<&'a mut Trace>,
 }
 
-/// [`run`] with the [`RunExtras`].
+/// Runs the full local partitioning (all `p` rounds), with the stage of
+/// every selection chosen by `config`'s [`StageSwitch`](crate::StageSwitch)
+/// and the [`RunExtras`] applied.
+///
+/// The RNG is seeded once from `config.seed()` and consumed only by
+/// seed/reseed draws, so the stream a run observes is a function of the
+/// seed alone.
 ///
 /// # Errors
 ///
+/// [`PartitionError::ZeroPartitions`] for `num_partitions == 0`,
+/// [`PartitionError::InvalidParameter`] for a config out of range, and
 /// [`PartitionError::Checkpoint`] if `extras.resume` does not match this
-/// graph/config or the sink fails, plus everything [`run`] can return.
-pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
+/// graph/config or the sink fails.
+pub(crate) fn run_engine<'g>(
     graph: impl Into<GraphView<'g>>,
     num_partitions: usize,
     config: &TlpConfig,
-    policy: &mut P,
     extras: RunExtras<'_>,
 ) -> Result<EdgePartition, PartitionError> {
     let RunExtras {
@@ -91,6 +77,7 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
     let capacity = capacity(m, num_partitions);
     let mut residual = ResidualGraph::new(graph);
     let mut ws = Workspace::new(n);
+    let mut index = StagedIndex::default();
 
     let (mut assignment, mut rng, start_round) = match resume {
         None => {
@@ -133,12 +120,12 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
             triangles,
             &mut residual,
             &mut ws,
+            &mut index,
             &mut assignment,
             &mut rng,
             k,
             capacity,
             config,
-            policy,
             trace.as_deref_mut(),
         );
         if let Some(sink) = sink.as_mut() {
@@ -193,17 +180,17 @@ pub(crate) fn run_engine<'g, P: SelectionPolicy + ?Sized>(
 /// Grows partition `k` until capacity is exceeded or edges run out
 /// (Algorithm 1).
 #[allow(clippy::too_many_arguments)]
-fn run_round<P: SelectionPolicy + ?Sized>(
+fn run_round(
     graph: GraphView<'_>,
     triangles: &[u32],
     residual: &mut ResidualGraph<'_>,
     ws: &mut Workspace,
+    index: &mut StagedIndex,
     assignment: &mut [PartitionId],
     rng: &mut StdRng,
     k: u32,
     capacity: usize,
     config: &TlpConfig,
-    policy: &mut P,
     mut trace: Option<&mut Trace>,
 ) {
     let _round_span = tlp_obs::span_with(
@@ -222,10 +209,10 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         triangles,
         residual,
         ws,
+        index,
         rng,
         assignment,
         k,
-        policy,
         &mut internal,
         &mut external,
     );
@@ -242,22 +229,22 @@ fn run_round<P: SelectionPolicy + ?Sized>(
                 triangles,
                 residual,
                 ws,
+                index,
                 rng,
                 assignment,
                 k,
-                policy,
                 &mut internal,
                 &mut external,
             );
             continue;
         }
 
-        // Lines 5-9: the switch picks the stage, the policy its optimal
+        // Lines 5-9: the switch picks the stage, the index its optimal
         // vertex.
         let stage = config
             .stage_switch_value()
             .stage(internal, external, capacity);
-        let v = policy.select(ws, residual, stage, internal, external);
+        let v = select_vertex(index, ws, residual, stage, internal, external);
 
         // Line 10: allocate the edges between v and P_k.
         admit_vertex(
@@ -265,10 +252,10 @@ fn run_round<P: SelectionPolicy + ?Sized>(
             triangles,
             residual,
             ws,
+            index,
             assignment,
             k,
             v,
-            policy,
             &mut internal,
             &mut external,
         );
@@ -297,20 +284,51 @@ fn run_round<P: SelectionPolicy + ?Sized>(
         tlp_obs::counter("admit.adjacency", ws.adjacency_steps);
     }
     ws.frontier_clear();
-    policy.end_round();
+    index.end_round();
+}
+
+/// Picks `stage`'s optimal vertex from the non-empty frontier of a
+/// partition holding `internal` edges with `external` boundary edges, by
+/// the staged index, after making `stage` its live stage.
+///
+/// Debug builds check every pick against Algorithm 1's literal frontier
+/// scan, run before admission changes the frontier, and panic if the index
+/// disagrees with it; release builds compile the scan out.
+fn select_vertex(
+    index: &mut StagedIndex,
+    ws: &Workspace,
+    residual: &ResidualGraph<'_>,
+    stage: Stage,
+    internal: usize,
+    external: usize,
+) -> VertexId {
+    index.make_live(ws, residual, stage);
+    let v = match stage {
+        Stage::One => frontier::select_stage_one_heap(index, ws, residual),
+        Stage::Two => frontier::select_stage_two_heap(index, ws, residual, internal, external),
+    };
+    debug_assert_eq!(
+        v,
+        match stage {
+            Stage::One => frontier::select_stage_one_scan(ws, residual),
+            Stage::Two => frontier::select_stage_two_scan(ws, residual, internal, external),
+        },
+        "{stage:?}: the staged index (left) and the frontier scan (right) disagree"
+    );
+    v
 }
 
 /// Admits a fresh random seed vertex as a member.
 #[allow(clippy::too_many_arguments)]
-fn seed_vertex<P: SelectionPolicy + ?Sized>(
+fn seed_vertex(
     graph: GraphView<'_>,
     triangles: &[u32],
     residual: &mut ResidualGraph<'_>,
     ws: &mut Workspace,
+    index: &mut StagedIndex,
     rng: &mut StdRng,
     assignment: &mut [PartitionId],
     k: u32,
-    policy: &mut P,
     internal: &mut usize,
     external: &mut usize,
 ) {
@@ -318,7 +336,7 @@ fn seed_vertex<P: SelectionPolicy + ?Sized>(
     let hint: VertexId = rng.gen_range(0..n);
     if let Some(seed) = residual.any_active_vertex_from(hint) {
         admit_vertex(
-            graph, triangles, residual, ws, assignment, k, seed, policy, internal, external,
+            graph, triangles, residual, ws, index, assignment, k, seed, internal, external,
         );
     }
 }
@@ -334,15 +352,15 @@ fn seed_vertex<P: SelectionPolicy + ?Sized>(
 /// `mu1` already holds the maximum over all members adjacent to it, the
 /// same value whatever order the members were admitted in.
 #[allow(clippy::too_many_arguments)]
-fn admit_vertex<P: SelectionPolicy + ?Sized>(
+fn admit_vertex(
     graph: GraphView<'_>,
     triangles: &[u32],
     residual: &mut ResidualGraph<'_>,
     ws: &mut Workspace,
+    index: &mut StagedIndex,
     assignment: &mut [PartitionId],
     k: u32,
     v: VertexId,
-    policy: &mut P,
     internal: &mut usize,
     external: &mut usize,
 ) {
@@ -372,9 +390,9 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
             // endpoint joins (or strengthens) the frontier.
             *external += 1;
             ws.enroll_frontier_edge(u);
-            policy.on_candidate(ws, residual, u, true);
+            index.on_candidate(ws, residual, u, true);
         } else if rose && ws.in_frontier[u as usize] {
-            policy.on_candidate(ws, residual, u, false);
+            index.on_candidate(ws, residual, u, false);
         }
     }
     *internal += absorbed;
@@ -383,9 +401,7 @@ fn admit_vertex<P: SelectionPolicy + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ScanPolicy, StagedPolicy};
     use super::*;
-    use crate::trace::Stage;
     use crate::StageSwitch;
     use tlp_graph::{CsrGraph, GraphBuilder};
 
@@ -396,9 +412,16 @@ mod tests {
             .build()
     }
 
+    fn run(
+        graph: &CsrGraph,
+        p: usize,
+        config: &TlpConfig,
+    ) -> Result<EdgePartition, PartitionError> {
+        run_engine(graph, p, config, RunExtras::default())
+    }
+
     fn run_tlp(graph: &CsrGraph, p: usize, seed: u64) -> EdgePartition {
-        let config = TlpConfig::new().seed(seed);
-        run(graph, p, &config, &mut StagedPolicy::default()).unwrap()
+        run(graph, p, &TlpConfig::new().seed(seed)).unwrap()
     }
 
     #[test]
@@ -427,9 +450,8 @@ mod tests {
     #[test]
     fn zero_partitions_rejected() {
         let g = small_graph();
-        let config = TlpConfig::new();
         assert_eq!(
-            run(&g, 0, &config, &mut StagedPolicy::default()).unwrap_err(),
+            run(&g, 0, &TlpConfig::new()).unwrap_err(),
             PartitionError::ZeroPartitions
         );
     }
@@ -437,8 +459,7 @@ mod tests {
     #[test]
     fn empty_graph_produces_empty_partition() {
         let g = GraphBuilder::new().build();
-        let config = TlpConfig::new();
-        let part = run(&g, 4, &config, &mut StagedPolicy::default()).unwrap();
+        let part = run(&g, 4, &TlpConfig::new()).unwrap();
         assert_eq!(part.num_edges(), 0);
         assert_eq!(part.edge_counts(), vec![0, 0, 0, 0]);
     }
@@ -458,7 +479,7 @@ mod tests {
             .add_edges([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
             .build();
         let config = TlpConfig::new().reseed_policy(ReseedPolicy::Break).seed(2);
-        let part = run(&g, 2, &config, &mut StagedPolicy::default()).unwrap();
+        let part = run(&g, 2, &config).unwrap();
         // All 5 edges must still be assigned even though each round's
         // frontier dies immediately in this perfect matching.
         assert_eq!(part.edge_counts().iter().sum::<usize>(), 5);
@@ -488,7 +509,7 @@ mod tests {
             trace: Some(&mut trace),
             ..RunExtras::default()
         };
-        run_engine(&g, 2, &config, &mut StagedPolicy::default(), extras).unwrap();
+        run_engine(&g, 2, &config, extras).unwrap();
         assert!(!trace.is_empty());
         // Selections must name real vertices with their true degrees.
         for r in trace.records() {
@@ -505,43 +526,12 @@ mod tests {
         assert_eq!(part.num_partitions(), 5);
     }
 
-    /// The heap-indexed selection must reproduce the linear scan exactly —
-    /// same argmax, same ties, same partitions — across every generator
-    /// family, both reseed policies, partition counts, and seeds.
-    #[test]
-    fn indexed_selection_equals_linear_scan() {
-        use tlp_graph::generators as g;
-        let graphs = [
-            g::chung_lu(300, 1500, 2.1, 5),
-            g::erdos_renyi(200, 600, 6),
-            g::genealogy(400, 650, 7),
-            g::barabasi_albert(250, 3, 8),
-            g::rmat(8, 900, g::RmatProbabilities::default(), 9),
-            g::power_law_community(300, 1200, 2.1, 6, 0.25, 10),
-        ];
-        for (gi, graph) in graphs.iter().enumerate() {
-            for reseed in [ReseedPolicy::Reseed, ReseedPolicy::Break] {
-                for p in [2, 5, 9] {
-                    for seed in [0u64, 1, 2] {
-                        let config = TlpConfig::new().seed(seed).reseed_policy(reseed);
-                        let scan = run(graph, p, &config, &mut ScanPolicy).unwrap();
-                        let heap = run(graph, p, &config, &mut StagedPolicy::default()).unwrap();
-                        assert_eq!(
-                            scan, heap,
-                            "graph {gi}, reseed {reseed:?}, p={p}, seed={seed}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// A round that leaves Stage II and later re-enters it makes the
     /// staged index rebuild its Stage II buckets twice in one round (the
-    /// case that needs `StagedIndex::clear` to unlist every bucket). The
-    /// indexed run must still equal the scan.
+    /// case that needs `StagedIndex::clear` to unlist every bucket). Debug
+    /// builds check every selection of the run against the frontier scan.
     #[test]
-    fn indexed_selection_equals_linear_scan_across_repeated_stage_switches() {
+    fn a_round_that_reenters_stage_two_selects_as_the_scan() {
         let graph = tlp_graph::generators::erdos_renyi(200, 600, 0);
         let p = 4;
         let config = TlpConfig::new().seed(1);
@@ -550,7 +540,8 @@ mod tests {
             trace: Some(&mut trace),
             ..RunExtras::default()
         };
-        let heap = run_engine(&graph, p, &config, &mut StagedPolicy::default(), extras).unwrap();
+        let part = run_engine(&graph, p, &config, extras).unwrap();
+        assert_eq!(part.edge_counts().iter().sum::<usize>(), graph.num_edges());
         // Per round, how many times Stage II starts picking.
         let stage_two_entries = |k: u32| {
             let mut previous = None;
@@ -568,19 +559,56 @@ mod tests {
             most >= 2,
             "no round re-enters Stage II (most entries: {most})"
         );
-        assert_eq!(heap, run(&graph, p, &config, &mut ScanPolicy).unwrap());
     }
 
-    /// Same equivalence for the TLP_R stage policy across the R sweep.
+    /// The TLP_R stage switch across the R sweep, each selection checked
+    /// against the frontier scan in debug builds.
     #[test]
-    fn indexed_selection_equals_linear_scan_for_tlp_r() {
+    fn tlp_r_selects_as_the_scan() {
         let g = tlp_graph::generators::chung_lu(250, 1200, 2.2, 9);
         let config = TlpConfig::new().seed(4);
         for r in [0.0, 0.3, 0.7, 1.0] {
             let config = config.stage_switch(StageSwitch::EdgeRatio(r));
-            let scan = run(&g, 6, &config, &mut ScanPolicy).unwrap();
-            let indexed = run(&g, 6, &config, &mut StagedPolicy::default()).unwrap();
-            assert_eq!(scan, indexed, "R = {r}");
+            let part = run(&g, 6, &config).unwrap();
+            assert_eq!(
+                part.edge_counts().iter().sum::<usize>(),
+                g.num_edges(),
+                "R = {r}"
+            );
         }
+    }
+
+    /// A candidate whose score rises without the index hearing of it
+    /// leaves the index stale: the cross-check panics rather than letting
+    /// the stale pick through.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the frontier scan (right) disagree")]
+    fn a_stale_index_fails_the_cross_check() {
+        let g = small_graph();
+        let graph = GraphView::from(&g);
+        let triangles = triangle_table(graph);
+        let mut residual = ResidualGraph::new(graph);
+        let mut ws = Workspace::new(g.num_vertices());
+        let mut index = StagedIndex::default();
+        let mut assignment = vec![0; g.num_edges()];
+        let (mut internal, mut external) = (0, 0);
+        // Admitting 2 makes candidates of 0 and 1 (closeness 1/3 each, so
+        // 0 wins the tie) and 3 (closeness 0).
+        admit_vertex(
+            graph,
+            &triangles,
+            &mut residual,
+            &mut ws,
+            &mut index,
+            &mut assignment,
+            0,
+            2,
+            &mut internal,
+            &mut external,
+        );
+        index.make_live(&ws, &residual, Stage::One);
+        ws.mu1[3] = 1.0;
+        select_vertex(&mut index, &ws, &residual, Stage::One, internal, external);
     }
 }

@@ -1,6 +1,6 @@
-//! Per-run scratch state shared by every selection policy: round-stamped
-//! membership, the frontier dense list, per-candidate scores, and the
-//! staged priority structures used by the indexed policy.
+//! Per-run scratch state: round-stamped membership, the frontier dense
+//! list, per-candidate scores, and the staged index the engine selects
+//! through.
 //!
 //! Stage I scores are folded by [`Workspace::refresh_mu1`] from numerators
 //! the caller reads in the run's triangle table, so the workspace itself
@@ -14,11 +14,10 @@ use tlp_graph::{ResidualGraph, VertexId};
 /// Per-graph scratch reused across rounds (one allocation per run).
 ///
 /// The workspace tracks *who* is a member and *who* is a candidate; *how*
-/// candidates are ranked lives in the
-/// [`SelectionPolicy`](super::SelectionPolicy) driving the run. Vertex
+/// candidates are ranked lives in the [`StagedIndex`] beside it. Vertex
 /// membership and Stage I scores are stamped with the round index, so they
 /// never need clearing between rounds.
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Round id if the vertex is a member of the partition currently being
     /// grown; `u32::MAX` when never selected in the current round.
     pub(crate) member_round: Vec<u32>,
@@ -280,12 +279,11 @@ impl Stage1Heap {
     }
 }
 
-/// The staged policy's priority structure for the live stage only: the
-/// indexed [`Stage1Heap`] while Stage I picks, or per-`e_in` lazy min-heap
-/// buckets on `e_ext` while Stage II picks. Rebuilt from the frontier on a
-/// round's first selection and whenever the stage changes. Owned by
-/// [`StagedPolicy`](super::StagedPolicy), not the workspace, so the
-/// reference scan pays nothing for it.
+/// The engine's priority structure for the live stage only: the indexed
+/// [`Stage1Heap`] while Stage I picks, or per-`e_in` lazy min-heap buckets
+/// on `e_ext` while Stage II picks. Rebuilt from the frontier on a round's
+/// first selection and whenever the stage changes. The engine keeps one
+/// beside the [`Workspace`] for the whole run.
 #[derive(Default)]
 pub(crate) struct StagedIndex {
     /// The stage whose structure is maintained; `None` until a round's

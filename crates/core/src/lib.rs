@@ -9,7 +9,7 @@
 //!
 //! * **Stage I** (`M <= 1`, loose partition): select the frontier vertex
 //!   closest to the partition with the highest degree (Eq. 7 of the
-//!   paper), read from a per-edge triangle table (see [`engine`]).
+//!   paper), read from a per-edge triangle table built once per graph.
 //! * **Stage II** (`M > 1`, tight partition): select the frontier vertex
 //!   with the largest modularity gain ([`stage2`], Eq. 9-11).
 //!
@@ -42,6 +42,7 @@
 
 mod checkpoint;
 mod config;
+mod engine;
 mod error;
 mod metrics;
 mod modularity;
@@ -52,11 +53,11 @@ mod pipeline;
 mod tlp;
 mod trace;
 
-pub mod engine;
 pub mod stage2;
 
 pub use checkpoint::EngineCheckpoint;
 pub use config::{ReseedPolicy, StageSwitch, TlpConfig};
+pub use engine::CheckpointSink;
 pub use error::PartitionError;
 pub use metrics::{PartitionMetrics, StreamedMetrics};
 pub use modularity::Modularity;

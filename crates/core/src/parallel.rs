@@ -8,7 +8,7 @@
 //! the winner is chosen by `(replication factor, trial index)` — so a run
 //! with 1 thread and a run with 16 produce bit-identical partitions.
 
-use crate::engine::{run_engine, triangle_table, RunExtras, StagedPolicy};
+use crate::engine::{run_engine, triangle_table, RunExtras};
 use crate::metrics::PartitionMetrics;
 use crate::partition::EdgePartition;
 use crate::pipeline::trial_span;
@@ -330,14 +330,7 @@ fn run_trial(
             triangles: Some(triangles),
             ..RunExtras::default()
         };
-        let run = run_engine(
-            graph,
-            num_partitions,
-            &config,
-            &mut StagedPolicy::default(),
-            extras,
-        );
-        run.map(|partition| {
+        run_engine(graph, num_partitions, &config, extras).map(|partition| {
             let rf = PartitionMetrics::compute(graph, &partition).replication_factor;
             (partition, rf)
         })

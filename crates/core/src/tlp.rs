@@ -1,7 +1,7 @@
 //! The paper's TLP family: two-stage local partitioning (Algorithm 1)
 //! under a configurable stage switch.
 
-use crate::engine::{run_engine, CheckpointSink, RunExtras, StagedPolicy};
+use crate::engine::{run_engine, CheckpointSink, RunExtras};
 use crate::{
     EdgePartition, EdgePartitioner, EngineCheckpoint, ParallelTrialRunner, PartitionError,
     StageSwitch, TlpConfig, Trace,
@@ -107,15 +107,14 @@ impl TwoStageLocalPartitioner {
         self.run_single(graph, num_partitions, extras)
     }
 
-    /// One run with the configured seed under the production policy.
+    /// One run with the configured seed.
     fn run_single<'g>(
         &self,
         graph: impl Into<GraphView<'g>>,
         num_partitions: usize,
         extras: RunExtras<'_>,
     ) -> Result<EdgePartition, PartitionError> {
-        let mut policy = StagedPolicy::default();
-        run_engine(graph, num_partitions, &self.config, &mut policy, extras)
+        run_engine(graph, num_partitions, &self.config, extras)
     }
 }
 

@@ -7,43 +7,6 @@
 use crate::{CsrGraph, VertexId};
 use std::collections::VecDeque;
 
-/// Returns the vertices reachable from `start` in BFS order (including
-/// `start`).
-///
-/// # Panics
-///
-/// Panics if `start >= graph.num_vertices()`.
-///
-/// # Example
-///
-/// ```
-/// use tlp_graph::{GraphBuilder, traversal::bfs_order};
-///
-/// let g = GraphBuilder::new().add_edges([(0, 1), (1, 2), (3, 4)]).build();
-/// assert_eq!(bfs_order(&g, 0), vec![0, 1, 2]);
-/// ```
-pub fn bfs_order(graph: &CsrGraph, start: VertexId) -> Vec<VertexId> {
-    assert!(
-        (start as usize) < graph.num_vertices(),
-        "start out of range"
-    );
-    let mut visited = vec![false; graph.num_vertices()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start as usize] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in graph.neighbors(v) {
-            if !visited[w as usize] {
-                visited[w as usize] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    order
-}
-
 /// BFS distances from `start`; unreachable vertices get `None`.
 ///
 /// # Panics
@@ -150,16 +113,6 @@ mod tests {
         GraphBuilder::new()
             .add_edges([(0, 1), (1, 2), (2, 0), (3, 4)])
             .build()
-    }
-
-    #[test]
-    fn bfs_visits_each_reachable_vertex_once() {
-        let g = two_components();
-        let order = bfs_order(&g, 0);
-        assert_eq!(order.len(), 3);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
     }
 
     #[test]

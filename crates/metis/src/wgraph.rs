@@ -90,11 +90,6 @@ impl WeightedGraph {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Weighted degree (sum of incident edge weights) of `v`.
-    pub fn weighted_degree(&self, v: u32) -> u64 {
-        self.neighbors(v).iter().map(|&(_, w)| w).sum()
-    }
-
     /// The weighted cut of a two-sided assignment (`side[v]` in `{0, 1}`).
     pub fn cut(&self, side: &[u8]) -> u64 {
         let mut cut = 0u64;
@@ -121,7 +116,6 @@ mod tests {
         assert_eq!(wg.num_vertices(), 3);
         assert_eq!(wg.total_edge_weight(), 2);
         assert_eq!(wg.vertex_weight(1), 1);
-        assert_eq!(wg.weighted_degree(1), 2);
         assert_eq!(wg.total_vertex_weight(), 3);
     }
 

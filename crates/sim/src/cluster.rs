@@ -125,16 +125,6 @@ impl<'g> Cluster<'g> {
     pub fn total_replicas(&self) -> usize {
         self.replicas.iter().map(Vec::len).sum()
     }
-
-    /// Sync messages one fully-active superstep costs: every non-master
-    /// replica ships its accumulator to the master and receives the new
-    /// state back.
-    pub fn sync_messages_per_full_superstep(&self) -> usize {
-        self.replicas
-            .iter()
-            .map(|r| 2 * r.len().saturating_sub(1))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -191,11 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn sync_message_bound_matches_replica_count() {
+    fn total_replicas_counts_every_copy() {
         let (g, part) = cluster_of(vec![0, 1, 2], 3);
         let c = Cluster::new(&g, &part);
-        // Vertices 1 and 2 have 2 replicas each -> 2 * 1 * 2 = 4 messages.
-        assert_eq!(c.sync_messages_per_full_superstep(), 4);
         assert_eq!(c.total_replicas(), 6);
     }
 

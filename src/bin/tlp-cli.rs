@@ -27,7 +27,8 @@ use tlp::graph::io;
 use tlp::graph::CsrSource;
 use tlp::pipeline::builtin_registry;
 use tlp::store::{
-    read_checkpoint, write_checkpoint, write_partition_store, BinaryFileSource, LoadedGraph, MAGIC,
+    read_checkpoint, write_checkpoint, write_partition_store, BinaryFileSource, LoadedGraph,
+    CHECKPOINT_NAME, MAGIC,
 };
 
 fn main() -> ExitCode {
@@ -308,7 +309,12 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
             // the engine's resume point and per-round snapshot hook.
             let dir = Path::new(dir);
             let snapshot = if resume {
-                let snapshot = read_checkpoint(dir).map_err(|e| e.to_string())?;
+                let snapshot = read_checkpoint(dir).map_err(|e| {
+                    format!(
+                        "cannot resume from {}: {e}; rerun without --resume to start from round 0",
+                        dir.join(CHECKPOINT_NAME).display()
+                    )
+                })?;
                 match &snapshot {
                     Some(ckpt) => eprintln!(
                         "resuming from {} at round {} of {}",

@@ -156,3 +156,31 @@ fn format_auto_sniffs_binary_and_matches_text_input() {
     }
     std::fs::remove_dir_all(&s.dir).unwrap();
 }
+
+/// A format-1 checkpoint cannot say which rules its run used, so
+/// `--resume` refuses it with an error naming the file and the restart.
+#[test]
+fn resume_from_a_format_1_checkpoint_names_the_file_and_the_restart() {
+    let s = setup("ckpt-v1");
+    let ckpt_dir = s.dir.join("ckpt");
+    std::fs::create_dir_all(&ckpt_dir).unwrap();
+    let ckpt = ckpt_dir.join("checkpoint.tlpc");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint_v1.tlpc");
+    std::fs::copy(fixture, &ckpt).unwrap();
+    let text = s.dir.join("graph.txt");
+    let output = Command::new(env!("CARGO_BIN_EXE_tlp-cli"))
+        .args(["partition", "--input", text.to_str().unwrap()])
+        .args(["--partitions", &P.to_string()])
+        .args(["--checkpoint", ckpt_dir.to_str().unwrap(), "--resume"])
+        .output()
+        .expect("run tlp-cli");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr:\n{stderr}");
+    let expected = format!(
+        "error: cannot resume from {}: unsupported store version 1; \
+         rerun without --resume to start from round 0",
+        ckpt.display()
+    );
+    assert!(stderr.contains(&expected), "stderr:\n{stderr}");
+    std::fs::remove_dir_all(&s.dir).unwrap();
+}
