@@ -2,9 +2,9 @@
 //!
 //! [`run_streaming`] drives the [`StreamingKind`] placers
 //! (Random, DBH, Greedy, HDRF) for the `tlp-core` pipeline: it consumes
-//! any [`EdgeSource`] in two bounded-memory passes — pass 1 places every
-//! edge in arrival order, pass 2 replays the stream through the canonical
-//! [`StreamedMetrics`] accumulator — and emits a [`RunArtifact`] whose
+//! any [`EdgeSource`] in one bounded-memory pass — each edge is placed in
+//! arrival order and folded into the canonical [`StreamedMetrics`]
+//! accumulator — and emits a [`RunArtifact`] whose
 //! metrics are bit-identical to
 //! [`PartitionMetrics::compute`](tlp_core::PartitionMetrics::compute) on
 //! the materialized graph (pinned by the conformance tests). Because
@@ -71,10 +71,11 @@ pub fn run_streaming(
         .transpose()?;
     let mut placer = kind.placer(num_vertices, num_partitions, seed, degrees)?;
 
-    // Pass 1: place every edge in arrival order, recording assignments
-    // and the replica/load sides of the metrics.
+    // One pass: place every edge in arrival order, recording its
+    // assignment and folding it into the metrics.
     let mut metrics = StreamedMetrics::new(num_vertices, num_partitions);
-    let mut assignments: Vec<PartitionId> = Vec::new();
+    let mut assignments: Vec<PartitionId> =
+        Vec::with_capacity(source.num_edges_hint().unwrap_or(0));
     let start = std::time::Instant::now();
     let stats = {
         let _pass = tlp_obs::span("pass");
@@ -89,29 +90,6 @@ pub fn run_streaming(
         })?
     };
     let seconds = start.elapsed().as_secs_f64();
-
-    // Pass 2: replay the (deterministic) stream to count external
-    // incidences against the final replica sets.
-    let mut index = 0usize;
-    {
-        let _pass = tlp_obs::span("pass");
-        source.stream_pass(&mut |chunk| {
-            tlp_obs::counter("stream.chunk", 1);
-            tlp_obs::counter("stream.edges", chunk.len() as u64);
-            for e in chunk {
-                if let Some(&q) = assignments.get(index) {
-                    metrics.observe_external(e.source(), e.target(), q);
-                }
-                index += 1;
-            }
-        })?;
-    }
-    if index != assignments.len() {
-        return Err(PipelineError::Source(SourceError::Corrupt(format!(
-            "stream replay mismatch: pass 1 delivered {} edges, pass 2 delivered {index}",
-            assignments.len()
-        ))));
-    }
 
     tlp_obs::counter("run.edges", assignments.len() as u64);
     let partition = EdgePartition::new(num_partitions, assignments)?;

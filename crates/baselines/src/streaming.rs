@@ -17,7 +17,7 @@
 //! natural-order one at any buffer budget.
 
 use crate::stream::{edge_order, EdgeOrder};
-use crate::util::{degrees, least_loaded, splitmix64, PartitionSet};
+use crate::util::{contains, degrees, least_loaded, ones, splitmix64, ReplicaTable};
 use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
 use tlp_graph::{GraphView, VertexId};
 
@@ -69,6 +69,14 @@ pub enum StreamingKind {
     ///   share — this prefers replicating the higher-degree endpoint;
     /// * `C_bal(q) = λ * (maxsize - load(q)) / (ε + maxsize - minsize)`,
     ///   with `λ = 1.1`, the paper's default.
+    ///
+    /// Ties go to the lower load, then to the lower id. Partitions with
+    /// equal `C_rep` differ only in `C_bal`, which never rises with the
+    /// load, so each edge scores at most four partitions, not all p: the
+    /// lowest-id least-loaded one of `A(u) ∩ A(v)`, of `A(u) \ A(v)`, of
+    /// `A(v) \ A(u)` and overall. Finding them costs
+    /// `O(|A(u) ∪ A(v)| + p / 64)` integer work per edge; debug builds
+    /// check every pick against the literal scan over all p.
     Hdrf,
 }
 
@@ -237,29 +245,54 @@ impl EdgePartitioner for StreamingPartitioner {
 }
 
 /// Replica sets `A(v)` and partition loads: the state Greedy and HDRF
-/// keep. State is `O(n + p)`.
+/// keep. State is `O(n * ceil(p / 64) + p)`. Loads only grow by one per
+/// commit, so the largest load, the smallest load and the lowest-id
+/// least-loaded partition are kept up to date in amortized `O(1)`.
 #[derive(Clone, Debug)]
 struct Replicas {
-    sets: Vec<PartitionSet>,
+    sets: ReplicaTable,
     loads: Vec<usize>,
+    max_load: usize,
+    min_load: usize,
+    /// The lowest-id partition whose load is `min_load`.
+    lightest: usize,
 }
 
 impl Replicas {
     fn new(num_vertices: usize, num_partitions: usize) -> Self {
         Replicas {
-            sets: (0..num_vertices)
-                .map(|_| PartitionSet::new(num_partitions))
-                .collect(),
+            sets: ReplicaTable::new(num_vertices, num_partitions),
             loads: vec![0; num_partitions],
+            max_load: 0,
+            min_load: 0,
+            lightest: 0,
         }
     }
 
     /// Records edge `(u, v)` in partition `q`: the step every Greedy and
     /// HDRF placement ends with, and the fold that seeds them.
     fn commit(&mut self, u: VertexId, v: VertexId, q: usize) -> PartitionId {
-        self.loads[q] += 1;
-        self.sets[u as usize].insert(q);
-        self.sets[v as usize].insert(q);
+        let loads = &mut self.loads;
+        loads[q] += 1;
+        self.max_load = self.max_load.max(loads[q]);
+        if q == self.lightest {
+            // Every partition below `q` is heavier than the minimum, so the
+            // next one still at it, if any, lies above `q`; otherwise the
+            // minimum rises by one and `q` itself is at the new one.
+            let min_load = self.min_load;
+            self.lightest = match (q + 1..loads.len()).find(|&r| loads[r] == min_load) {
+                Some(r) => r,
+                None => {
+                    self.min_load += 1;
+                    let min_load = self.min_load;
+                    (0..=q)
+                        .find(|&r| loads[r] == min_load)
+                        .expect("q is at the new minimum")
+                }
+            };
+        }
+        self.sets.insert(u, q);
+        self.sets.insert(v, q);
         q as PartitionId
     }
 
@@ -298,38 +331,117 @@ impl HdrfState {
     /// The balance weight `λ`.
     const LAMBDA: f64 = 1.1;
     const EPSILON: f64 = 1e-9;
-}
 
-impl StreamingPlacer for HdrfState {
-    fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
+    /// Counts the arriving edge `(u, v)` into the partial degrees and
+    /// returns `(θ(u), θ(v))`.
+    fn observe(&mut self, u: VertexId, v: VertexId) -> (f64, f64) {
         self.partial_degree[u as usize] += 1;
         self.partial_degree[v as usize] += 1;
         let du = f64::from(self.partial_degree[u as usize]);
         let dv = f64::from(self.partial_degree[v as usize]);
         let theta_u = du / (du + dv);
-        let theta_v = 1.0 - theta_u;
-        let Replicas { sets, loads } = &self.replicas;
+        (theta_u, 1.0 - theta_u)
+    }
+
+    /// `C_rep(q) + C_bal(q)` of edge `(u, v)` for partition `q`.
+    fn score(
+        &self,
+        u: VertexId,
+        v: VertexId,
+        theta: (f64, f64),
+        q: usize,
+        max_min: (f64, f64),
+    ) -> f64 {
+        let Replicas { sets, loads, .. } = &self.replicas;
+        let (max_load, min_load) = max_min;
+        let mut c_rep = 0.0;
+        if contains(sets.row(u), q) {
+            c_rep += 1.0 + (1.0 - theta.0);
+        }
+        if contains(sets.row(v), q) {
+            c_rep += 1.0 + (1.0 - theta.1);
+        }
+        let c_bal =
+            Self::LAMBDA * (max_load - loads[q] as f64) / (Self::EPSILON + max_load - min_load);
+        c_rep + c_bal
+    }
+
+    /// The partition [`scan`](Self::scan) picks, scoring at most four.
+    ///
+    /// Partitions split into four groups of equal `C_rep`: those in both
+    /// replica sets, in `A(u)` only, in `A(v)` only, and in neither.
+    /// Within a group the score differs only by `C_bal`, which never rises
+    /// with the load, even rounded: the load subtraction is exact, and the
+    /// multiply, the divide by one positive denominator and the add of
+    /// `C_rep` all round monotonically. So the scan's winner in a group, on
+    /// score, then load, then id, is the group's lowest-id least-loaded
+    /// member, and the lowest-id least-loaded partition overall stands in
+    /// for the last group: it scores at least as high as any member.
+    fn pick(&self, u: VertexId, v: VertexId, theta: (f64, f64)) -> usize {
+        let Replicas {
+            sets,
+            loads,
+            max_load,
+            min_load,
+            lightest,
+        } = &self.replicas;
+        let (au, av) = (sets.row(u), sets.row(v));
+        let lightest_of = |group: fn(u64, u64) -> u64| {
+            least_loaded(loads, ones(au.iter().zip(av).map(|(&a, &b)| group(a, b))))
+        };
+        let group_best = [
+            lightest_of(|a, b| a & b),
+            lightest_of(|a, b| a & !b),
+            lightest_of(|a, b| !a & b),
+        ];
+        let max_min = (*max_load as f64, *min_load as f64);
+        group_best
+            .into_iter()
+            .flatten()
+            .chain([*lightest])
+            .map(|q| (self.score(u, v, theta, q, max_min), q))
+            .reduce(|best, (score, q)| {
+                let wins =
+                    score > best.0 || (score == best.0 && (loads[q], q) < (loads[best.1], best.1));
+                if wins {
+                    (score, q)
+                } else {
+                    best
+                }
+            })
+            .expect("the lightest partition is a candidate")
+            .1
+    }
+
+    /// HDRF's literal `O(p)` pick: every partition scored, the highest
+    /// score wins, ties go to the lower load, then to the lower id. The
+    /// reference [`pick`](Self::pick) is checked against.
+    fn scan(&self, u: VertexId, v: VertexId, theta: (f64, f64)) -> usize {
+        let loads = &self.replicas.loads;
         let max_load = loads.iter().copied().max().expect("p >= 1") as f64;
         let min_load = loads.iter().copied().min().expect("p >= 1") as f64;
-
         let mut best = 0usize;
         let mut best_score = f64::NEG_INFINITY;
         for (q, &load) in loads.iter().enumerate() {
-            let mut c_rep = 0.0;
-            if sets[u as usize].contains(q) {
-                c_rep += 1.0 + (1.0 - theta_u);
-            }
-            if sets[v as usize].contains(q) {
-                c_rep += 1.0 + (1.0 - theta_v);
-            }
-            let c_bal =
-                Self::LAMBDA * (max_load - load as f64) / (Self::EPSILON + max_load - min_load);
-            let score = c_rep + c_bal;
+            let score = self.score(u, v, theta, q, (max_load, min_load));
             if score > best_score || (score == best_score && load < loads[best]) {
                 best = q;
                 best_score = score;
             }
         }
+        best
+    }
+}
+
+impl StreamingPlacer for HdrfState {
+    fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
+        let theta = self.observe(u, v);
+        let best = self.pick(u, v, theta);
+        debug_assert_eq!(
+            best,
+            self.scan(u, v, theta),
+            "HDRF pick left the literal scan"
+        );
         self.replicas.commit(u, v, best)
     }
 }
@@ -342,20 +454,20 @@ struct GreedyState {
 
 impl StreamingPlacer for GreedyState {
     fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
-        let Replicas { sets, loads } = &self.replicas;
-        let (au, av) = (&sets[u as usize], &sets[v as usize]);
-        let pid = if let Some(pid) = least_loaded(loads, au.intersection(av)) {
-            pid
-        } else {
-            match (au.is_empty(), av.is_empty()) {
-                (false, false) => {
-                    least_loaded(loads, au.iter().chain(av.iter())).expect("non-empty")
-                }
-                (false, true) => least_loaded(loads, au.iter()).expect("non-empty"),
-                (true, false) => least_loaded(loads, av.iter()).expect("non-empty"),
-                (true, true) => least_loaded(loads, 0..loads.len()).expect("p >= 1"),
-            }
-        };
+        let Replicas {
+            sets,
+            loads,
+            lightest,
+            ..
+        } = &self.replicas;
+        let (au, av) = (sets.row(u), sets.row(v));
+        let both = au.iter().zip(av).map(|(a, b)| a & b);
+        let either = au.iter().zip(av).map(|(a, b)| a | b);
+        // Rules 2 and 3 are one: when one set is empty, the union is the
+        // other.
+        let pid = least_loaded(loads, ones(both))
+            .or_else(|| least_loaded(loads, ones(either)))
+            .unwrap_or(*lightest);
         self.replicas.commit(u, v, pid)
     }
 }
@@ -597,7 +709,50 @@ mod tests {
     fn hdrf_seeded_state_continues_bit_identically() {
         let g = chung_lu(400, 1600, 2.2, 5);
         let split = g.num_edges() * 3 / 4;
-        assert_seeded_continuation(&g, split, 8, StreamingKind::Hdrf);
+        // 65 and 130 put the folded loads and replica sets across words.
+        for p in [8, 65, 130] {
+            assert_seeded_continuation(&g, split, p, StreamingKind::Hdrf);
+        }
+    }
+
+    /// HDRF's candidate pick equals the literal scan at every step, in
+    /// release builds too, for `p` on both sides of the 64-bit word.
+    #[test]
+    fn hdrf_pick_equals_the_scan_across_word_boundaries() {
+        let g = chung_lu(600, 3000, 2.1, 13);
+        for p in [1, 2, 63, 64, 65, 130] {
+            for order in [EdgeOrder::Natural, EdgeOrder::Random(3)] {
+                let mut hdrf = HdrfState {
+                    replicas: Replicas::new(g.num_vertices(), p),
+                    partial_degree: vec![0; g.num_vertices()],
+                };
+                for eid in edge_order(g.view(), order) {
+                    let (u, v) = g.edge(eid).endpoints();
+                    let theta = hdrf.observe(u, v);
+                    let best = hdrf.pick(u, v, theta);
+                    assert_eq!(best, hdrf.scan(u, v, theta), "p={p} {order:?} edge {eid}");
+                    hdrf.replicas.commit(u, v, best);
+                }
+                let loads = &hdrf.replicas.loads;
+                assert_eq!(loads.iter().sum::<usize>(), g.num_edges());
+                assert_eq!(hdrf.replicas.max_load, *loads.iter().max().unwrap());
+                assert_eq!(hdrf.replicas.min_load, *loads.iter().min().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "HDRF pick left the literal scan")]
+    fn a_stale_lightest_partition_fails_the_cross_check() {
+        let mut hdrf = HdrfState {
+            replicas: Replicas::new(4, 3),
+            partial_degree: vec![0; 4],
+        };
+        assert_eq!(hdrf.place(0, 1), 0);
+        // Partition 1 is the lowest-id least-loaded one; claim 2 instead.
+        hdrf.replicas.lightest = 2;
+        hdrf.place(2, 3);
     }
 
     #[test]

@@ -104,24 +104,21 @@ impl PartitionMetrics {
                 continue;
             }
             scratch.sort_unstable();
-            scratch.dedup();
-            covered_vertices += 1;
-            total_replicas += scratch.len();
-            if scratch.len() > 1 {
-                spanned_vertices += 1;
-            }
-            for &pid in &scratch {
-                vertex_counts[pid as usize] += 1;
-            }
             // Every incident edge assigned to q contributes one external
-            // incidence to each *other* partition v belongs to.
-            for (_, e) in graph.incident(v) {
-                let q = partition.partition_of(e);
-                for &pid in &scratch {
-                    if pid != q {
-                        external[pid as usize] += 1;
-                    }
-                }
+            // incidence to each *other* partition v belongs to: deg(v)
+            // minus the run of v's edges in that partition.
+            let degree = scratch.len();
+            let mut replicas = 0usize;
+            for run in scratch.chunk_by(|a, b| a == b) {
+                let pid = run[0] as usize;
+                vertex_counts[pid] += 1;
+                external[pid] += degree - run.len();
+                replicas += 1;
+            }
+            covered_vertices += 1;
+            total_replicas += replicas;
+            if replicas > 1 {
+                spanned_vertices += 1;
             }
         }
 
@@ -151,16 +148,18 @@ impl PartitionMetrics {
     }
 }
 
-/// Two-pass metrics accumulator for assignments produced by streaming
+/// One-pass metrics accumulator for assignments produced by streaming
 /// sources, where the graph is never materialized.
 ///
-/// Pass 1 ([`observe_assignment`](Self::observe_assignment)) records each
-/// edge's endpoints and partition, building per-vertex partition membership
-/// bitsets and per-partition edge counts. Pass 2
-/// ([`observe_external`](Self::observe_external)) replays the identical
-/// edge/assignment sequence to count external incidences (the denominator
-/// of the paper's Claim 1 modularity), which needs the completed membership
-/// sets. [`finish`](Self::finish) then produces a [`PartitionMetrics`].
+/// [`observe_assignment`](Self::observe_assignment) records each edge's
+/// endpoints and partition, building per-vertex partition membership
+/// bitsets, per-vertex incidence counts and per-partition edge counts.
+/// [`finish`](Self::finish) then produces a [`PartitionMetrics`]. The
+/// external incidences of partition `q` (the denominator of the paper's
+/// Claim 1 modularity) follow from the exact identity
+/// `external[q] = Σ_{v : q ∈ A(v)} inc(v) − 2 · edges[q]`: each of `v`'s
+/// incidences is external to every partition of `A(v)` but its own, and
+/// each edge of `q` is one incidence of `q` at both of its endpoints.
 ///
 /// Every accumulation is an integer add, and the final divisions are the
 /// canonical expressions ([`PartitionMetrics::replication_factor_of`] and
@@ -174,71 +173,59 @@ pub struct StreamedMetrics {
     words: usize,
     /// `num_vertices * words` bitset: vertex v belongs to partition q.
     membership: Vec<u64>,
+    /// Edge-endpoint incidences of each vertex so far.
+    incidences: Vec<u32>,
     edge_counts: Vec<usize>,
-    external: Vec<usize>,
 }
 
 impl StreamedMetrics {
     /// Creates an accumulator for `num_vertices` vertices and
-    /// `num_partitions` partitions. Memory is `O(n * p / 64 + p)`.
+    /// `num_partitions` partitions. Memory is `O(n * p / 64 + n + p)`.
     pub fn new(num_vertices: usize, num_partitions: usize) -> Self {
         let words = num_partitions.div_ceil(64).max(1);
         StreamedMetrics {
             num_partitions,
             words,
             membership: vec![0u64; num_vertices * words],
+            incidences: vec![0u32; num_vertices],
             edge_counts: vec![0usize; num_partitions],
-            external: vec![0usize; num_partitions],
         }
     }
 
     fn set(&mut self, v: VertexId, q: PartitionId) {
         let base = v as usize * self.words;
         self.membership[base + q as usize / 64] |= 1u64 << (q as usize % 64);
+        self.incidences[v as usize] += 1;
     }
 
-    /// Pass 1: edge `(u, v)` was assigned to partition `q`.
+    /// Edge `(u, v)` was assigned to partition `q`.
     pub fn observe_assignment(&mut self, u: VertexId, v: VertexId, q: PartitionId) {
         self.edge_counts[q as usize] += 1;
         self.set(u, q);
         self.set(v, q);
     }
 
-    /// Pass 2 (after every assignment has been observed): replay edge
-    /// `(u, v)` assigned to `q`; each endpoint contributes one external
-    /// incidence to every *other* partition it belongs to.
-    pub fn observe_external(&mut self, u: VertexId, v: VertexId, q: PartitionId) {
-        for w in [u, v] {
-            let base = w as usize * self.words;
-            for word_idx in 0..self.words {
-                let mut word = self.membership[base + word_idx];
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let pid = word_idx * 64 + bit;
-                    if pid != q as usize {
-                        self.external[pid] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Finalizes the metrics after both passes.
+    /// Finalizes the metrics after every assignment was observed.
     pub fn finish(self) -> PartitionMetrics {
         let p = self.num_partitions;
         let mut vertex_counts = vec![0usize; p];
+        let mut member_incidences = vec![0usize; p];
         let mut total_replicas = 0usize;
         let mut covered_vertices = 0usize;
         let mut spanned_vertices = 0usize;
-        for vertex in self.membership.chunks_exact(self.words) {
+        for (vertex, &incidences) in self
+            .membership
+            .chunks_exact(self.words)
+            .zip(&self.incidences)
+        {
             let mut replicas = 0usize;
             for (word_idx, &word) in vertex.iter().enumerate() {
                 let mut word = word;
                 while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
+                    let pid = word_idx * 64 + word.trailing_zeros() as usize;
                     word &= word - 1;
-                    vertex_counts[word_idx * 64 + bit] += 1;
+                    vertex_counts[pid] += 1;
+                    member_incidences[pid] += incidences as usize;
                     replicas += 1;
                 }
             }
@@ -259,8 +246,8 @@ impl StreamedMetrics {
         let modularity = self
             .edge_counts
             .iter()
-            .zip(&self.external)
-            .map(|(&internal, &ext)| Modularity::new(internal, ext).value())
+            .zip(&member_incidences)
+            .map(|(&internal, &member)| Modularity::new(internal, member - 2 * internal).value())
             .collect();
         PartitionMetrics {
             replication_factor: PartitionMetrics::replication_factor_of(
@@ -370,10 +357,6 @@ mod tests {
             for (eid, edge) in g.edges().iter().enumerate() {
                 let (u, v) = edge.endpoints();
                 acc.observe_assignment(u, v, assignment[eid]);
-            }
-            for (eid, edge) in g.edges().iter().enumerate() {
-                let (u, v) = edge.endpoints();
-                acc.observe_external(u, v, assignment[eid]);
             }
             assert_eq!(acc.finish(), reference);
         }

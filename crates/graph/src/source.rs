@@ -22,8 +22,8 @@
 //!
 //! Passes are **replayable and deterministic**: every call to
 //! [`stream_pass`](EdgeSource::stream_pass) delivers the same edges in the
-//! same arrival order, which is what lets a two-pass metrics computation
-//! pair its second sweep with the assignments recorded in the first.
+//! same arrival order, so a consumer that reads a source more than once
+//! can pair the edges of its passes by position.
 
 use crate::view::EdgeTable;
 use crate::{CsrGraph, Edge, GraphError, GraphView};

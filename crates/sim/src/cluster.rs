@@ -120,11 +120,6 @@ impl<'g> Cluster<'g> {
         let m = self.master[v as usize];
         (m != MachineId::MAX).then_some(m)
     }
-
-    /// Total replicas across all vertices (the RF numerator).
-    pub fn total_replicas(&self) -> usize {
-        self.replicas.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,8 @@ mod tests {
     fn total_replicas_counts_every_copy() {
         let (g, part) = cluster_of(vec![0, 1, 2], 3);
         let c = Cluster::new(&g, &part);
-        assert_eq!(c.total_replicas(), 6);
+        let total: usize = g.vertices().map(|v| c.replicas(v).len()).sum();
+        assert_eq!(total, 6);
     }
 
     #[test]

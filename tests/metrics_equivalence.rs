@@ -1,5 +1,5 @@
 //! Every metrics path in the workspace reports the same numbers,
-//! bit-for-bit: the canonical [`PartitionMetrics::compute`], the two-pass
+//! bit-for-bit: the canonical [`PartitionMetrics::compute`], the one-pass
 //! [`StreamedMetrics`] accumulator (used by streaming pipeline runs), the
 //! partition-store manifest's `replication_factor()` / `balance()`, and the
 //! store reader's full `recompute_metrics()`.
@@ -27,10 +27,6 @@ fn streamed(graph: &CsrGraph, partition: &EdgePartition, p: usize) -> PartitionM
     for (eid, edge) in graph.edges().iter().enumerate() {
         let (u, v) = edge.endpoints();
         acc.observe_assignment(u, v, partition.partition_of(eid as u32));
-    }
-    for (eid, edge) in graph.edges().iter().enumerate() {
-        let (u, v) = edge.endpoints();
-        acc.observe_external(u, v, partition.partition_of(eid as u32));
     }
     acc.finish()
 }
