@@ -18,13 +18,15 @@
 //! deterministic given their seeds.
 //!
 //! The four edge-streaming heuristics are one family: a [`StreamingKind`]
-//! builds its per-edge [`StreamingPlacer`], which
-//! [`StreamingPartitioner`] runs over an [`EdgeOrder`] of an in-memory
-//! graph and [`run_streaming`] runs out-of-core over any
-//! [`tlp_graph::EdgeSource`] (including `.tlpg` files on disk), holding at
-//! most the source's budget of edges in memory. Streamed and materialized
-//! runs of the same heuristic over the same arrival order are
-//! bit-identical.
+//! builds a [`StreamingPlacer`], the one placer type, whose state is the
+//! [`tlp_core::StreamedMetrics`] fold of the edges it placed. Greedy and
+//! HDRF decide by that fold's replica sets, partial degrees and loads, and
+//! the run's metrics are read off it. [`StreamingPartitioner`] runs the
+//! placer over an [`EdgeOrder`] of an in-memory graph and [`run_streaming`]
+//! runs it out-of-core over any [`tlp_graph::EdgeSource`] (including
+//! `.tlpg` files on disk), holding at most the source's budget of edges in
+//! memory. Streamed and materialized runs of the same heuristic over the
+//! same arrival order are bit-identical.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

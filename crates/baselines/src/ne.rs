@@ -1,5 +1,5 @@
 //! NE — Neighborhood Expansion (Zhang et al., "Graph Edge Partitioning via
-//! Neighborhood Heuristic", KDD 2017; the paper's reference [13]).
+//! Neighborhood Heuristic", KDD 2017; the paper's reference \[13\]).
 //!
 //! Like TLP, NE grows one partition per round from a random seed, so it is
 //! the most closely related comparator. It keeps its own expansion loop

@@ -3,8 +3,9 @@
 //! [`run_streaming`] drives the [`StreamingKind`] placers
 //! (Random, DBH, Greedy, HDRF) for the `tlp-core` pipeline: it consumes
 //! any [`EdgeSource`] in one bounded-memory pass — each edge is placed in
-//! arrival order and folded into the canonical [`StreamedMetrics`]
-//! accumulator — and emits a [`RunArtifact`] whose
+//! arrival order and folded into the placer's
+//! [`StreamedMetrics`](tlp_core::StreamedMetrics), the one replica state
+//! of the run — and emits a [`RunArtifact`] whose
 //! metrics are bit-identical to
 //! [`PartitionMetrics::compute`](tlp_core::PartitionMetrics::compute) on
 //! the materialized graph (pinned by the conformance tests). Because
@@ -16,7 +17,7 @@
 
 use crate::streaming::StreamingKind;
 use crate::util::degrees;
-use tlp_core::{EdgePartition, PartitionId, PipelineError, RunArtifact, StreamedMetrics};
+use tlp_core::{EdgePartition, PartitionId, PipelineError, RunArtifact};
 use tlp_graph::{EdgeSource, SourceError};
 
 /// Number of vertices, from the hint or by materializing.
@@ -71,9 +72,8 @@ pub fn run_streaming(
         .transpose()?;
     let mut placer = kind.placer(num_vertices, num_partitions, seed, degrees)?;
 
-    // One pass: place every edge in arrival order, recording its
-    // assignment and folding it into the metrics.
-    let mut metrics = StreamedMetrics::new(num_vertices, num_partitions);
+    // One pass: place every edge in arrival order and record its
+    // assignment; the placer folds it into the metrics.
     let mut assignments: Vec<PartitionId> =
         Vec::with_capacity(source.num_edges_hint().unwrap_or(0));
     let start = std::time::Instant::now();
@@ -83,9 +83,7 @@ pub fn run_streaming(
             tlp_obs::counter("stream.chunk", 1);
             tlp_obs::counter("stream.edges", chunk.len() as u64);
             for e in chunk {
-                let q = placer.place(e.source(), e.target());
-                metrics.observe_assignment(e.source(), e.target(), q);
-                assignments.push(q);
+                assignments.push(placer.place(e.source(), e.target()));
             }
         })?
     };
@@ -93,7 +91,7 @@ pub fn run_streaming(
 
     tlp_obs::counter("run.edges", assignments.len() as u64);
     let partition = EdgePartition::new(num_partitions, assignments)?;
-    let metrics = metrics.finish();
+    let metrics = placer.finish();
     let mut artifact = RunArtifact::new(kind.label(), partition, metrics, seconds);
     artifact.peak_stream_buffer = Some(stats.peak_buffer);
     Ok(artifact)

@@ -15,10 +15,16 @@
 //! Because both paths execute the identical placer over the identical
 //! arrival sequence, a streamed run is bit-identical to the materialized
 //! natural-order one at any buffer budget.
+//!
+//! Every placer folds its decisions into one [`StreamedMetrics`]: the
+//! replica sets, partial degrees and loads Greedy and HDRF decide by are
+//! the same state the run's metrics are read off.
 
 use crate::stream::{edge_order, EdgeOrder};
-use crate::util::{contains, degrees, least_loaded, ones, splitmix64, ReplicaTable};
-use tlp_core::{EdgePartition, EdgePartitioner, PartitionError, PartitionId};
+use crate::util::{degrees, least_loaded, splitmix64};
+use tlp_core::{
+    EdgePartition, EdgePartitioner, PartitionError, PartitionId, PartitionMetrics, StreamedMetrics,
+};
 use tlp_graph::{GraphView, VertexId};
 
 /// Which edge-streaming heuristic places the edges.
@@ -114,42 +120,34 @@ impl StreamingKind {
         num_partitions: usize,
         seed: u64,
         degrees: Option<Vec<u32>>,
-    ) -> Result<Box<dyn StreamingPlacer + Send + Sync>, PartitionError> {
+    ) -> Result<StreamingPlacer, PartitionError> {
         if num_partitions == 0 {
             return Err(PartitionError::ZeroPartitions);
         }
-        Ok(match self {
-            StreamingKind::Random => Box::new(RandomState {
-                seed,
-                num_partitions,
-                next_index: 0,
-            }),
-            StreamingKind::Dbh => Box::new(DbhState {
-                degrees: degrees.expect("DBH needs the final vertex degrees"),
-                seed,
-                num_partitions,
-            }),
-            StreamingKind::Greedy => Box::new(GreedyState {
-                replicas: Replicas::new(num_vertices, num_partitions),
-            }),
-            StreamingKind::Hdrf => Box::new(HdrfState {
-                replicas: Replicas::new(num_vertices, num_partitions),
-                partial_degree: vec![0; num_vertices],
-            }),
+        let degrees = match self {
+            StreamingKind::Dbh => degrees.expect("DBH needs the final vertex degrees"),
+            _ => Vec::new(),
+        };
+        Ok(StreamingPlacer {
+            kind: self,
+            seed,
+            degrees,
+            next_index: 0,
+            fold: StreamedMetrics::new(num_vertices, num_partitions),
         })
     }
 
     /// Builds this kind's placer *as if* every edge of `graph` had already
     /// been streamed through [`StreamingPlacer::place`] with the outcomes
-    /// recorded in `partition`: replica sets, loads and HDRF's partial
-    /// degrees are folded from the assignment.
+    /// recorded in `partition`: its fold is
+    /// [`StreamedMetrics::from_partition`].
     ///
     /// When `partition` was itself produced by a stream of this kind over
     /// `graph`'s canonical edge order, the returned state is identical to
     /// the live state at the end of that stream, so placements continue
     /// bit-identically — this is how the serving layer resumes online
     /// placement against a stored partition. `Ok(None)` for Random and
-    /// DBH, which keep no replica state to resume from.
+    /// DBH, which decide by no replica state to resume from.
     ///
     /// # Errors
     ///
@@ -159,35 +157,72 @@ impl StreamingKind {
         self,
         graph: impl Into<GraphView<'a>>,
         partition: &EdgePartition,
-    ) -> Result<Option<Box<dyn StreamingPlacer + Send + Sync>>, PartitionError> {
-        let graph = graph.into();
-        Ok(match self {
-            StreamingKind::Random | StreamingKind::Dbh => None,
-            StreamingKind::Greedy => Some(Box::new(GreedyState {
-                replicas: Replicas::seeded_from(graph, partition, |_, _| {})?,
-            })),
-            StreamingKind::Hdrf => {
-                let mut partial_degree = vec![0; graph.num_vertices()];
-                let replicas = Replicas::seeded_from(graph, partition, |u, v| {
-                    partial_degree[u as usize] += 1;
-                    partial_degree[v as usize] += 1;
-                })?;
-                Some(Box::new(HdrfState {
-                    replicas,
-                    partial_degree,
-                }))
-            }
-        })
+    ) -> Result<Option<StreamingPlacer>, PartitionError> {
+        if matches!(self, StreamingKind::Random | StreamingKind::Dbh) {
+            return Ok(None);
+        }
+        Ok(Some(StreamingPlacer {
+            kind: self,
+            seed: 0,
+            degrees: Vec::new(),
+            next_index: 0,
+            fold: StreamedMetrics::from_partition(graph, partition)?,
+        }))
     }
 }
 
-/// Per-edge placement state of a streaming heuristic.
+/// The per-edge placement state of a streaming heuristic.
 ///
-/// `place` is called once per arriving edge, in arrival order, and must
-/// fold the decision into its own state (loads, replica sets, …).
-pub trait StreamingPlacer {
+/// [`place`](Self::place) is called once per arriving edge, in arrival
+/// order; it decides the edge's partition by the placer's
+/// [`StreamingKind`] and folds the decision into the placer's
+/// [`StreamedMetrics`], whose replica sets, partial degrees and loads are
+/// what Greedy and HDRF decide by.
+#[derive(Clone, Debug)]
+pub struct StreamingPlacer {
+    kind: StreamingKind,
+    /// Seed of Random's and DBH's hashes.
+    seed: u64,
+    /// The final vertex degrees DBH hashes by; empty for the other kinds.
+    degrees: Vec<u32>,
+    /// Random's arrival index: the number of edges placed so far.
+    next_index: u64,
+    fold: StreamedMetrics,
+}
+
+impl StreamingPlacer {
     /// Places the arriving edge `(u, v)` and returns its partition.
-    fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId;
+    pub fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
+        let num_partitions = self.fold.loads().len() as u64;
+        let q = match self.kind {
+            StreamingKind::Random => {
+                let index = self.next_index;
+                self.next_index += 1;
+                (splitmix64(index ^ self.seed) % num_partitions) as PartitionId
+            }
+            StreamingKind::Dbh => {
+                let (du, dv) = (self.degrees[u as usize], self.degrees[v as usize]);
+                let anchor = if du < dv || (du == dv && u <= v) {
+                    u
+                } else {
+                    v
+                };
+                (splitmix64(u64::from(anchor) ^ self.seed) % num_partitions) as PartitionId
+            }
+            StreamingKind::Greedy => greedy_pick(&self.fold, u, v) as PartitionId,
+            StreamingKind::Hdrf => {
+                hdrf_checked_pick(&self.fold, u, v, self.fold.lightest()) as PartitionId
+            }
+        };
+        self.fold.observe_assignment(u, v, q);
+        q
+    }
+
+    /// The metrics of every assignment placed (and, for a seeded placer,
+    /// seeded) so far.
+    pub fn finish(self) -> PartitionMetrics {
+        self.fold.finish()
+    }
 }
 
 /// An edge-streaming heuristic run over an arrival order of a materialized
@@ -244,268 +279,138 @@ impl EdgePartitioner for StreamingPartitioner {
     }
 }
 
-/// Replica sets `A(v)` and partition loads: the state Greedy and HDRF
-/// keep. State is `O(n * ceil(p / 64) + p)`. Loads only grow by one per
-/// commit, so the largest load, the smallest load and the lowest-id
-/// least-loaded partition are kept up to date in amortized `O(1)`.
-#[derive(Clone, Debug)]
-struct Replicas {
-    sets: ReplicaTable,
-    loads: Vec<usize>,
-    max_load: usize,
-    min_load: usize,
-    /// The lowest-id partition whose load is `min_load`.
+/// HDRF's balance weight `λ`.
+const HDRF_LAMBDA: f64 = 1.1;
+const HDRF_EPSILON: f64 = 1e-9;
+
+/// `(θ(u), θ(v))` of the arriving edge `(u, v)`: each endpoint's share of
+/// the two partial degrees, counting the arriving edge, which `fold` has
+/// not observed yet.
+fn hdrf_theta(fold: &StreamedMetrics, u: VertexId, v: VertexId) -> (f64, f64) {
+    let du = f64::from(fold.incidences(u) + 1);
+    let dv = f64::from(fold.incidences(v) + 1);
+    let theta_u = du / (du + dv);
+    (theta_u, 1.0 - theta_u)
+}
+
+/// `C_rep(q) + C_bal(q)` of edge `(u, v)` for partition `q` (see
+/// [`StreamingKind::Hdrf`] for the scoring rule).
+fn hdrf_score(
+    fold: &StreamedMetrics,
+    u: VertexId,
+    v: VertexId,
+    theta: (f64, f64),
+    q: usize,
+    max_min: (f64, f64),
+) -> f64 {
+    let (max_load, min_load) = max_min;
+    let mut c_rep = 0.0;
+    if fold.has_replica(u, q) {
+        c_rep += 1.0 + (1.0 - theta.0);
+    }
+    if fold.has_replica(v, q) {
+        c_rep += 1.0 + (1.0 - theta.1);
+    }
+    let c_bal =
+        HDRF_LAMBDA * (max_load - fold.loads()[q] as f64) / (HDRF_EPSILON + max_load - min_load);
+    c_rep + c_bal
+}
+
+/// HDRF's placement of edge `(u, v)`: [`hdrf_pick`], which debug builds
+/// check against [`hdrf_scan`]. `lightest` is `fold`'s lowest-id
+/// least-loaded partition.
+fn hdrf_checked_pick(fold: &StreamedMetrics, u: VertexId, v: VertexId, lightest: usize) -> usize {
+    let theta = hdrf_theta(fold, u, v);
+    let best = hdrf_pick(fold, u, v, theta, lightest);
+    debug_assert_eq!(
+        best,
+        hdrf_scan(fold, u, v, theta),
+        "HDRF pick left the literal scan"
+    );
+    best
+}
+
+/// The partition [`hdrf_scan`] picks, scoring at most four.
+///
+/// Partitions split into four groups of equal `C_rep`: those in both
+/// replica sets, in `A(u)` only, in `A(v)` only, and in neither.
+/// Within a group the score differs only by `C_bal`, which never rises
+/// with the load, even rounded: the load subtraction is exact, and the
+/// multiply, the divide by one positive denominator and the add of
+/// `C_rep` all round monotonically. So the scan's winner in a group, on
+/// score, then load, then id, is the group's lowest-id least-loaded
+/// member, and the lowest-id least-loaded partition overall, `lightest`,
+/// stands in for the last group: it scores at least as high as any
+/// member.
+fn hdrf_pick(
+    fold: &StreamedMetrics,
+    u: VertexId,
+    v: VertexId,
+    theta: (f64, f64),
     lightest: usize,
-}
-
-impl Replicas {
-    fn new(num_vertices: usize, num_partitions: usize) -> Self {
-        Replicas {
-            sets: ReplicaTable::new(num_vertices, num_partitions),
-            loads: vec![0; num_partitions],
-            max_load: 0,
-            min_load: 0,
-            lightest: 0,
-        }
-    }
-
-    /// Records edge `(u, v)` in partition `q`: the step every Greedy and
-    /// HDRF placement ends with, and the fold that seeds them.
-    fn commit(&mut self, u: VertexId, v: VertexId, q: usize) -> PartitionId {
-        let loads = &mut self.loads;
-        loads[q] += 1;
-        self.max_load = self.max_load.max(loads[q]);
-        if q == self.lightest {
-            // Every partition below `q` is heavier than the minimum, so the
-            // next one still at it, if any, lies above `q`; otherwise the
-            // minimum rises by one and `q` itself is at the new one.
-            let min_load = self.min_load;
-            self.lightest = match (q + 1..loads.len()).find(|&r| loads[r] == min_load) {
-                Some(r) => r,
-                None => {
-                    self.min_load += 1;
-                    let min_load = self.min_load;
-                    (0..=q)
-                        .find(|&r| loads[r] == min_load)
-                        .expect("q is at the new minimum")
-                }
-            };
-        }
-        self.sets.insert(u, q);
-        self.sets.insert(v, q);
-        q as PartitionId
-    }
-
-    /// Folds every edge of `graph` into the partition `partition` gives it,
-    /// handing the edge to `each` first.
-    fn seeded_from(
-        graph: GraphView<'_>,
-        partition: &EdgePartition,
-        mut each: impl FnMut(VertexId, VertexId),
-    ) -> Result<Self, PartitionError> {
-        if partition.num_edges() != graph.num_edges() {
-            return Err(PartitionError::InvalidAssignment(format!(
-                "partition covers {} edges but the seeding graph has {}",
-                partition.num_edges(),
-                graph.num_edges()
-            )));
-        }
-        let mut replicas = Replicas::new(graph.num_vertices(), partition.num_partitions());
-        for (eid, edge) in graph.edge_iter().enumerate() {
-            let q = partition.partition_of(eid as u32) as usize;
-            each(edge.source(), edge.target());
-            replicas.commit(edge.source(), edge.target(), q);
-        }
-        Ok(replicas)
-    }
-}
-
-/// HDRF placement state (see [`StreamingKind::Hdrf`] for the scoring rule).
-#[derive(Clone, Debug)]
-struct HdrfState {
-    replicas: Replicas,
-    partial_degree: Vec<u32>,
-}
-
-impl HdrfState {
-    /// The balance weight `λ`.
-    const LAMBDA: f64 = 1.1;
-    const EPSILON: f64 = 1e-9;
-
-    /// Counts the arriving edge `(u, v)` into the partial degrees and
-    /// returns `(θ(u), θ(v))`.
-    fn observe(&mut self, u: VertexId, v: VertexId) -> (f64, f64) {
-        self.partial_degree[u as usize] += 1;
-        self.partial_degree[v as usize] += 1;
-        let du = f64::from(self.partial_degree[u as usize]);
-        let dv = f64::from(self.partial_degree[v as usize]);
-        let theta_u = du / (du + dv);
-        (theta_u, 1.0 - theta_u)
-    }
-
-    /// `C_rep(q) + C_bal(q)` of edge `(u, v)` for partition `q`.
-    fn score(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        theta: (f64, f64),
-        q: usize,
-        max_min: (f64, f64),
-    ) -> f64 {
-        let Replicas { sets, loads, .. } = &self.replicas;
-        let (max_load, min_load) = max_min;
-        let mut c_rep = 0.0;
-        if contains(sets.row(u), q) {
-            c_rep += 1.0 + (1.0 - theta.0);
-        }
-        if contains(sets.row(v), q) {
-            c_rep += 1.0 + (1.0 - theta.1);
-        }
-        let c_bal =
-            Self::LAMBDA * (max_load - loads[q] as f64) / (Self::EPSILON + max_load - min_load);
-        c_rep + c_bal
-    }
-
-    /// The partition [`scan`](Self::scan) picks, scoring at most four.
-    ///
-    /// Partitions split into four groups of equal `C_rep`: those in both
-    /// replica sets, in `A(u)` only, in `A(v)` only, and in neither.
-    /// Within a group the score differs only by `C_bal`, which never rises
-    /// with the load, even rounded: the load subtraction is exact, and the
-    /// multiply, the divide by one positive denominator and the add of
-    /// `C_rep` all round monotonically. So the scan's winner in a group, on
-    /// score, then load, then id, is the group's lowest-id least-loaded
-    /// member, and the lowest-id least-loaded partition overall stands in
-    /// for the last group: it scores at least as high as any member.
-    fn pick(&self, u: VertexId, v: VertexId, theta: (f64, f64)) -> usize {
-        let Replicas {
-            sets,
-            loads,
-            max_load,
-            min_load,
-            lightest,
-        } = &self.replicas;
-        let (au, av) = (sets.row(u), sets.row(v));
-        let lightest_of = |group: fn(u64, u64) -> u64| {
-            least_loaded(loads, ones(au.iter().zip(av).map(|(&a, &b)| group(a, b))))
-        };
-        let group_best = [
-            lightest_of(|a, b| a & b),
-            lightest_of(|a, b| a & !b),
-            lightest_of(|a, b| !a & b),
-        ];
-        let max_min = (*max_load as f64, *min_load as f64);
-        group_best
-            .into_iter()
-            .flatten()
-            .chain([*lightest])
-            .map(|q| (self.score(u, v, theta, q, max_min), q))
-            .reduce(|best, (score, q)| {
-                let wins =
-                    score > best.0 || (score == best.0 && (loads[q], q) < (loads[best.1], best.1));
-                if wins {
-                    (score, q)
-                } else {
-                    best
-                }
-            })
-            .expect("the lightest partition is a candidate")
-            .1
-    }
-
-    /// HDRF's literal `O(p)` pick: every partition scored, the highest
-    /// score wins, ties go to the lower load, then to the lower id. The
-    /// reference [`pick`](Self::pick) is checked against.
-    fn scan(&self, u: VertexId, v: VertexId, theta: (f64, f64)) -> usize {
-        let loads = &self.replicas.loads;
-        let max_load = loads.iter().copied().max().expect("p >= 1") as f64;
-        let min_load = loads.iter().copied().min().expect("p >= 1") as f64;
-        let mut best = 0usize;
-        let mut best_score = f64::NEG_INFINITY;
-        for (q, &load) in loads.iter().enumerate() {
-            let score = self.score(u, v, theta, q, (max_load, min_load));
-            if score > best_score || (score == best_score && load < loads[best]) {
-                best = q;
-                best_score = score;
+) -> usize {
+    let (au, av) = (fold.replicas(u), fold.replicas(v));
+    let loads = fold.loads();
+    let lightest_of = |group: fn(u64, u64) -> u64| {
+        let words = au.iter().zip(av).map(|(&a, &b)| group(a, b));
+        least_loaded(loads, StreamedMetrics::partitions_in(words))
+    };
+    let group_best = [
+        lightest_of(|a, b| a & b),
+        lightest_of(|a, b| a & !b),
+        lightest_of(|a, b| !a & b),
+    ];
+    let (min_load, max_load) = fold.load_range();
+    let max_min = (max_load as f64, min_load as f64);
+    group_best
+        .into_iter()
+        .flatten()
+        .chain([lightest])
+        .map(|q| (hdrf_score(fold, u, v, theta, q, max_min), q))
+        .reduce(|best, (score, q)| {
+            let wins =
+                score > best.0 || (score == best.0 && (loads[q], q) < (loads[best.1], best.1));
+            if wins {
+                (score, q)
+            } else {
+                best
             }
+        })
+        .expect("the lightest partition is a candidate")
+        .1
+}
+
+/// HDRF's literal `O(p)` pick: every partition scored, the highest score
+/// wins, ties go to the lower load, then to the lower id. The reference
+/// [`hdrf_pick`] is checked against.
+fn hdrf_scan(fold: &StreamedMetrics, u: VertexId, v: VertexId, theta: (f64, f64)) -> usize {
+    let loads = fold.loads();
+    let max_load = loads.iter().copied().max().expect("p >= 1") as f64;
+    let min_load = loads.iter().copied().min().expect("p >= 1") as f64;
+    let mut best = 0usize;
+    let mut best_score = f64::NEG_INFINITY;
+    for (q, &load) in loads.iter().enumerate() {
+        let score = hdrf_score(fold, u, v, theta, q, (max_load, min_load));
+        if score > best_score || (score == best_score && load < loads[best]) {
+            best = q;
+            best_score = score;
         }
-        best
     }
+    best
 }
 
-impl StreamingPlacer for HdrfState {
-    fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
-        let theta = self.observe(u, v);
-        let best = self.pick(u, v, theta);
-        debug_assert_eq!(
-            best,
-            self.scan(u, v, theta),
-            "HDRF pick left the literal scan"
-        );
-        self.replicas.commit(u, v, best)
-    }
-}
-
-/// Greedy placement state (see [`StreamingKind::Greedy`] for the rules).
-#[derive(Clone, Debug)]
-struct GreedyState {
-    replicas: Replicas,
-}
-
-impl StreamingPlacer for GreedyState {
-    fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
-        let Replicas {
-            sets,
-            loads,
-            lightest,
-            ..
-        } = &self.replicas;
-        let (au, av) = (sets.row(u), sets.row(v));
-        let both = au.iter().zip(av).map(|(a, b)| a & b);
-        let either = au.iter().zip(av).map(|(a, b)| a | b);
-        // Rules 2 and 3 are one: when one set is empty, the union is the
-        // other.
-        let pid = least_loaded(loads, ones(both))
-            .or_else(|| least_loaded(loads, ones(either)))
-            .unwrap_or(*lightest);
-        self.replicas.commit(u, v, pid)
-    }
-}
-
-/// DBH placement state (see [`StreamingKind::Dbh`]).
-#[derive(Clone, Debug)]
-struct DbhState {
-    degrees: Vec<u32>,
-    seed: u64,
-    num_partitions: usize,
-}
-
-impl StreamingPlacer for DbhState {
-    fn place(&mut self, u: VertexId, v: VertexId) -> PartitionId {
-        let (du, dv) = (self.degrees[u as usize], self.degrees[v as usize]);
-        let anchor = if du < dv || (du == dv && u <= v) {
-            u
-        } else {
-            v
-        };
-        (splitmix64(u64::from(anchor) ^ self.seed) % self.num_partitions as u64) as PartitionId
-    }
-}
-
-/// Random placement state (see [`StreamingKind::Random`]).
-#[derive(Clone, Debug)]
-struct RandomState {
-    seed: u64,
-    num_partitions: usize,
-    next_index: u64,
-}
-
-impl StreamingPlacer for RandomState {
-    fn place(&mut self, _u: VertexId, _v: VertexId) -> PartitionId {
-        let index = self.next_index;
-        self.next_index += 1;
-        (splitmix64(index ^ self.seed) % self.num_partitions as u64) as PartitionId
-    }
+/// Greedy's pick for edge `(u, v)` (see [`StreamingKind::Greedy`] for the
+/// rules).
+fn greedy_pick(fold: &StreamedMetrics, u: VertexId, v: VertexId) -> usize {
+    let (au, av) = (fold.replicas(u), fold.replicas(v));
+    let loads = fold.loads();
+    let both = au.iter().zip(av).map(|(a, b)| a & b);
+    let either = au.iter().zip(av).map(|(a, b)| a | b);
+    // Rules 2 and 3 are one: when one set is empty, the union is the
+    // other.
+    least_loaded(loads, StreamedMetrics::partitions_in(both))
+        .or_else(|| least_loaded(loads, StreamedMetrics::partitions_in(either)))
+        .unwrap_or(fold.lightest())
 }
 
 #[cfg(test)]
@@ -722,21 +627,22 @@ mod tests {
         let g = chung_lu(600, 3000, 2.1, 13);
         for p in [1, 2, 63, 64, 65, 130] {
             for order in [EdgeOrder::Natural, EdgeOrder::Random(3)] {
-                let mut hdrf = HdrfState {
-                    replicas: Replicas::new(g.num_vertices(), p),
-                    partial_degree: vec![0; g.num_vertices()],
-                };
+                let mut fold = StreamedMetrics::new(g.num_vertices(), p);
                 for eid in edge_order(g.view(), order) {
                     let (u, v) = g.edge(eid).endpoints();
-                    let theta = hdrf.observe(u, v);
-                    let best = hdrf.pick(u, v, theta);
-                    assert_eq!(best, hdrf.scan(u, v, theta), "p={p} {order:?} edge {eid}");
-                    hdrf.replicas.commit(u, v, best);
+                    let theta = hdrf_theta(&fold, u, v);
+                    let best = hdrf_pick(&fold, u, v, theta, fold.lightest());
+                    assert_eq!(
+                        best,
+                        hdrf_scan(&fold, u, v, theta),
+                        "p={p} {order:?} edge {eid}"
+                    );
+                    fold.observe_assignment(u, v, best as PartitionId);
                 }
-                let loads = &hdrf.replicas.loads;
+                let loads = fold.loads();
                 assert_eq!(loads.iter().sum::<usize>(), g.num_edges());
-                assert_eq!(hdrf.replicas.max_load, *loads.iter().max().unwrap());
-                assert_eq!(hdrf.replicas.min_load, *loads.iter().min().unwrap());
+                let range = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
+                assert_eq!(fold.load_range(), range);
             }
         }
     }
@@ -745,14 +651,10 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "HDRF pick left the literal scan")]
     fn a_stale_lightest_partition_fails_the_cross_check() {
-        let mut hdrf = HdrfState {
-            replicas: Replicas::new(4, 3),
-            partial_degree: vec![0; 4],
-        };
+        let mut hdrf = StreamingKind::Hdrf.placer(4, 3, 0, None).unwrap();
         assert_eq!(hdrf.place(0, 1), 0);
         // Partition 1 is the lowest-id least-loaded one; claim 2 instead.
-        hdrf.replicas.lightest = 2;
-        hdrf.place(2, 3);
+        hdrf_checked_pick(&hdrf.fold, 2, 3, 2);
     }
 
     #[test]

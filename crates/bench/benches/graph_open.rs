@@ -9,15 +9,13 @@
 //! v2 open exactly: it must lend the zero-copy arena and perform a pinned
 //! number of I/O operations (counted by `tlp_store::faults`), so an open
 //! that decodes or reads more fails here. The full run also times both
-//! opens, prints the speedup, and emits `BENCH_graph_open.json` at the
-//! workspace root.
+//! opens and prints the speedup.
 //!
 //! `cargo bench -p tlp-bench --bench graph_open -- --test` runs a downsized
 //! smoke pass: equality and the exact gates are still asserted, timings
-//! are neither taken nor written.
+//! are neither taken nor printed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use serde::Serialize;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use tlp_graph::generators::chung_lu;
@@ -111,18 +109,6 @@ fn bench_graph_open(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `BENCH_graph_open.json` trajectory file.
-#[derive(Serialize)]
-struct Baseline {
-    bench: &'static str,
-    seed: u64,
-    vertices: usize,
-    edges: usize,
-    v1_open_ms: f64,
-    v2_open_ms: f64,
-    speedup_v2_vs_v1: f64,
-}
-
 fn graph_open_checks(_c: &mut Criterion) {
     let smoke_only = std::env::args().any(|a| a == "--test");
     let g = graph(smoke_only);
@@ -161,41 +147,6 @@ fn graph_open_checks(_c: &mut Criterion) {
     let v2_open = min_wall_clock(15, || LoadedGraph::open(&ws.v2).unwrap());
     let speedup = v1_open.as_secs_f64() / v2_open.as_secs_f64().max(f64::EPSILON);
     println!("bench graph_open: v1 open {v1_open:?}, v2 open {v2_open:?} ({speedup:.2}x)");
-
-    let baseline = Baseline {
-        bench: "graph_open",
-        seed: SEED,
-        vertices: g.num_vertices(),
-        edges: g.num_edges(),
-        v1_open_ms: v1_open.as_secs_f64() * 1e3,
-        v2_open_ms: v2_open.as_secs_f64() * 1e3,
-        speedup_v2_vs_v1: speedup,
-    };
-    // crates/bench -> workspace root. The shared obs writer prepends the
-    // workspace-wide "schema" field and writes atomically.
-    let path = std::path::Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_graph_open.json"
-    ));
-    tlp_obs::bench::write_bench_json(path, &baseline).expect("write baseline");
-    let written = tlp_obs::bench::read_bench_json(path).expect("read baseline back");
-    let keys = tlp_obs::bench::top_level_keys(&written);
-    for expected in [
-        "schema",
-        "bench",
-        "seed",
-        "vertices",
-        "edges",
-        "v1_open_ms",
-        "v2_open_ms",
-        "speedup_v2_vs_v1",
-    ] {
-        assert!(
-            keys.iter().any(|k| k == expected),
-            "BENCH_graph_open.json lost its {expected:?} key (got {keys:?})"
-        );
-    }
-    println!("bench graph_open: baseline written to BENCH_graph_open.json");
 }
 
 criterion_group!(benches, bench_graph_open, graph_open_checks);

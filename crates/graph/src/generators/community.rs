@@ -44,7 +44,7 @@ impl WeightedSampler {
 
 /// Generates a power-law graph with `communities` planted groups.
 ///
-/// * `gamma` — degree exponent (> 1), as in [`super::chung_lu`];
+/// * `gamma` — degree exponent (> 1), as in [`chung_lu`](fn@super::chung_lu);
 /// * `communities` — number of planted groups (vertices are assigned round
 ///   robin by weight rank, so every group gets its share of hubs);
 /// * `mixing` — probability that an edge leaves its community (`0` =

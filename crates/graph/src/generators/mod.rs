@@ -5,14 +5,14 @@
 //! are deterministic given a seed, produce simple undirected graphs, and aim
 //! for an exact vertex count and a close-to-exact edge count.
 //!
-//! * [`erdos_renyi`] — uniform `G(n, m)` graphs (flat degree distribution).
-//! * [`chung_lu`] — power-law expected-degree graphs.
+//! * [`erdos_renyi`](fn@erdos_renyi) — uniform `G(n, m)` graphs (flat degree distribution).
+//! * [`chung_lu`](fn@chung_lu) — power-law expected-degree graphs.
 //! * [`power_law_community`] — power-law graphs with planted communities
 //!   (degree-corrected, LFR-style), the stand-in family for the SNAP
 //!   social/communication networks (G1–G8).
-//! * [`barabasi_albert`] — preferential attachment.
-//! * [`rmat`] — Kronecker-style recursive matrix graphs.
-//! * [`genealogy`] — tree-like, low-average-degree graphs matching the
+//! * [`barabasi_albert`](fn@barabasi_albert) — preferential attachment.
+//! * [`rmat`](fn@rmat) — Kronecker-style recursive matrix graphs.
+//! * [`genealogy`](fn@genealogy) — tree-like, low-average-degree graphs matching the
 //!   huapu family-tree dataset (G9).
 
 mod barabasi_albert;

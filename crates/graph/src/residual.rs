@@ -1,4 +1,4 @@
-//! Mutable "unallocated edges" view over a [`CsrGraph`].
+//! Mutable "unallocated edges" view over a [`CsrGraph`](crate::CsrGraph).
 //!
 //! Local partitioning (Fig. 3 of the paper) consumes the graph one partition
 //! at a time: once an edge is allocated to a partition it is removed from

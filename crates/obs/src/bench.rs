@@ -1,11 +1,8 @@
-//! Shared writer for `BENCH_*.json` trajectory files.
+//! Shared writer for bench reports (`tlp-loadgen --bench`).
 //!
-//! The workspace benches used to hand-roll their JSON emission; routing
-//! them through this module gives every baseline file the same envelope
-//! as profile traces — a leading `"schema"` field carrying
-//! [`SCHEMA_VERSION`] — and a parse-back path for
-//! asserting the emitted keys, while leaving each bench's own top-level
-//! keys untouched.
+//! Every report gets the same envelope as profile traces — a leading
+//! `"schema"` field carrying [`SCHEMA_VERSION`] — while each report keeps
+//! its own top-level keys untouched.
 
 use crate::event::SCHEMA_VERSION;
 use serde::{Serialize, Value};
@@ -35,23 +32,6 @@ pub fn write_bench_json<T: Serialize>(path: &Path, value: &T) -> io::Result<()> 
     std::fs::rename(&tmp, path)
 }
 
-/// Reads a baseline written by [`write_bench_json`] back into a
-/// [`Value`] tree.
-pub fn read_bench_json(path: &Path) -> io::Result<Value> {
-    let text = std::fs::read_to_string(path)?;
-    serde_json::from_str(&text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// The top-level keys of an object [`Value`], in file order — what bench
-/// smoke tests assert against their expected schema.
-pub fn top_level_keys(value: &Value) -> Vec<String> {
-    match value {
-        Value::Object(entries) => entries.iter().map(|(key, _)| key.clone()).collect(),
-        _ => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,14 +54,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_sample.json");
         write_bench_json(&path, &Sample).unwrap();
-        let value = read_bench_json(&path).unwrap();
-        assert_eq!(
-            top_level_keys(&value),
-            vec!["schema", "bench", "seed", "speedup"]
-        );
-        let Value::Object(entries) = &value else {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let Value::Object(entries) = serde_json::from_str(&text).unwrap() else {
             panic!("expected object")
         };
+        let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, vec!["schema", "bench", "seed", "speedup"]);
         assert_eq!(entries[0].1, Value::UInt(SCHEMA_VERSION));
         assert_eq!(entries[2].1, Value::UInt(9));
         assert_eq!(entries[3].1, Value::Float(2.0));

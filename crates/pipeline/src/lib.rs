@@ -174,8 +174,9 @@ pub fn builtin_names() -> Vec<&'static str> {
 ///
 /// This is the serving layer's counterpart to [`builtin_registry`]: the
 /// registry's `hdrf` or `greedy` row, resolved to a [`StreamingPlacer`]
-/// whose state is *as if* every edge of `graph` had already been streamed
-/// with the outcomes in `partition` — so `PlaceEdge` traffic continues
+/// whose state, the [`StreamedMetrics`](tlp_core::StreamedMetrics) fold,
+/// is *as if* every edge of `graph` had already been streamed with the
+/// outcomes in `partition` — so `PlaceEdge` traffic continues
 /// bit-identically to an uninterrupted streaming run (see
 /// [`StreamingKind::seeded_placer`]). Only these stateful arrival-order
 /// heuristics can be resumed this way.
@@ -188,7 +189,7 @@ pub fn seeded_streaming_placer<'a>(
     spec: &str,
     graph: impl Into<tlp_graph::GraphView<'a>>,
     partition: &tlp_core::EdgePartition,
-) -> Result<Box<dyn StreamingPlacer + Send + Sync>, PipelineError> {
+) -> Result<StreamingPlacer, PipelineError> {
     let unsupported = || {
         PipelineError::Spec(format!(
             "online placement supports hdrf and greedy, not {spec:?}"

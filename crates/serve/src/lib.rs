@@ -5,9 +5,10 @@
 //! partition store and answers vertex→master/replica lookups,
 //! edge→partition lookups, partition-local neighbor queries, and online
 //! [`PlaceEdge`](protocol::Request::PlaceEdge) placement of fresh edges
-//! via a [`tlp_baselines::StreamingPlacer`] seeded from the served
-//! partition — so a live server's placements are bit-identical to a
-//! direct streaming continuation.
+//! via a [`tlp_baselines::StreamingPlacer`], the one streaming placer
+//! type, whose state is the [`tlp_core::StreamedMetrics`] fold of the
+//! served partition — so a live server's placements are bit-identical to
+//! a direct streaming continuation.
 //!
 //! Around the service sit:
 //! - [`protocol`] — the length-prefixed, versioned binary frame format;

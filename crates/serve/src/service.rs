@@ -14,8 +14,8 @@
 //! here, so an in-process caller of [`PartitionService::handle`] sees
 //! them stay zero.
 //!
-//! Online placement runs a [`StreamingPlacer`] seeded from the served
-//! partition's counts (`seeded_streaming_placer`), so the sequence of
+//! Online placement runs a [`StreamingPlacer`] whose fold is seeded from
+//! the served partition (`seeded_streaming_placer`), so the sequence of
 //! partitions handed out by a live server is bit-identical to a direct
 //! streaming continuation over the same fresh edges — the property the
 //! bit-identity test and the CI replay diff pin down.
@@ -72,9 +72,9 @@ impl From<StoreError> for ServiceError {
 
 /// Mutable half of the service: everything online placement touches.
 struct MutableState {
-    /// Seeded streaming placer; its internal loads/replica sets already
+    /// Seeded streaming placer; its fold's loads and replica sets already
     /// account for the base partition and every accepted placement.
-    placer: Box<dyn StreamingPlacer + Send + Sync>,
+    placer: StreamingPlacer,
     /// Canonical placed edge → partition, for idempotent replays and
     /// edge lookups. Disjoint from the base graph's edge set.
     placements: HashMap<(VertexId, VertexId), PartitionId>,

@@ -1,6 +1,8 @@
 //! Every metrics path in the workspace reports the same numbers,
 //! bit-for-bit: the canonical [`PartitionMetrics::compute`], the one-pass
-//! [`StreamedMetrics`] accumulator (used by streaming pipeline runs), the
+//! [`StreamedMetrics`] accumulator (used by streaming pipeline runs), both
+//! fed edge by edge and folded from a partition by
+//! [`StreamedMetrics::from_partition`] (how a served placer is seeded), the
 //! partition-store manifest's `replication_factor()` / `balance()`, and the
 //! store reader's full `recompute_metrics()`.
 //!
@@ -56,6 +58,13 @@ fn all_metric_paths_agree_bit_for_bit() {
             assert_eq!(
                 accumulated, canonical,
                 "{family} p={p}: StreamedMetrics drifted from compute()"
+            );
+            let seeded = StreamedMetrics::from_partition(&graph, &partition)
+                .unwrap_or_else(|e| panic!("{family} p={p}: from_partition: {e}"))
+                .finish();
+            assert_eq!(
+                seeded, canonical,
+                "{family} p={p}: StreamedMetrics::from_partition drifted from compute()"
             );
 
             let dir = base.join(format!("{family}-{p}"));
