@@ -588,20 +588,19 @@ mod tests {
     fn assert_seeded_continuation(g: &CsrGraph, split: usize, p: usize, kind: StreamingKind) {
         let mut full = kind.placer(g.num_vertices(), p, 0, None).unwrap();
         let full_assignments: Vec<PartitionId> = g
-            .edges()
-            .iter()
+            .view()
+            .edge_iter()
             .map(|e| full.place(e.source(), e.target()))
             .collect();
 
-        let prefix_graph =
-            CsrGraph::from_sorted_canonical_edges(g.num_vertices(), g.edges()[..split].to_vec())
-                .unwrap();
+        let prefix = g.view().edge_iter().take(split).collect();
+        let prefix_graph = CsrGraph::from_sorted_canonical_edges(g.num_vertices(), prefix).unwrap();
         let prefix_partition = EdgePartition::new(p, full_assignments[..split].to_vec()).unwrap();
         let mut resumed = kind
             .seeded_placer(&prefix_graph, &prefix_partition)
             .unwrap()
             .expect("resumable kind");
-        for (i, e) in g.edges().iter().enumerate().skip(split) {
+        for (i, e) in g.view().edge_iter().enumerate().skip(split) {
             assert_eq!(
                 resumed.place(e.source(), e.target()),
                 full_assignments[i],

@@ -11,7 +11,7 @@ fn bench_reseed_policy(c: &mut Criterion) {
     for island in 0..40u32 {
         let base = island * 100;
         let g = power_law_community(100, 500, 2.1, 4, 0.3, island as u64);
-        for e in g.edges() {
+        for e in g.view().edge_iter() {
             builder.push_edge(base + e.source(), base + e.target());
         }
     }

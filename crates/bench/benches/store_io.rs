@@ -71,11 +71,7 @@ fn text_parse(ws: &Workspace) -> CsrGraph {
 }
 
 fn binary_open(ws: &Workspace) -> CsrGraph {
-    StoreReader::open(&ws.bin)
-        .unwrap()
-        .read_graph()
-        .unwrap()
-        .graph
+    StoreReader::open(&ws.bin).unwrap().read_graph().unwrap()
 }
 
 /// HDRF over one strictly streamed pass of the binary file: the decisions

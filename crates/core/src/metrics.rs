@@ -478,7 +478,7 @@ mod tests {
             let part = EdgePartition::new(3, assignment.clone()).unwrap();
             let reference = PartitionMetrics::compute(&g, &part);
             let mut acc = StreamedMetrics::new(g.num_vertices(), 3);
-            for (eid, edge) in g.edges().iter().enumerate() {
+            for (eid, edge) in g.view().edge_iter().enumerate() {
                 let (u, v) = edge.endpoints();
                 acc.observe_assignment(u, v, assignment[eid]);
             }
@@ -528,7 +528,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let g = tlp_graph::generators::chung_lu(300, 1500, 2.1, 7);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut edges = g.edges().to_vec();
+        let mut edges = g.view().edge_iter().collect::<Vec<_>>();
         edges.shuffle(&mut rng);
         for p in [1, 63, 64, 65, 130] {
             let mut fold = StreamedMetrics::new(g.num_vertices(), p);

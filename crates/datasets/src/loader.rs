@@ -10,7 +10,7 @@ use crate::DatasetSpec;
 use std::path::{Path, PathBuf};
 use tlp_graph::{io, CsrGraph};
 use tlp_store::format::SourceStamp;
-use tlp_store::{write_graph, FormatVersion, StoreReader, WriteOptions};
+use tlp_store::{write_graph, StoreReader, WriteOptions};
 
 /// Where a loaded graph came from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,7 +110,7 @@ fn probe_cache(source: &Path) -> CacheProbe {
         if reader.header().source != stamp {
             return None; // text file changed since the cache was written
         }
-        Some(reader.read_graph().ok()?.graph)
+        reader.read_graph().ok()
     })();
     match graph {
         Some(graph) => CacheProbe::Hit(graph),
@@ -209,7 +209,7 @@ pub fn load_with<P: AsRef<Path>>(
             let options = WriteOptions {
                 original_ids: Some(list.original_ids),
                 source: SourceStamp::of_file(&path).ok(),
-                version: FormatVersion::V2,
+                ..WriteOptions::default()
             };
             let _ = write_graph(&cache_path(&path), &list.graph, &options);
         }

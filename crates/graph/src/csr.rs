@@ -1,6 +1,6 @@
 //! Compressed-sparse-row representation of an undirected simple graph.
 
-use crate::{Edge, EdgeId, EdgeTable, GraphError, GraphView, VertexId};
+use crate::{Edge, EdgeId, GraphError, GraphView, VertexId};
 
 /// An immutable undirected simple graph in compressed-sparse-row form.
 ///
@@ -8,6 +8,10 @@ use crate::{Edge, EdgeId, EdgeTable, GraphError, GraphView, VertexId};
 /// [`EdgeId`]) and twice in the adjacency array (once per direction), with
 /// both directions carrying the same `EdgeId`. This makes `EdgeId`-indexed
 /// partition assignments and residual-edge bookkeeping cheap.
+///
+/// The arrays have the layout of a `.tlpg` v2 file's CSR sections, and
+/// every read method is a call into [`CsrGraph::view`], so an owned graph
+/// and an arena read from disk answer through the same code.
 ///
 /// Construct via [`crate::GraphBuilder`], [`crate::io`], or a generator in
 /// [`crate::generators`].
@@ -25,17 +29,13 @@ use crate::{Edge, EdgeId, EdgeTable, GraphError, GraphView, VertexId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` is the adjacency range of vertex `v`.
-    ///
-    /// Stored as `u64` so [`CsrGraph::view`] can lend this array directly as
-    /// a [`GraphView`] offsets section, byte-compatible with the `.tlpg` v2
-    /// on-disk layout.
     offsets: Vec<u64>,
     /// Neighbor endpoint for each directed arc.
     adj_vertex: Vec<VertexId>,
     /// Undirected edge id for each directed arc (parallel to `adj_vertex`).
     adj_edge: Vec<EdgeId>,
-    /// Canonical edge table indexed by `EdgeId`.
-    edges: Vec<Edge>,
+    /// Canonical `(u, v)` endpoint pairs, `u < v`, indexed by `EdgeId`.
+    edges: Vec<[VertexId; 2]>,
 }
 
 impl CsrGraph {
@@ -90,7 +90,11 @@ impl CsrGraph {
             offsets,
             adj_vertex,
             adj_edge,
-            edges,
+            // Same size and alignment, so this reuses the allocation.
+            edges: edges
+                .into_iter()
+                .map(|e| [e.source(), e.target()])
+                .collect(),
         }
     }
 
@@ -129,109 +133,77 @@ impl CsrGraph {
         Ok(CsrGraph::from_canonical_edges(num_vertices, edges))
     }
 
-    /// Number of vertices `n = |V|`, including isolated ones.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of undirected edges `m = |E|`.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the graph has no edges.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Degree of vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vertices`.
-    pub fn degree(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        (self.offsets[v + 1] - self.offsets[v]) as usize
-    }
-
-    /// The neighbors of `v` as a slice (one entry per incident edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vertices`.
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let v = v as usize;
-        &self.adj_vertex[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
-
-    /// Iterates over `(neighbor, edge_id)` pairs incident to `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vertices`.
-    pub fn incident(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
-        let v = v as usize;
-        let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
-        self.adj_vertex[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.adj_edge[range].iter().copied())
-    }
-
-    /// The canonical [`Edge`] for an [`EdgeId`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e >= num_edges`.
-    pub fn edge(&self, e: EdgeId) -> Edge {
-        self.edges[e as usize]
-    }
-
-    /// All canonical edges, indexed by [`EdgeId`].
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// Iterates over all vertex ids `0..n`.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> {
-        0..self.num_vertices() as VertexId
-    }
-
-    /// Average degree `2m / n`, or `0.0` for a vertex-free graph.
-    pub fn average_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            0.0
-        } else {
-            2.0 * self.num_edges() as f64 / self.num_vertices() as f64
-        }
-    }
-
-    /// Whether vertices `a` and `b` are adjacent.
-    ///
-    /// Neighbor slices are sorted ascending by construction, so this
-    /// binary-searches the lower-degree endpoint's slice:
-    /// `O(log min_degree)` instead of the former linear scan.
-    pub fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
-        self.view().has_edge(a, b)
-    }
-
-    /// Looks up the [`EdgeId`] connecting `a` and `b`, if any, in
-    /// `O(log min_degree)` via binary search of the sorted neighbor slice.
-    pub fn edge_id(&self, a: VertexId, b: VertexId) -> Option<EdgeId> {
-        self.view().edge_id(a, b)
-    }
-
     /// A borrowed [`GraphView`] over this graph's CSR arrays.
     ///
     /// Construction is O(1) — the view borrows the existing sections.
     #[inline]
     pub fn view(&self) -> GraphView<'_> {
-        GraphView::from_sections_trusted(
-            &self.offsets,
-            &self.adj_vertex,
-            &self.adj_edge,
-            EdgeTable::Structs(&self.edges),
-        )
+        GraphView::from_valid_sections(&self.offsets, &self.adj_vertex, &self.adj_edge, &self.edges)
+    }
+
+    /// Number of vertices `n = |V|`, including isolated ones.
+    #[inline]
+    pub fn num_vertices(&self) -> usize {
+        self.view().num_vertices()
+    }
+
+    /// Number of undirected edges `m = |E|`.
+    #[inline]
+    pub fn num_edges(&self) -> usize {
+        self.view().num_edges()
+    }
+
+    /// Whether the graph has no edges.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.view().is_empty()
+    }
+
+    /// Degree of vertex `v`. See [`GraphView::degree`].
+    #[inline]
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.view().degree(v)
+    }
+
+    /// The neighbors of `v`, sorted ascending. See [`GraphView::neighbors`].
+    #[inline]
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.view().neighbors(v)
+    }
+
+    /// Iterates over `(neighbor, edge_id)` pairs incident to `v`. See
+    /// [`GraphView::incident`].
+    #[inline]
+    pub fn incident(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.view().incident(v)
+    }
+
+    /// The canonical [`Edge`] for an [`EdgeId`]. See [`GraphView::edge`].
+    #[inline]
+    pub fn edge(&self, e: EdgeId) -> Edge {
+        self.view().edge(e)
+    }
+
+    /// Iterates over all vertex ids `0..n`.
+    pub fn vertices(&self) -> impl Iterator<Item = VertexId> {
+        self.view().vertices()
+    }
+
+    /// Average degree `2m / n`, or `0.0` for a vertex-free graph.
+    pub fn average_degree(&self) -> f64 {
+        self.view().average_degree()
+    }
+
+    /// Whether vertices `a` and `b` are adjacent. See
+    /// [`GraphView::has_edge`].
+    pub fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
+        self.view().has_edge(a, b)
+    }
+
+    /// The [`EdgeId`] connecting `a` and `b`, if any. See
+    /// [`GraphView::edge_id`].
+    pub fn edge_id(&self, a: VertexId, b: VertexId) -> Option<EdgeId> {
+        self.view().edge_id(a, b)
     }
 }
 
@@ -328,9 +300,9 @@ mod tests {
     #[test]
     fn from_sorted_canonical_edges_round_trips_builder_output() {
         let g = triangle_plus_tail();
+        let edges = g.view().edge_iter().collect();
         let rebuilt =
-            crate::CsrGraph::from_sorted_canonical_edges(g.num_vertices(), g.edges().to_vec())
-                .unwrap();
+            crate::CsrGraph::from_sorted_canonical_edges(g.num_vertices(), edges).unwrap();
         assert_eq!(g, rebuilt);
     }
 

@@ -149,8 +149,8 @@ mod tests {
         let c = 10;
         let count_internal = |mixing: f64| {
             let g = power_law_community(1000, 5000, 2.2, c, mixing, 7);
-            g.edges()
-                .iter()
+            g.view()
+                .edge_iter()
                 .filter(|e| (e.source() as usize % c) == (e.target() as usize % c))
                 .count()
         };
@@ -169,8 +169,8 @@ mod tests {
         let c = 10;
         let g = power_law_community(1000, 5000, 2.2, c, 1.0, 7);
         let internal = g
-            .edges()
-            .iter()
+            .view()
+            .edge_iter()
             .filter(|e| (e.source() as usize % c) == (e.target() as usize % c))
             .count();
         // Random pairing puts ~1/c of edges inside a community.

@@ -143,7 +143,7 @@ mod tests {
             .build();
         let tri = edge_triangles(&g);
         assert_eq!(tri.len(), g.num_edges());
-        for (e, edge) in g.edges().iter().enumerate() {
+        for (e, edge) in g.view().edge_iter().enumerate() {
             let (a, b) = edge.endpoints();
             let expected = merge_intersection_size(g.neighbors(a), g.neighbors(b));
             assert_eq!(tri[e] as usize, expected, "edge {edge:?}");

@@ -10,7 +10,7 @@
 //! `tlp-store` streams from it, so both number vertices identically and
 //! report the same errors.
 
-use crate::{CsrGraph, Edge, GraphBuilder, GraphError, VertexId};
+use crate::{CsrGraph, Edge, GraphBuilder, GraphError, GraphView, VertexId};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -164,15 +164,35 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<EdgeList, GraphErr
 /// # Errors
 ///
 /// Returns [`GraphError::Io`] on write failure.
-pub fn write_edge_list<W: Write>(graph: &CsrGraph, mut writer: W) -> Result<(), GraphError> {
+pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), GraphError> {
+    write_edge_list_with_ids(graph.view(), None, writer)
+}
+
+/// Writes `graph` as a SNAP-style edge list, each vertex `v` written as
+/// `original_ids[v]` when ids are given and as `v` otherwise, so a graph
+/// read with [`read_edge_list`] is written back in its file's ids.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Io`] on write failure.
+///
+/// # Panics
+///
+/// Panics if `original_ids` has fewer than `num_vertices` entries.
+pub fn write_edge_list_with_ids<W: Write>(
+    graph: GraphView<'_>,
+    original_ids: Option<&[u64]>,
+    mut writer: W,
+) -> Result<(), GraphError> {
     writeln!(
         writer,
         "# Undirected graph: {} vertices, {} edges",
         graph.num_vertices(),
         graph.num_edges()
     )?;
-    for e in graph.edges() {
-        writeln!(writer, "{}\t{}", e.source(), e.target())?;
+    let id = |v: VertexId| original_ids.map_or(u64::from(v), |ids| ids[v as usize]);
+    for e in graph.edge_iter() {
+        writeln!(writer, "{}\t{}", id(e.source()), id(e.target()))?;
     }
     Ok(())
 }
@@ -209,7 +229,7 @@ mod tests {
         assert_eq!(reader.into_original_ids(), vec![5, 1, 2, 3]);
         let loaded = read_edge_list(data.as_bytes()).unwrap();
         assert_eq!(loaded.graph.num_vertices(), 4);
-        assert_eq!(loaded.graph.edges().to_vec(), edges);
+        assert_eq!(loaded.graph.view().edge_iter().collect::<Vec<_>>(), edges);
     }
 
     #[test]
@@ -246,6 +266,19 @@ mod tests {
         let loaded = read_edge_list(buf.as_slice()).unwrap();
         assert_eq!(loaded.graph.num_edges(), g.num_edges());
         assert_eq!(loaded.graph.num_vertices(), g.num_vertices());
+    }
+
+    #[test]
+    fn write_with_ids_restores_the_file_ids() {
+        let loaded = read_edge_list("100 7\n7 55\n100 55\n".as_bytes()).unwrap();
+        let mut buf = Vec::new();
+        write_edge_list_with_ids(loaded.graph.view(), Some(&loaded.original_ids), &mut buf)
+            .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(
+            text,
+            "# Undirected graph: 3 vertices, 3 edges\n100\t7\n100\t55\n7\t55\n"
+        );
     }
 
     #[test]

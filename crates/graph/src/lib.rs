@@ -57,7 +57,7 @@ pub use edge::{Edge, EdgeId, VertexId};
 pub use error::GraphError;
 pub use residual::ResidualGraph;
 pub use source::{ChunkedSink, CsrSource, EdgeSource, PassStats, SourceError};
-pub use view::{EdgeTable, GraphView};
+pub use view::GraphView;
 
 // Parallel trial runners share one `CsrGraph` across worker threads and
 // give each worker its own `ResidualGraph` view; these bounds are part of

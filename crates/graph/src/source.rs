@@ -3,30 +3,29 @@
 //! Every partitioning algorithm in the workspace consumes one of two access
 //! patterns:
 //!
-//! * **random access** — the whole graph materialized as a [`CsrGraph`]
+//! * **random access** — the whole graph materialized as a [`GraphView`]
 //!   (TLP and the other expansion/multilevel algorithms), or
 //! * **pass-oriented streaming** — one or more sequential sweeps over the
 //!   edge sequence with a bounded buffer (the streaming baselines and the
 //!   streamed metrics accumulator).
 //!
 //! `EdgeSource` is the common handle over both, and the only edge-streaming
-//! interface in the workspace. An in-memory [`CsrGraph`] implements it
-//! directly (random access is free, a streaming pass walks the edge table
-//! in natural `EdgeId` order); [`CsrSource`] does the same for a shared
-//! graph, with an optional chunk budget; the on-disk sources in
-//! `tlp-store` decode `.tlpg` and text files in budget-bounded chunks,
-//! reporting [`supports_random_access`](EdgeSource::supports_random_access)
-//! `false` when a strict memory budget forbids materialization. The
-//! pipeline layer in `tlp-core` dispatches on that capability instead of
-//! each binary hard-coding which algorithm can read which input.
+//! interface in the workspace. [`CsrSource`] is the one in-memory source:
+//! it lends an owned [`CsrGraph`](crate::CsrGraph) or any other [`GraphView`] for random
+//! access and streams its edge table in natural `EdgeId` order, with an
+//! optional chunk budget; the on-disk sources in `tlp-store` decode
+//! `.tlpg` and text files in budget-bounded chunks, reporting
+//! [`supports_random_access`](EdgeSource::supports_random_access) `false`
+//! when a strict memory budget forbids materialization. The pipeline layer
+//! in `tlp-core` dispatches on that capability instead of each binary
+//! hard-coding which algorithm can read which input.
 //!
 //! Passes are **replayable and deterministic**: every call to
 //! [`stream_pass`](EdgeSource::stream_pass) delivers the same edges in the
 //! same arrival order, so a consumer that reads a source more than once
 //! can pair the edges of its passes by position.
 
-use crate::view::EdgeTable;
-use crate::{CsrGraph, Edge, GraphError, GraphView};
+use crate::{Edge, GraphError, GraphView};
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -216,45 +215,15 @@ impl<'s> ChunkedSink<'s> {
     }
 }
 
-/// An owned in-memory graph as an [`EdgeSource`]: the same source as
-/// [`CsrSource::new`] over it (random access is free, streaming passes
-/// walk the edge table in natural `EdgeId` order).
-impl EdgeSource for CsrGraph {
-    fn describe(&self) -> String {
-        CsrSource::new(self).describe()
-    }
-
-    fn num_vertices_hint(&self) -> Option<usize> {
-        Some(self.num_vertices())
-    }
-
-    fn num_edges_hint(&self) -> Option<usize> {
-        Some(self.num_edges())
-    }
-
-    fn degrees_hint(&self) -> Option<Vec<u32>> {
-        CsrSource::new(self).degrees_hint()
-    }
-
-    fn supports_random_access(&self) -> bool {
-        true
-    }
-
-    fn random_access(&mut self) -> Result<GraphView<'_>, SourceError> {
-        Ok(self.view())
-    }
-
-    fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        CsrSource::new(&*self).stream_pass(sink)
-    }
-}
-
-/// A shared borrow of any CSR-backed graph as an [`EdgeSource`].
+/// A shared borrow of an in-memory graph as an [`EdgeSource`].
 ///
 /// `EdgeSource` consumers take `&mut dyn EdgeSource`, but experiment grids
-/// share one immutable graph across worker threads; this zero-cost wrapper
-/// gives each cell its own source handle over the shared graph — whether
-/// that is an owned [`CsrGraph`] or a `.tlpg` v2 arena's [`GraphView`].
+/// share one immutable graph across worker threads; this wrapper gives
+/// each cell its own source handle over the shared graph — whether that is
+/// an owned [`CsrGraph`](crate::CsrGraph) or a `.tlpg` v2 arena's
+/// [`GraphView`]. Random access lends the view itself; a streaming pass
+/// copies the edge table into a buffer of at most `budget` edges at a
+/// time.
 #[derive(Debug)]
 pub struct CsrSource<'a> {
     graph: GraphView<'a>,
@@ -309,37 +278,19 @@ impl EdgeSource for CsrSource<'_> {
         Ok(self.graph)
     }
 
-    /// One pass in natural order, in chunks of at most `budget` edges.
+    /// One pass in natural order, copied into chunks of at most `budget`
+    /// edges.
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        match self.graph.edge_table() {
-            // The CSR backing already holds canonical edge structs: lend
-            // slices of it directly, no copies.
-            EdgeTable::Structs(edges) => {
-                let mut peak = 0usize;
-                for slice in edges.chunks(self.budget.max(1)) {
-                    peak = peak.max(slice.len());
-                    sink(slice);
-                }
-                Ok(PassStats {
-                    edges: edges.len(),
-                    peak_buffer: peak,
-                })
-            }
-            // The arena backing stores raw endpoint words; assemble bounded
-            // chunks of `Edge` structs so sinks see the same call pattern.
-            EdgeTable::Pairs(_) => {
-                let mut out = ChunkedSink::new(sink, self.budget);
-                self.graph.edge_iter().for_each(|edge| out.push(edge));
-                Ok(out.finish())
-            }
-        }
+        let mut out = ChunkedSink::new(sink, self.budget);
+        self.graph.edge_iter().for_each(|edge| out.push(edge));
+        Ok(out.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{CsrGraph, GraphBuilder};
 
     fn graph() -> CsrGraph {
         GraphBuilder::new()
@@ -347,45 +298,30 @@ mod tests {
             .build()
     }
 
-    #[test]
-    fn csr_graph_is_a_random_access_source() {
-        let mut g = graph();
-        assert!(g.supports_random_access());
-        assert_eq!(g.num_vertices_hint(), Some(4));
-        assert_eq!(g.num_edges_hint(), Some(5));
-        let degrees = g.degrees_hint().unwrap();
-        assert_eq!(degrees.iter().sum::<u32>() as usize, 2 * g.num_edges());
-        let same = g.random_access().unwrap();
-        assert_eq!(same.num_edges(), 5);
-        assert_eq!(same.edge_iter().count(), 5);
+    fn edges(g: &CsrGraph) -> Vec<Edge> {
+        g.view().edge_iter().collect()
     }
 
     #[test]
-    fn csr_pass_replays_natural_order() {
-        let mut g = graph();
-        let expected = g.edges().to_vec();
+    fn csr_source_lends_the_view_and_replays_natural_order() {
+        let g = graph();
+        let mut source = CsrSource::new(&g);
+        assert!(source.supports_random_access());
+        assert_eq!(source.num_vertices_hint(), Some(4));
+        assert_eq!(source.num_edges_hint(), Some(5));
+        let degrees = source.degrees_hint().unwrap();
+        assert_eq!(degrees.iter().sum::<u32>() as usize, 2 * g.num_edges());
+        let expected = edges(&g);
         for _ in 0..2 {
             let mut seen = Vec::new();
-            let stats = g
+            let stats = source
                 .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
                 .unwrap();
             assert_eq!(seen, expected);
             assert_eq!(stats.edges, expected.len());
             assert!(stats.peak_buffer <= expected.len());
         }
-    }
-
-    #[test]
-    fn shared_source_matches_owned_source() {
-        let g = graph();
-        let mut shared = CsrSource::new(&g);
-        let mut seen = Vec::new();
-        shared
-            .stream_pass(&mut |chunk| seen.extend_from_slice(chunk))
-            .unwrap();
-        assert_eq!(seen, g.edges().to_vec());
-        let view = shared.random_access().unwrap();
-        assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+        assert_eq!(source.random_access().unwrap(), g.view());
     }
 
     #[test]
@@ -400,7 +336,7 @@ mod tests {
                     seen.extend_from_slice(chunk);
                 })
                 .unwrap();
-            assert_eq!(seen, g.edges().to_vec());
+            assert_eq!(seen, edges(&g));
             assert_eq!(stats.peak_buffer, budget.min(g.num_edges()));
         }
     }

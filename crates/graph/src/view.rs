@@ -1,11 +1,13 @@
 //! Borrowed-slice CSR view shared by every read path in the workspace.
 //!
-//! [`GraphView`] is the read-side counterpart of [`CsrGraph`]: four borrowed
-//! slices (vertex offsets, neighbor ids, arc edge ids, and a canonical edge
-//! table) with the same adjacency semantics. It is `Copy`, so hot loops pass
-//! it by value, and it does not care who owns the backing memory — an owned
-//! [`CsrGraph`], a `.tlpg` v2 arena mapped straight from disk by `tlp-store`,
-//! or anything else that can produce correctly shaped slices.
+//! [`GraphView`] is the read API of [`CsrGraph`]: four borrowed slices
+//! (vertex offsets, neighbor ids, arc edge ids, and the canonical edge
+//! table as `(u, v)` endpoint pairs). It is `Copy`, so hot loops pass it by
+//! value, and it does not care who owns the backing memory — an owned
+//! [`CsrGraph`], a `.tlpg` v2 arena read straight from disk by `tlp-store`,
+//! or anything else that can produce correctly shaped slices. Every
+//! accessor is implemented here once; [`CsrGraph`]'s read methods call
+//! into its view.
 //!
 //! # Ownership contract
 //!
@@ -13,63 +15,10 @@
 //! view (a `CsrGraph`, a store arena, …) must keep the backing buffers alive
 //! and immutable for the view's lifetime; the borrow checker enforces this,
 //! which is why serving and parallel trials can share one immutable arena
-//! instead of cloning per consumer. Materializing an owned graph is explicit
-//! via [`GraphView::to_csr_graph`].
+//! instead of cloning per consumer. Two views are equal when all four
+//! sections are equal, whoever owns them.
 
 use crate::{CsrGraph, Edge, EdgeId, GraphError, VertexId};
-
-/// The canonical edge table of a view, in one of two physical layouts.
-///
-/// `CsrGraph` owns a `Vec<Edge>`; `Edge` is not `repr(C)`, so a disk arena
-/// cannot soundly reinterpret raw bytes as `&[Edge]` and instead lends the
-/// little-endian `(source, target)` pair words directly. Both layouts index
-/// by [`EdgeId`] and yield identical [`Edge`] values; `Pairs` costs one
-/// predictable branch per lookup.
-#[derive(Clone, Copy, Debug)]
-pub enum EdgeTable<'a> {
-    /// Borrowed canonical edge structs (the `CsrGraph` backing).
-    Structs(&'a [Edge]),
-    /// Borrowed `[u0, v0, u1, v1, …]` endpoint words with `u <= v`
-    /// (the `.tlpg` v2 arena backing).
-    Pairs(&'a [u32]),
-}
-
-impl<'a> EdgeTable<'a> {
-    /// Number of canonical edges in the table.
-    pub fn len(&self) -> usize {
-        match self {
-            EdgeTable::Structs(s) => s.len(),
-            EdgeTable::Pairs(p) => p.len() / 2,
-        }
-    }
-
-    /// Whether the table has no edges.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The canonical [`Edge`] for `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e >= len()`.
-    #[inline]
-    pub fn get(&self, e: EdgeId) -> Edge {
-        match self {
-            EdgeTable::Structs(s) => s[e as usize],
-            EdgeTable::Pairs(p) => {
-                let i = e as usize * 2;
-                Edge::new(p[i], p[i + 1])
-            }
-        }
-    }
-
-    /// Iterates the canonical edges in [`EdgeId`] order.
-    pub fn iter(&self) -> impl Iterator<Item = Edge> + 'a {
-        let table = *self;
-        (0..table.len() as EdgeId).map(move |e| table.get(e))
-    }
-}
 
 /// An immutable borrowed CSR graph: the read API of [`CsrGraph`] over
 /// memory owned by someone else.
@@ -77,7 +26,7 @@ impl<'a> EdgeTable<'a> {
 /// Obtain one from [`CsrGraph::view`] (or `&CsrGraph` via `From`/`Into`),
 /// or from a `tlp-store` v2 arena. See the module docs for the ownership
 /// contract.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GraphView<'a> {
     /// `offsets[v]..offsets[v+1]` is the adjacency range of vertex `v`.
     offsets: &'a [u64],
@@ -85,8 +34,9 @@ pub struct GraphView<'a> {
     adj_vertex: &'a [VertexId],
     /// Undirected edge id for each directed arc (parallel to `adj_vertex`).
     adj_edge: &'a [EdgeId],
-    /// Canonical edge table indexed by `EdgeId`.
-    edges: EdgeTable<'a>,
+    /// Canonical `(u, v)` endpoint pairs, `u <= v`, indexed by `EdgeId`:
+    /// the layout of the `.tlpg` `EDGE` section.
+    edges: &'a [[VertexId; 2]],
 }
 
 impl<'a> GraphView<'a> {
@@ -109,7 +59,7 @@ impl<'a> GraphView<'a> {
         offsets: &'a [u64],
         adj_vertex: &'a [VertexId],
         adj_edge: &'a [EdgeId],
-        edges: EdgeTable<'a>,
+        edges: &'a [[VertexId; 2]],
     ) -> Result<Self, GraphError> {
         let arcs = adj_vertex.len();
         if offsets.is_empty() {
@@ -140,26 +90,15 @@ impl<'a> GraphView<'a> {
                 adj_edge.len()
             )));
         }
-        if let EdgeTable::Pairs(p) = edges {
-            if p.len() % 2 != 0 {
-                return Err(GraphError::Invalid(format!(
-                    "edge pair array has odd length {}",
-                    p.len()
-                )));
-            }
-        }
         if edges.len() * 2 != arcs {
             return Err(GraphError::Invalid(format!(
                 "edge table has {} edges but adjacency has {arcs} arcs (expected 2m)",
                 edges.len()
             )));
         }
-        Ok(GraphView {
-            offsets,
-            adj_vertex,
-            adj_edge,
-            edges,
-        })
+        Ok(Self::from_valid_sections(
+            offsets, adj_vertex, adj_edge, edges,
+        ))
     }
 
     /// Assembles a view from sections already validated by the producer
@@ -174,12 +113,25 @@ impl<'a> GraphView<'a> {
         offsets: &'a [u64],
         adj_vertex: &'a [VertexId],
         adj_edge: &'a [EdgeId],
-        edges: EdgeTable<'a>,
+        edges: &'a [[VertexId; 2]],
     ) -> Self {
         debug_assert!(
             Self::from_sections(offsets, adj_vertex, adj_edge, edges).is_ok(),
             "trusted sections fail structural validation"
         );
+        Self::from_valid_sections(offsets, adj_vertex, adj_edge, edges)
+    }
+
+    /// Assembles a view with no check at all, not even in debug builds:
+    /// for [`CsrGraph::view`], whose arrays are valid by construction and
+    /// which every `CsrGraph` accessor calls.
+    #[inline]
+    pub(crate) fn from_valid_sections(
+        offsets: &'a [u64],
+        adj_vertex: &'a [VertexId],
+        adj_edge: &'a [EdgeId],
+        edges: &'a [[VertexId; 2]],
+    ) -> Self {
         GraphView {
             offsets,
             adj_vertex,
@@ -201,6 +153,7 @@ impl<'a> GraphView<'a> {
     }
 
     /// Whether the graph has no edges.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
@@ -250,17 +203,13 @@ impl<'a> GraphView<'a> {
     /// Panics if `e >= num_edges`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> Edge {
-        self.edges.get(e)
-    }
-
-    /// The canonical edge table.
-    pub fn edge_table(&self) -> EdgeTable<'a> {
-        self.edges
+        let [u, v] = self.edges[e as usize];
+        Edge::new(u, v)
     }
 
     /// Iterates all canonical edges in [`EdgeId`] order.
     pub fn edge_iter(&self) -> impl Iterator<Item = Edge> + 'a {
-        self.edges.iter()
+        self.edges.iter().map(|&[u, v]| Edge::new(u, v))
     }
 
     /// Iterates over all vertex ids `0..n`.
@@ -282,12 +231,7 @@ impl<'a> GraphView<'a> {
     /// Binary-searches the sorted neighbor slice of the lower-degree
     /// endpoint, so the cost is `O(log min_degree)`.
     pub fn has_edge(&self, a: VertexId, b: VertexId) -> bool {
-        let (probe, other) = if self.degree(a) <= self.degree(b) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        self.neighbors(probe).binary_search(&other).is_ok()
+        self.edge_id(a, b).is_some()
     }
 
     /// Looks up the [`EdgeId`] connecting `a` and `b`, if any, in
@@ -320,27 +264,10 @@ impl<'a> GraphView<'a> {
     pub fn adj_edge(&self) -> &'a [EdgeId] {
         self.adj_edge
     }
-
-    /// Materializes an owned [`CsrGraph`] with identical structure.
-    ///
-    /// This is the explicit escape hatch for consumers that need `'static`
-    /// ownership (e.g. detached deadline-trial threads); it re-runs the
-    /// canonical CSR construction, so the result is bit-identical to a
-    /// graph decoded from the same canonical edge list.
-    pub fn to_csr_graph(&self) -> CsrGraph {
-        CsrGraph::from_sorted_canonical_edges(self.num_vertices(), self.edge_iter().collect())
-            .expect("view edge table is canonical by construction")
-    }
 }
 
 impl<'a> From<&'a CsrGraph> for GraphView<'a> {
     fn from(graph: &'a CsrGraph) -> Self {
-        graph.view()
-    }
-}
-
-impl<'a> From<&'a &'a CsrGraph> for GraphView<'a> {
-    fn from(graph: &'a &'a CsrGraph) -> Self {
         graph.view()
     }
 }
@@ -366,6 +293,10 @@ mod tests {
             .build()
     }
 
+    fn pairs(v: GraphView<'_>) -> Vec<[VertexId; 2]> {
+        v.edge_iter().map(|e| [e.source(), e.target()]).collect()
+    }
+
     #[test]
     fn view_mirrors_graph() {
         let g = sample();
@@ -381,31 +312,26 @@ mod tests {
                 g.incident(x).collect::<Vec<_>>()
             );
         }
-        for e in 0..g.num_edges() as u32 {
-            assert_eq!(v.edge(e), g.edge(e));
-        }
-        assert_eq!(v.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+        let edges: Vec<Edge> = (0..g.num_edges() as u32).map(|e| g.edge(e)).collect();
+        assert_eq!(v.edge_iter().collect::<Vec<_>>(), edges);
     }
 
     #[test]
-    fn pairs_backing_matches_structs_backing() {
+    fn views_over_copied_sections_are_equal() {
         let g = sample();
-        let structs = g.view();
-        let pairs: Vec<u32> = g
-            .edges()
-            .iter()
-            .flat_map(|e| [e.source(), e.target()])
-            .collect();
-        let v = GraphView::from_sections(
-            structs.offsets(),
-            structs.adj_vertex(),
-            structs.adj_edge(),
-            EdgeTable::Pairs(&pairs),
-        )
-        .unwrap();
-        for e in 0..g.num_edges() as u32 {
-            assert_eq!(v.edge(e), g.edge(e));
-        }
+        let v = g.view();
+        let (offsets, adj_vertex, adj_edge) = (
+            v.offsets().to_vec(),
+            v.adj_vertex().to_vec(),
+            v.adj_edge().to_vec(),
+        );
+        let edges = pairs(v);
+        let copy = GraphView::from_sections(&offsets, &adj_vertex, &adj_edge, &edges).unwrap();
+        assert_eq!(copy, v);
+        let mut swapped = adj_edge.clone();
+        swapped.swap(0, 1);
+        let other = GraphView::from_sections(&offsets, &adj_vertex, &swapped, &edges).unwrap();
+        assert_ne!(other, v, "equality reads every section");
     }
 
     #[test]
@@ -421,32 +347,17 @@ mod tests {
     }
 
     #[test]
-    fn to_csr_graph_round_trips() {
-        let g = sample();
-        assert_eq!(g.view().to_csr_graph(), g);
-    }
-
-    #[test]
     fn from_sections_rejects_malformed_shapes() {
         let g = sample();
         let v = g.view();
+        let edges = pairs(v);
+        let (adj_vertex, adj_edge) = (v.adj_vertex(), v.adj_edge());
         let empty: &[u64] = &[];
-        assert!(
-            GraphView::from_sections(empty, v.adj_vertex(), v.adj_edge(), v.edge_table()).is_err()
-        );
-        let bad_lead = [1u64, v.adj_vertex().len() as u64];
-        assert!(
-            GraphView::from_sections(&bad_lead, v.adj_vertex(), v.adj_edge(), v.edge_table())
-                .is_err()
-        );
-        let decreasing = [0u64, 5, 3, v.adj_vertex().len() as u64];
-        assert!(GraphView::from_sections(
-            &decreasing,
-            v.adj_vertex(),
-            v.adj_edge(),
-            v.edge_table()
-        )
-        .is_err());
+        assert!(GraphView::from_sections(empty, adj_vertex, adj_edge, &edges).is_err());
+        let bad_lead = [1u64, adj_vertex.len() as u64];
+        assert!(GraphView::from_sections(&bad_lead, adj_vertex, adj_edge, &edges).is_err());
+        let decreasing = [0u64, 5, 3, adj_vertex.len() as u64];
+        assert!(GraphView::from_sections(&decreasing, adj_vertex, adj_edge, &edges).is_err());
         let short_end = {
             let mut o = v.offsets().to_vec();
             *o.last_mut().unwrap() -= 1;
@@ -454,34 +365,11 @@ mod tests {
         };
         // Last offset disagreeing with the adjacency length must be caught
         // even though the array is still monotone.
-        assert!(
-            GraphView::from_sections(&short_end, v.adj_vertex(), v.adj_edge(), v.edge_table())
-                .is_err()
-        );
-        let truncated_ids = &v.adj_edge()[..v.adj_edge().len() - 1];
-        assert!(GraphView::from_sections(
-            v.offsets(),
-            v.adj_vertex(),
-            truncated_ids,
-            v.edge_table()
-        )
-        .is_err());
-        let odd_pairs = [0u32, 1, 2];
-        assert!(GraphView::from_sections(
-            v.offsets(),
-            v.adj_vertex(),
-            v.adj_edge(),
-            EdgeTable::Pairs(&odd_pairs)
-        )
-        .is_err());
-        let wrong_m = &g.edges()[..g.num_edges() - 1];
-        assert!(GraphView::from_sections(
-            v.offsets(),
-            v.adj_vertex(),
-            v.adj_edge(),
-            EdgeTable::Structs(wrong_m)
-        )
-        .is_err());
+        assert!(GraphView::from_sections(&short_end, adj_vertex, adj_edge, &edges).is_err());
+        let truncated_ids = &adj_edge[..adj_edge.len() - 1];
+        assert!(GraphView::from_sections(v.offsets(), adj_vertex, truncated_ids, &edges).is_err());
+        let wrong_m = &edges[..g.num_edges() - 1];
+        assert!(GraphView::from_sections(v.offsets(), adj_vertex, adj_edge, wrong_m).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tlp_graph::generators::{rmat, RmatProbabilities};
 use tlp_graph::intersect::{edge_triangles, merge_intersection_size};
-use tlp_graph::{CsrGraph, EdgeId, EdgeTable, GraphBuilder, GraphView, VertexId};
+use tlp_graph::{CsrGraph, EdgeId, GraphBuilder, GraphView, VertexId};
 
 /// A sorted, duplicate-free vertex slice — the invariant CSR adjacency
 /// guarantees (asserted by `properties.rs`).
@@ -95,7 +95,7 @@ proptest! {
         relabel.shuffle(&mut rng);
         let permuted = GraphBuilder::new()
             .reserve_vertices(graph.num_vertices())
-            .add_edges(graph.edges().iter().map(|e| {
+            .add_edges(graph.view().edge_iter().map(|e| {
                 let (a, b) = e.endpoints();
                 (relabel[a as usize], relabel[b as usize])
             }))
@@ -104,16 +104,15 @@ proptest! {
         let mut new_id: Vec<EdgeId> = (0..view.num_edges() as EdgeId).collect();
         new_id.shuffle(&mut rng);
         let adj_edge: Vec<EdgeId> = view.adj_edge().iter().map(|&e| new_id[e as usize]).collect();
-        let mut pairs = vec![0u32; 2 * view.num_edges()];
+        let mut pairs = vec![[0u32; 2]; view.num_edges()];
         for (e, edge) in view.edge_iter().enumerate() {
-            let at = 2 * new_id[e] as usize;
-            (pairs[at], pairs[at + 1]) = edge.endpoints();
+            pairs[new_id[e] as usize] = [edge.source(), edge.target()];
         }
         let sections = GraphView::from_sections(
             view.offsets(),
             view.adj_vertex(),
             &adj_edge,
-            EdgeTable::Pairs(&pairs),
+            &pairs,
         )
         .expect("permuted sections keep the CSR shape");
         check_table(sections)?;

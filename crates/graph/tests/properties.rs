@@ -34,7 +34,7 @@ proptest! {
         }
         prop_assert_eq!(total_degree, 2 * g.num_edges());
         // Edge table and adjacency agree.
-        for (id, e) in g.edges().iter().enumerate() {
+        for (id, e) in g.view().edge_iter().enumerate() {
             prop_assert_eq!(g.edge_id(e.source(), e.target()), Some(id as u32));
         }
     }
@@ -45,7 +45,7 @@ proptest! {
         let g1 = build(&edges);
         let g2 = GraphBuilder::new()
             .reserve_vertices(g1.num_vertices())
-            .add_edges(g1.edges().iter().map(|e| e.endpoints()))
+            .add_edges(g1.view().edge_iter().map(|e| e.endpoints()))
             .build();
         prop_assert_eq!(g1, g2);
     }
@@ -101,7 +101,7 @@ proptest! {
         for v in g.vertices() {
             prop_assert_eq!(dist[v as usize].is_some(), cc.same_component(start, v));
         }
-        for e in g.edges() {
+        for e in g.view().edge_iter() {
             if let (Some(a), Some(b)) = (dist[e.source() as usize], dist[e.target() as usize]) {
                 prop_assert!(a.abs_diff(b) <= 1, "edge spans distance gap > 1");
             }
@@ -164,7 +164,9 @@ proptest! {
             prop_assert_eq!(v.degree(x), g.degree(x));
             prop_assert_eq!(v.neighbors(x), g.neighbors(x));
         }
-        prop_assert_eq!(v.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
-        prop_assert_eq!(&v.to_csr_graph(), &g);
+        for e in 0..g.num_edges() as u32 {
+            prop_assert_eq!(v.edge(e), g.edge(e));
+        }
+        prop_assert_eq!(v, g.view());
     }
 }

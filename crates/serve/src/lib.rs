@@ -1,8 +1,10 @@
 //! `tlp-serve`: online serving of partitioned graphs.
 //!
 //! The partitioners in this workspace *produce* edge partitions; this
-//! crate *serves* one. [`PartitionService`] opens a `.tlpg` graph +
-//! partition store and answers vertex→master/replica lookups,
+//! crate *serves* one. [`PartitionService`] opens a partition store,
+//! holds its base graph as a [`tlp_store::LoadedGraph`] (a CSR rebuilt
+//! from the store's segments, or the zero-copy arena of a `.tlpg` v2
+//! file given beside it), and answers vertex→master/replica lookups,
 //! edge→partition lookups, partition-local neighbor queries, and online
 //! [`PlaceEdge`](protocol::Request::PlaceEdge) placement of fresh edges
 //! via a [`tlp_baselines::StreamingPlacer`], the one streaming placer

@@ -93,27 +93,6 @@ struct MutableState {
     wal_poisoned: bool,
 }
 
-/// Backing storage for the served base graph.
-///
-/// `Owned` is a service-private CSR (built in memory or rebuilt from a
-/// partition store's segments). `Arena` holds a [`LoadedGraph`] opened
-/// from a graph file — for v2 files a zero-copy arena. All read paths go
-/// through [`ServedGraph::view`], so request handling is identical for
-/// both backings.
-enum ServedGraph {
-    Owned(CsrGraph),
-    Arena(LoadedGraph),
-}
-
-impl ServedGraph {
-    fn view(&self) -> GraphView<'_> {
-        match self {
-            ServedGraph::Owned(graph) => graph.view(),
-            ServedGraph::Arena(loaded) => loaded.view(),
-        }
-    }
-}
-
 /// The event counts behind [`ServeStats`] and [`HealthReport::flushes`];
 /// the vertex cache counts its own hits, misses and evictions.
 #[derive(Default)]
@@ -138,7 +117,10 @@ pub(crate) fn tick(counter: &AtomicU64) {
 
 /// The served graph + partition pair and all request handling.
 pub struct PartitionService {
-    graph: ServedGraph,
+    /// The base graph: a CSR built in memory or rebuilt from the store's
+    /// segments, or the zero-copy arena of a graph file. Requests read it
+    /// only through its view, so both answer identically.
+    graph: LoadedGraph,
     base: EdgePartition,
     store_dir: Option<PathBuf>,
     state: RwLock<MutableState>,
@@ -164,11 +146,11 @@ impl PartitionService {
         spec: &str,
         cache_capacity: usize,
     ) -> Result<Self, ServiceError> {
-        Self::build(ServedGraph::Owned(graph), partition, spec, cache_capacity)
+        Self::build(graph.into(), partition, spec, cache_capacity)
     }
 
     fn build(
-        graph: ServedGraph,
+        graph: LoadedGraph,
         partition: EdgePartition,
         spec: &str,
         cache_capacity: usize,
@@ -240,7 +222,7 @@ impl PartitionService {
         let loaded = LoadedGraph::open(graph_path)?;
         let reader = PartitionStoreReader::open(dir)?;
         let partition = reader.load_assignment(loaded.view())?;
-        let mut service = Self::build(ServedGraph::Arena(loaded), partition, spec, cache_capacity)?;
+        let mut service = Self::build(loaded, partition, spec, cache_capacity)?;
         service.attach_store(dir)?;
         Ok(service)
     }
@@ -820,6 +802,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A seeded script of `len` requests over the vertices and edges of
+    /// `graph` and `p` partitions: lookups of every kind, placements of
+    /// fresh, base, repeated, self-loop and out-of-range edges, the odd
+    /// `Stats`, and a `Flush` half-way through.
+    fn request_script(graph: GraphView<'_>, p: u32, seed: u64, len: usize) -> Vec<Request> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = graph.num_vertices() as u32;
+        let mut placed: Vec<(u32, u32)> = Vec::new();
+        // Vertex ids run two past the graph, so some are out of range.
+        let vertex = |rng: &mut StdRng| rng.gen_range(0..n + 2);
+        let base_edge = |rng: &mut StdRng| {
+            let (u, v) = graph
+                .edge(rng.gen_range(0..graph.num_edges() as u32))
+                .endpoints();
+            if rng.gen_bool(0.5) {
+                (u, v)
+            } else {
+                (v, u)
+            }
+        };
+        let mut script = Vec::with_capacity(len + 1);
+        for step in 0..len {
+            if step == len / 2 {
+                script.push(Request::Flush);
+            }
+            let request = match rng.gen_range(0..10) {
+                0 | 1 => Request::VertexLookup {
+                    vertex: vertex(&mut rng),
+                },
+                2 => {
+                    let (u, v) = base_edge(&mut rng);
+                    Request::EdgeLookup { u, v }
+                }
+                3 => Request::EdgeLookup {
+                    u: vertex(&mut rng),
+                    v: vertex(&mut rng),
+                },
+                4 | 5 => Request::Neighbors {
+                    vertex: vertex(&mut rng),
+                    partition: rng.gen_range(0..p + 1),
+                },
+                6 => {
+                    let (u, v) = base_edge(&mut rng);
+                    Request::PlaceEdge { u, v }
+                }
+                7 if !placed.is_empty() => {
+                    let (u, v) = placed[rng.gen_range(0..placed.len())];
+                    Request::PlaceEdge { u: v, v: u }
+                }
+                8 => Request::Stats,
+                _ => {
+                    let (u, v) = (vertex(&mut rng), vertex(&mut rng));
+                    placed.push((u, v));
+                    Request::PlaceEdge { u, v }
+                }
+            };
+            script.push(request);
+        }
+        script
+    }
+
     #[test]
     fn open_store_with_graph_serves_from_the_arena() {
         let dir = std::env::temp_dir().join(format!(
@@ -829,35 +874,43 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let built = service();
-        let store_dir = dir.join("store");
-        write_partition_store(&store_dir, built.graph(), &built.base).unwrap();
+        let graph = tlp_graph::generators::chung_lu(60, 180, 2.2, 5);
+        let p = 3u32;
+        let assignment = (0..graph.num_edges() as u32).map(|e| e * 7 % p).collect();
+        let partition = EdgePartition::new(p as usize, assignment).unwrap();
+        // Each service gets its own copy of the store, so their flushes
+        // and WAL appends cannot interfere.
+        let (rebuilt_dir, arena_dir) = (dir.join("rebuilt"), dir.join("arena"));
+        for store in [&rebuilt_dir, &arena_dir] {
+            write_partition_store(store, &graph, &partition).unwrap();
+        }
         let graph_path = dir.join("graph.tlpg");
-        tlp_store::write_graph(
-            &graph_path,
-            &built.graph().to_csr_graph(),
-            &tlp_store::WriteOptions::default(),
-        )
-        .unwrap();
+        tlp_store::write_graph(&graph_path, &graph, &Default::default()).unwrap();
 
-        // Every request answered from the arena must match the
-        // segment-rebuilt service bit for bit.
-        let rebuilt = PartitionService::open_store(&store_dir, "greedy", 128).unwrap();
-        let arena = PartitionService::open_store_with_graph(&store_dir, &graph_path, "greedy", 128)
-            .unwrap();
-        for request in [
-            Request::VertexLookup { vertex: 2 },
-            Request::EdgeLookup { u: 0, v: 2 },
-            Request::Neighbors {
-                vertex: 1,
-                partition: 0,
-            },
-            Request::Stats,
-        ] {
+        // Every response from the arena must match the service whose CSR
+        // is rebuilt from the segments, and so must the flushed stores.
+        let rebuilt = PartitionService::open_store(&rebuilt_dir, "hdrf", 16).unwrap();
+        let arena =
+            PartitionService::open_store_with_graph(&arena_dir, &graph_path, "hdrf", 16).unwrap();
+        let mut script = request_script(graph.view(), p, 0x5EED, 600);
+        script.push(Request::Flush);
+        let mut fresh = 0;
+        for (step, request) in script.iter().enumerate() {
+            let response = arena.handle(request);
+            fresh += usize::from(matches!(response, Response::Placed { fresh: true, .. }));
             assert_eq!(
-                arena.handle(&request),
-                rebuilt.handle(&request),
-                "{request:?}"
+                response,
+                rebuilt.handle(request),
+                "step {step}: {request:?}"
+            );
+        }
+        assert!(fresh > 10, "the script placed only {fresh} fresh edges");
+        for file in std::fs::read_dir(&rebuilt_dir).unwrap() {
+            let name = file.unwrap().file_name();
+            assert_eq!(
+                std::fs::read(rebuilt_dir.join(&name)).unwrap(),
+                std::fs::read(arena_dir.join(&name)).unwrap(),
+                "flushed {name:?} differs"
             );
         }
 
@@ -867,9 +920,9 @@ mod tests {
             .add_edges([(0, 1), (1, 2), (2, 3), (1, 3)])
             .build();
         let other_path = dir.join("other.tlpg");
-        tlp_store::write_graph(&other_path, &other, &tlp_store::WriteOptions::default()).unwrap();
+        tlp_store::write_graph(&other_path, &other, &Default::default()).unwrap();
         let err =
-            match PartitionService::open_store_with_graph(&store_dir, &other_path, "greedy", 128) {
+            match PartitionService::open_store_with_graph(&arena_dir, &other_path, "greedy", 128) {
                 Ok(_) => panic!("a graph that does not match the store was accepted"),
                 Err(err) => err,
             };

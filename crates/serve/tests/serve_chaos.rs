@@ -37,8 +37,8 @@ fn graph_and_partition(n: u32, m: usize, p: usize, seed: u64) -> (CsrGraph, Edge
         .placer(graph.num_vertices(), p, 0, None)
         .expect("placer");
     let assignment = graph
-        .edges()
-        .iter()
+        .view()
+        .edge_iter()
         .map(|e| {
             let (u, v) = e.endpoints();
             placer.place(u, v)

@@ -35,8 +35,8 @@ fn graph_and_partition(n: u32, m: usize, p: usize, seed: u64) -> (CsrGraph, Edge
         .placer(graph.num_vertices(), p, 0, None)
         .expect("placer");
     let assignment = graph
-        .edges()
-        .iter()
+        .view()
+        .edge_iter()
         .map(|e| {
             let (u, v) = e.endpoints();
             placer.place(u, v)
@@ -104,7 +104,7 @@ fn served_lookups_match_store_ground_truth() {
         }
     }
 
-    for (eid, edge) in g.edges().iter().enumerate() {
+    for (eid, edge) in g.view().edge_iter().enumerate() {
         let (u, v) = edge.endpoints();
         assert_eq!(
             client

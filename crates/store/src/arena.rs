@@ -36,7 +36,7 @@ use crate::reader::open_header;
 use crate::StoreError;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use tlp_graph::{EdgeTable, GraphView};
+use tlp_graph::{GraphView, VertexId};
 
 /// Bytes appended to the arena per read while streaming a section in.
 /// Sized to stay L2-resident so the checksum of each chunk runs over
@@ -119,6 +119,10 @@ fn first_out_of_range(ids: &[u32], bound: u64) -> Option<u32> {
     }
     ids.iter().copied().find(|&id| id >= bound)
 }
+
+/// The four CSR sections a [`GraphView`] borrows: offsets, neighbor ids,
+/// arc edge ids and `(u, v)` edge pairs.
+type CsrSections<'a> = (&'a [u64], &'a [u32], &'a [u32], &'a [[VertexId; 2]]);
 
 /// An owned, aligned, checksum-verified arena holding a `.tlpg` v2 file.
 ///
@@ -216,8 +220,10 @@ impl GraphBuf {
     }
 
     /// The CSR sections in the order [`GraphView`]'s constructors take.
-    fn csr(&self) -> (&[u64], &[u32], &[u32], EdgeTable<'_>) {
-        let edges = EdgeTable::Pairs(self.slice(&self.edges));
+    /// `EDGE` is `8m` bytes (the section walk checks every length), so it
+    /// splits into whole `(u, v)` pairs.
+    fn csr(&self) -> CsrSections<'_> {
+        let edges = self.slice::<u32>(&self.edges).as_chunks().0;
         let (offsets, adj_vertex) = (self.slice(&self.offsets), self.slice(&self.adj_vertex));
         (offsets, adj_vertex, self.slice(&self.adj_edge), edges)
     }
@@ -284,7 +290,7 @@ mod tests {
                 g.incident(v).collect::<Vec<_>>()
             );
         }
-        assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
+        assert_eq!(view, g.view());
         assert!(buf.original_ids().is_none());
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }

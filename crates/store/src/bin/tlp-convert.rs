@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tlp-convert to-bin <input.txt> <output.tlpg>    text edge list -> binary (v2)
-//! tlp-convert to-text <input.tlpg> <output.txt>   binary -> text edge list
+//! tlp-convert to-text <input.tlpg> <output.txt>   binary -> text edge list (original ids)
 //! tlp-convert upgrade <input.tlpg>                rewrite a v1 file as v2 in place
 //! tlp-convert info <input.tlpg>                   print header and section summary
 //! ```
@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 use tlp_store::format::SourceStamp;
-use tlp_store::{write_graph, FormatVersion, StoreReader, WriteOptions, VERSION_V2};
+use tlp_store::{write_graph, LoadedGraph, StoreReader, WriteOptions, VERSION_V2};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,7 +44,7 @@ fn to_bin(input: &Path, output: &Path) -> Result<(), String> {
     let options = WriteOptions {
         original_ids: Some(list.original_ids),
         source: SourceStamp::of_file(input).ok(),
-        version: FormatVersion::V2,
+        ..WriteOptions::default()
     };
     write_graph(output, &list.graph, &options)
         .map_err(|e| format!("writing {}: {e}", output.display()))?;
@@ -61,20 +61,22 @@ fn open(input: &Path) -> Result<StoreReader, String> {
     StoreReader::open(input).map_err(|e| format!("opening {}: {e}", input.display()))
 }
 
+/// Writes the graph as a text edge list, in the original vertex ids when
+/// the file carries them and in dense ids otherwise.
 fn to_text(input: &Path, output: &Path) -> Result<(), String> {
-    let reader = open(input)?;
-    let stored = reader
-        .read_graph()
-        .map_err(|e| format!("reading {}: {e}", input.display()))?;
+    let loaded =
+        LoadedGraph::open(input).map_err(|e| format!("reading {}: {e}", input.display()))?;
+    let graph = loaded.view();
     let file =
         std::fs::File::create(output).map_err(|e| format!("creating {}: {e}", output.display()))?;
-    tlp_graph::io::write_edge_list(&stored.graph, std::io::BufWriter::new(file))
+    let out = std::io::BufWriter::new(file);
+    tlp_graph::io::write_edge_list_with_ids(graph, loaded.original_ids(), out)
         .map_err(|e| format!("writing {}: {e}", output.display()))?;
     println!(
         "wrote {} ({} vertices, {} edges)",
         output.display(),
-        stored.graph.num_vertices(),
-        stored.graph.num_edges()
+        graph.num_vertices(),
+        graph.num_edges()
     );
     Ok(())
 }
@@ -91,21 +93,20 @@ fn upgrade(input: &Path) -> Result<(), String> {
         return Ok(());
     }
     let source = reader.header().source;
-    let stored = reader
-        .read_graph()
-        .map_err(|e| format!("reading {}: {e}", input.display()))?;
+    let reading = |e| format!("reading {}: {e}", input.display());
+    let graph = reader.read_graph().map_err(reading)?;
     let options = WriteOptions {
-        original_ids: stored.original_ids,
+        original_ids: reader.read_original_ids().map_err(reading)?,
         source: (source != SourceStamp::UNKNOWN).then_some(source),
-        version: FormatVersion::V2,
+        ..WriteOptions::default()
     };
-    write_graph(input, &stored.graph, &options)
+    write_graph(input, &graph, &options)
         .map_err(|e| format!("rewriting {}: {e}", input.display()))?;
     println!(
         "upgraded {} to format v{VERSION_V2} ({} vertices, {} edges)",
         input.display(),
-        stored.graph.num_vertices(),
-        stored.graph.num_edges()
+        graph.num_vertices(),
+        graph.num_edges()
     );
     Ok(())
 }

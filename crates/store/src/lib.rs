@@ -7,10 +7,13 @@
 //!   arrays themselves, 8-byte-aligned and individually checksummed, so
 //!   [`GraphBuf`] opens a graph with one bulk read and lends zero-copy
 //!   [`tlp_graph::GraphView`]s. Legacy v1 files (degree + edge blocks) are
-//!   decoded and rebuilt by [`StoreReader`]; [`LoadedGraph::open`] reads
-//!   the header once and dispatches on its version. [`write_graph`] emits
-//!   either version; `tlp-convert` (this crate's binary) converts text
-//!   edge lists to and from the format and upgrades v1 files in place.
+//!   decoded and rebuilt by [`StoreReader`]. [`LoadedGraph`] is the one
+//!   owner of a graph in memory — an owned CSR with its original ids, or
+//!   a v2 arena — and [`LoadedGraph::open`] reads a file's header once and
+//!   dispatches on its version. [`write_graph`] emits either version;
+//!   `tlp-convert` (this crate's binary) converts text edge lists to and
+//!   from the format, keeping original vertex ids, and upgrades v1 files
+//!   in place.
 //! * **Edge sources** — [`BinaryFileSource`] (sequential disk reads from a
 //!   `.tlpg` file, never materializing the edge table) and
 //!   [`TextFileSource`] (parse-as-you-go over a text edge list) implement
@@ -52,7 +55,7 @@
 //! let graph = GraphBuilder::new().add_edges([(0, 1), (1, 2)]).build();
 //! write_graph("ring.tlpg".as_ref(), &graph, &WriteOptions::default())?;
 //! let stored = StoreReader::open("ring.tlpg".as_ref())?.read_graph()?;
-//! assert_eq!(stored.graph, graph);
+//! assert_eq!(stored, graph);
 //! # Ok::<(), tlp_store::StoreError>(())
 //! ```
 
@@ -84,7 +87,7 @@ pub use loaded::LoadedGraph;
 pub use partition_store::{
     write_partition_store, PartitionManifest, PartitionStoreReader, SegmentEntry, MANIFEST_NAME,
 };
-pub use reader::{SectionInfo, StoreReader, StoredGraph};
+pub use reader::{SectionInfo, StoreReader};
 pub use sources::{BinaryFileSource, TextFileSource};
 pub use wal::{read_wal, PlacementWal, WalRecord, WalReplay, WAL_MAGIC, WAL_NAME, WAL_RECORD_LEN};
 pub use writer::{write_graph, WriteOptions};

@@ -1,31 +1,32 @@
-//! Version-agnostic graph opening: [`LoadedGraph`].
+//! The one owner of a graph held in memory: [`LoadedGraph`].
 //!
-//! Callers that just want "the graph at this path" shouldn't care whether
-//! the file is a v1 `.tlpg` (degrees + edge pairs, decoded into a fresh
-//! [`CsrGraph`]) or a v2 `.tlpg` (embedded CSR, lent zero-copy from a
-//! [`GraphBuf`] arena). `LoadedGraph::open` reads the header once,
-//! dispatches on its version, and hands the open file to the chosen
-//! reader, which walks the same section table either way; the result
-//! serves a uniform [`GraphView`].
+//! A graph is either an owned [`CsrGraph`] (parsed from text, built in
+//! memory, rebuilt from a partition store or decoded from a v1 `.tlpg`
+//! file) or a [`GraphBuf`] arena holding a v2 `.tlpg` file as it lies on
+//! disk. Both lend the same [`GraphView`], and both carry the original
+//! vertex ids when they have them, so the CLI, the partition service and
+//! `tlp-convert` hold their graph the same way whichever it is.
+//! [`LoadedGraph::open`] reads a file's header once, dispatches on its
+//! version, and hands the open file to the chosen reader, which walks the
+//! same section table either way.
 
 use crate::arena::GraphBuf;
 use crate::format::VERSION_V2;
 use crate::reader::{open_header, StoreReader};
 use crate::StoreError;
 use std::path::Path;
+use tlp_graph::io::EdgeList;
 use tlp_graph::{CsrGraph, GraphView};
 
-/// A graph opened from disk, regardless of on-disk format version.
+/// A graph in memory, owned as a CSR or held as a `.tlpg` v2 arena.
 #[derive(Clone, Debug)]
 pub enum LoadedGraph {
-    /// A v1 file, decoded edge-by-edge into an owned CSR graph.
-    Decoded {
-        /// The reconstructed graph.
+    /// An owned CSR graph.
+    Owned {
+        /// The graph.
         graph: CsrGraph,
-        /// Original vertex ids, when the file carries them.
+        /// `original_ids[v]` = id of `v` in its source file, when known.
         original_ids: Option<Vec<u64>>,
-        /// The on-disk format version this was decoded from.
-        version: u32,
     },
     /// A v2 file held as a zero-copy arena.
     Arena(GraphBuf),
@@ -34,7 +35,7 @@ pub enum LoadedGraph {
 impl LoadedGraph {
     /// Opens `path`, dispatching on the header's format version: v2 files
     /// become a zero-copy [`GraphBuf`] arena, v1 files are decoded through
-    /// [`StoreReader::read_graph`].
+    /// [`StoreReader::read_graph`] into an owned graph.
     ///
     /// # Errors
     ///
@@ -42,42 +43,52 @@ impl LoadedGraph {
     pub fn open(path: &Path) -> Result<LoadedGraph, StoreError> {
         let (file, header) = open_header(path)?;
         if header.version == VERSION_V2 {
-            let buf = GraphBuf::with_header(path, file, header)?;
-            Ok(LoadedGraph::Arena(buf))
-        } else {
-            let reader = StoreReader::with_header(path, file, header)?;
-            let stored = reader.read_graph()?;
-            Ok(LoadedGraph::Decoded {
-                graph: stored.graph,
-                original_ids: stored.original_ids,
-                version: reader.version(),
-            })
+            return Ok(LoadedGraph::Arena(GraphBuf::with_header(
+                path, file, header,
+            )?));
         }
+        let reader = StoreReader::with_header(path, file, header)?;
+        Ok(LoadedGraph::Owned {
+            graph: reader.read_graph()?,
+            original_ids: reader.read_original_ids()?,
+        })
     }
 
-    /// The graph as a borrowed [`GraphView`] — zero-copy for arenas,
-    /// borrowing the owned CSR for decoded files.
+    /// The graph as a borrowed [`GraphView`]: the arena itself, or the
+    /// owned CSR's arrays.
     pub fn view(&self) -> GraphView<'_> {
         match self {
-            LoadedGraph::Decoded { graph, .. } => graph.view(),
+            LoadedGraph::Owned { graph, .. } => graph.view(),
             LoadedGraph::Arena(buf) => buf.view(),
         }
     }
 
-    /// Original vertex ids (`original_ids[v]` = id of `v` in the text
-    /// source), when persisted.
+    /// Original vertex ids (`original_ids[v]` = id of `v` in the source
+    /// file), when known.
     pub fn original_ids(&self) -> Option<&[u64]> {
         match self {
-            LoadedGraph::Decoded { original_ids, .. } => original_ids.as_deref(),
+            LoadedGraph::Owned { original_ids, .. } => original_ids.as_deref(),
             LoadedGraph::Arena(buf) => buf.original_ids(),
         }
     }
+}
 
-    /// The on-disk format version this graph was opened from.
-    pub fn format_version(&self) -> u32 {
-        match self {
-            LoadedGraph::Decoded { version, .. } => *version,
-            LoadedGraph::Arena(buf) => buf.header().version,
+/// A graph built in memory, with no original ids.
+impl From<CsrGraph> for LoadedGraph {
+    fn from(graph: CsrGraph) -> Self {
+        LoadedGraph::Owned {
+            graph,
+            original_ids: None,
+        }
+    }
+}
+
+/// A parsed text edge list, keeping the file's vertex ids.
+impl From<EdgeList> for LoadedGraph {
+    fn from(list: EdgeList) -> Self {
+        LoadedGraph::Owned {
+            graph: list.graph,
+            original_ids: Some(list.original_ids),
         }
     }
 }
@@ -114,19 +125,24 @@ mod tests {
             };
             write_graph(&path, &g, &options).unwrap();
             let loaded = LoadedGraph::open(&path).unwrap();
-            assert_eq!(loaded.format_version(), version.number());
             match (&loaded, version) {
-                (LoadedGraph::Decoded { .. }, FormatVersion::V1) => {}
+                (LoadedGraph::Owned { .. }, FormatVersion::V1) => {}
                 (LoadedGraph::Arena(_), FormatVersion::V2) => {}
                 other => panic!("wrong dispatch: {other:?}"),
             }
-            let view = loaded.view();
-            assert_eq!(view.edge_iter().collect::<Vec<_>>(), g.edges().to_vec());
-            for v in g.vertices() {
-                assert_eq!(view.neighbors(v), g.neighbors(v));
-            }
+            assert_eq!(loaded.view(), g.view());
             assert_eq!(loaded.original_ids().unwrap(), ids.as_slice());
             std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
         }
+    }
+
+    #[test]
+    fn in_memory_graphs_keep_their_ids() {
+        let list = tlp_graph::io::read_edge_list("10 20\n20 30\n".as_bytes()).unwrap();
+        let graph = list.graph.clone();
+        let loaded = LoadedGraph::from(list);
+        assert_eq!(loaded.view(), graph.view());
+        assert_eq!(loaded.original_ids().unwrap(), [10, 20, 30]);
+        assert!(LoadedGraph::from(graph).original_ids().is_none());
     }
 }

@@ -13,15 +13,6 @@ use std::io::{BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use tlp_graph::{CsrGraph, Edge, VertexId};
 
-/// A fully loaded binary store: the graph plus optional original ids.
-#[derive(Clone, Debug)]
-pub struct StoredGraph {
-    /// The reconstructed graph, bit-identical to the one written.
-    pub graph: CsrGraph,
-    /// `original_ids[v]` = id of `v` in the text source, when persisted.
-    pub original_ids: Option<Vec<u64>>,
-}
-
 /// Descriptive metadata for one section of an open store, as reported by
 /// [`StoreReader::section_infos`] (e.g. for `tlp-convert info`).
 #[derive(Clone, Copy, Debug)]
@@ -74,8 +65,8 @@ impl SectionSource for BufReader<FaultFile> {
 /// use tlp_store::StoreReader;
 ///
 /// let reader = StoreReader::open("graph.tlpg".as_ref())?;
-/// let stored = reader.read_graph()?;
-/// println!("{} edges", stored.graph.num_edges());
+/// let graph = reader.read_graph()?;
+/// println!("{} edges", graph.num_edges());
 /// # Ok::<(), tlp_store::StoreError>(())
 /// ```
 #[derive(Debug)]
@@ -239,17 +230,18 @@ impl StoreReader {
         Ok(degrees)
     }
 
-    /// Reads the whole store back into memory: edge blocks are read in
-    /// bounded chunks, validated (canonical order, endpoint bounds, no
+    /// Reads the graph back into memory: edge blocks are read in bounded
+    /// chunks, validated (canonical order, endpoint bounds, no
     /// self-loops), checksummed, cross-checked against the per-vertex
     /// degrees, and reassembled into a [`CsrGraph`] bit-identical to the
     /// one written. Works on both format versions; for the zero-copy v2
-    /// open path see [`crate::GraphBuf`].
+    /// open path see [`crate::GraphBuf`], and for the original ids
+    /// [`StoreReader::read_original_ids`].
     ///
     /// # Errors
     ///
     /// Any [`StoreError`] variant matching the defect found.
-    pub fn read_graph(&self) -> Result<StoredGraph, StoreError> {
+    pub fn read_graph(&self) -> Result<CsrGraph, StoreError> {
         let n = self.header.num_vertices as usize;
         let stored_degrees = self.read_degrees()?;
 
@@ -271,21 +263,17 @@ impl StoreReader {
                 )));
             }
         }
-
-        let original_ids = self.read_original_ids()?;
-
-        Ok(StoredGraph {
-            graph,
-            original_ids,
-        })
+        Ok(graph)
     }
 
-    /// Reads and checksums the optional original-ids section.
+    /// Reads and checksums the optional original-ids section
+    /// (`original_ids[v]` = id of `v` in the text source); `None` when the
+    /// file carries none.
     ///
     /// # Errors
     ///
     /// [`StoreError::ChecksumMismatch`] or I/O/truncation errors.
-    pub(crate) fn read_original_ids(&self) -> Result<Option<Vec<u64>>, StoreError> {
+    pub fn read_original_ids(&self) -> Result<Option<Vec<u64>>, StoreError> {
         if !self.header.has_original_ids {
             return Ok(None);
         }

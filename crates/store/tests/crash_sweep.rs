@@ -23,13 +23,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn read_back(path: &Path) -> Result<CsrGraph, StoreError> {
-    Ok(StoreReader::open(path)?.read_graph()?.graph)
+    StoreReader::open(path)?.read_graph()
 }
 
 /// Reads through [`LoadedGraph`] — the zero-copy arena for v2 files — so
 /// the sweeps also cover the production open path for both formats.
-fn read_back_zero_copy(path: &Path) -> Result<CsrGraph, StoreError> {
-    Ok(LoadedGraph::open(path)?.view().to_csr_graph())
+fn read_back_zero_copy(path: &Path) -> Result<LoadedGraph, StoreError> {
+    LoadedGraph::open(path)
 }
 
 /// Removes any `<dir>.quarantine[.N]` siblings left by a quarantining open.
@@ -90,7 +90,8 @@ fn graph_write_sweep_preserves_previous_file() {
                     panic!("{version:?} {kind:?} at op {at_op}: zero-copy open failed: {e}")
                 });
                 assert_eq!(
-                    arena, old,
+                    arena.view(),
+                    old.view(),
                     "{version:?} {kind:?} at op {at_op} corrupted the arena view"
                 );
             }
@@ -137,7 +138,8 @@ fn graph_write_bit_flips_are_never_read_back_silently() {
             }
             if let Ok(g) = read_back_zero_copy(&path) {
                 assert_eq!(
-                    g, graph,
+                    g.view(),
+                    graph.view(),
                     "{version:?}: bit flip at op {at_op} silently changed the arena view"
                 );
             }

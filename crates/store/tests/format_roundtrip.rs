@@ -47,13 +47,13 @@ fn assert_roundtrip(graph: &CsrGraph, original_ids: Option<Vec<u64>>) {
         }
 
         let stored = reader.read_graph().unwrap();
-        assert_eq!(&stored.graph, graph, "CSR not bit-identical after reload");
-        assert_eq!(stored.original_ids, original_ids);
+        assert_eq!(&stored, graph, "CSR not bit-identical after reload");
+        assert_eq!(reader.read_original_ids().unwrap(), original_ids);
 
         if version == FormatVersion::V2 {
             // The zero-copy arena must expose exactly the same graph.
             let arena = GraphBuf::open(&path).unwrap();
-            assert_eq!(arena.view().to_csr_graph(), *graph);
+            assert_eq!(arena.view(), graph.view());
             assert_eq!(
                 arena.original_ids().map(<[u64]>::to_vec),
                 original_ids.clone()
@@ -111,10 +111,10 @@ proptest! {
             let options = WriteOptions { version, ..WriteOptions::default() };
             write_graph(&path, &graph, &options).unwrap();
             let stored = StoreReader::open(&path).unwrap().read_graph().unwrap();
-            prop_assert_eq!(&stored.graph, &graph);
+            prop_assert_eq!(&stored, &graph);
             if version == FormatVersion::V2 {
                 let arena = GraphBuf::open(&path).unwrap();
-                prop_assert_eq!(arena.view().to_csr_graph(), graph.clone());
+                prop_assert_eq!(arena.view(), graph.view());
             }
             std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
         }

@@ -35,7 +35,7 @@ fn superstep(graph: &CsrGraph, partition: &EdgePartition, ranks: &[f64]) -> (Vec
     // Per-machine partial sums for each vertex replica.
     let mut partial = vec![vec![0.0f64; n]; p];
     let mut has_replica = vec![vec![false; n]; p];
-    for (eid, edge) in graph.edges().iter().enumerate() {
+    for (eid, edge) in graph.view().edge_iter().enumerate() {
         let k = partition.partition_of(eid as u32) as usize;
         let (u, v) = edge.endpoints();
         // Undirected PageRank: each endpoint contributes along the edge.

@@ -28,7 +28,7 @@ use tlp::graph::CsrSource;
 use tlp::pipeline::builtin_registry;
 use tlp::store::{
     read_checkpoint, write_checkpoint, write_partition_store, BinaryFileSource, LoadedGraph,
-    CHECKPOINT_NAME, MAGIC,
+    CHECKPOINT_NAME, MAGIC, VERSION,
 };
 
 fn main() -> ExitCode {
@@ -133,36 +133,6 @@ enum InputFormat {
     Bin,
 }
 
-/// The `partition` subcommand's loaded input graph.
-///
-/// Text edge lists decode into an owned CSR; `.tlpg` files open through
-/// [`LoadedGraph`], which for format v2 lends the file's embedded CSR as a
-/// zero-copy arena — no per-edge decode and no CSR rebuild. Every
-/// downstream consumer works on the [`GraphView`](tlp::graph::GraphView),
-/// so the two paths share all the partitioning code.
-enum InputGraph {
-    Text(io::EdgeList),
-    Bin(LoadedGraph),
-}
-
-impl InputGraph {
-    fn view(&self) -> tlp::graph::GraphView<'_> {
-        match self {
-            InputGraph::Text(list) => list.graph.view(),
-            InputGraph::Bin(stored) => stored.view(),
-        }
-    }
-
-    /// External id of internal vertex `v` (identity when the file carries
-    /// no id map).
-    fn original_id(&self, v: usize) -> u64 {
-        match self {
-            InputGraph::Text(list) => list.original_ids[v],
-            InputGraph::Bin(stored) => stored.original_ids().map_or(v as u64, |ids| ids[v]),
-        }
-    }
-}
-
 /// Resolves `--format` (sniffing the `.tlpg` magic for `auto`).
 fn resolve_format(flag: Option<&str>, input: &str) -> Result<InputFormat, String> {
     match flag.unwrap_or("auto") {
@@ -244,22 +214,24 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         }
     }
 
+    // Text parses into an owned CSR; a `.tlpg` v2 file is held as its
+    // zero-copy arena, and every other (v1) file is decoded into a CSR.
+    // Everything downstream works on the view, so the paths share all the
+    // partitioning code.
     let loaded = match format {
-        InputFormat::Text => {
-            InputGraph::Text(io::read_edge_list_file(input).map_err(|e| e.to_string())?)
-        }
-        InputFormat::Bin => {
-            InputGraph::Bin(LoadedGraph::open(Path::new(input)).map_err(|e| e.to_string())?)
-        }
+        InputFormat::Text => io::read_edge_list_file(input)
+            .map_err(|e| e.to_string())?
+            .into(),
+        InputFormat::Bin => LoadedGraph::open(Path::new(input)).map_err(|e| e.to_string())?,
     };
     let graph = loaded.view();
+    let kind = match (&loaded, format) {
+        (_, InputFormat::Text) => "text".to_string(),
+        (LoadedGraph::Arena(buf), InputFormat::Bin) => format!("tlpg v{}", buf.header().version),
+        (LoadedGraph::Owned { .. }, InputFormat::Bin) => format!("tlpg v{VERSION}"),
+    };
     eprintln!(
-        "loaded {} ({}): {} vertices, {} edges",
-        input,
-        match &loaded {
-            InputGraph::Text(_) => "text".to_string(),
-            InputGraph::Bin(stored) => format!("tlpg v{}", stored.format_version()),
-        },
+        "loaded {input} ({kind}): {} vertices, {} edges",
         graph.num_vertices(),
         graph.num_edges()
     );
@@ -413,13 +385,19 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     if let Some(output) = flags.get("output") {
         let mut file = std::fs::File::create(output).map_err(|e| e.to_string())?;
         writeln!(file, "# source\ttarget\tpartition").map_err(|e| e.to_string())?;
+        // External ids, or the internal ones when the input has none.
+        let original_id = |v: u32| {
+            loaded
+                .original_ids()
+                .map_or(u64::from(v), |ids| ids[v as usize])
+        };
         for (eid, edge) in graph.edge_iter().enumerate() {
             let (u, v) = edge.endpoints();
             writeln!(
                 file,
                 "{}\t{}\t{}",
-                loaded.original_id(u as usize),
-                loaded.original_id(v as usize),
+                original_id(u),
+                original_id(v),
                 artifact.partition.partition_of(eid as u32)
             )
             .map_err(|e| e.to_string())?;

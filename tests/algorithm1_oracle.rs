@@ -43,7 +43,8 @@ const SEED: u64 = 7;
 fn reference_tlp(graph: &CsrGraph, p: usize, seed: u64, reseed: ReseedPolicy) -> Vec<u32> {
     let n = graph.num_vertices();
     let m = graph.num_edges();
-    let edges: Vec<(VertexId, VertexId)> = graph.edges().iter().map(|e| e.endpoints()).collect();
+    let edges: Vec<(VertexId, VertexId)> =
+        graph.view().edge_iter().map(|e| e.endpoints()).collect();
     // owner[e] = partition of edge e, `None` while unallocated.
     let mut owner: Vec<Option<u32>> = vec![None; m];
     if m == 0 {

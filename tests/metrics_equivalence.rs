@@ -26,7 +26,7 @@ fn hashed_partition(graph: &CsrGraph, p: usize) -> EdgePartition {
 /// accumulator exactly as a bounded-memory pipeline run would.
 fn streamed(graph: &CsrGraph, partition: &EdgePartition, p: usize) -> PartitionMetrics {
     let mut acc = StreamedMetrics::new(graph.num_vertices(), p);
-    for (eid, edge) in graph.edges().iter().enumerate() {
+    for (eid, edge) in graph.view().edge_iter().enumerate() {
         let (u, v) = edge.endpoints();
         acc.observe_assignment(u, v, partition.partition_of(eid as u32));
     }

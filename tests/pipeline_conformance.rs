@@ -127,7 +127,7 @@ impl EdgeSource for PassOnly {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        self.0.stream_pass(sink)
+        CsrSource::new(&self.0).stream_pass(sink)
     }
 }
 

@@ -69,7 +69,7 @@ fn indexed_strategies_are_bit_identical_to_scan() {
 fn kernels_agree_on_generated_adjacency() {
     for (name, graph) in generator_zoo() {
         let tri = edge_triangles(&graph);
-        for (e, edge) in graph.edges().iter().enumerate() {
+        for (e, edge) in graph.view().edge_iter().enumerate() {
             let (a, b) = edge.endpoints();
             let reference = merge_intersection_size(graph.neighbors(a), graph.neighbors(b));
             assert_eq!(tri[e] as usize, reference, "{name} table, edge {e}");

@@ -95,16 +95,15 @@ fn v2_graph_with_original_ids_is_pinned() {
     assert_eq!(reader.version(), VERSION_V2);
     assert_eq!(reader.header().source.len, 4242);
     assert_eq!(reader.header().source.mtime, 1_700_000_000);
-    let stored = reader.read_graph().unwrap();
-    assert_eq!(stored.graph, g);
-    assert_eq!(stored.original_ids.as_deref(), Some(ids.as_slice()));
+    assert_eq!(reader.read_graph().unwrap(), g);
+    assert_eq!(reader.read_original_ids().unwrap(), Some(ids.clone()));
 
     let loaded = LoadedGraph::open(&fixture).unwrap();
     assert!(matches!(loaded, LoadedGraph::Arena(_)));
-    assert_eq!(loaded.view().to_csr_graph(), g);
+    assert_eq!(loaded.view(), g.view());
     assert_eq!(loaded.original_ids(), Some(ids.as_slice()));
     let arena = GraphBuf::open(&fixture).unwrap();
-    assert_eq!(arena.view().to_csr_graph(), g);
+    assert_eq!(arena.view(), g.view());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
