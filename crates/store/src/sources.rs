@@ -13,7 +13,6 @@ use crate::format::{edge_pairs, Section, CHUNK_EDGES};
 use crate::loaded::LoadedGraph;
 use crate::reader::{decode_edge, StoreReader};
 use crate::StoreError;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use tlp_graph::io::EdgeListReader;
 use tlp_graph::{ChunkedSink, CsrGraph, Edge, EdgeSource, GraphView, PassStats, SourceError};
@@ -138,7 +137,8 @@ impl EdgeSource for BinaryFileSource {
 /// Passes parse the file on the fly through
 /// [`tlp_graph::io::EdgeListReader`], the same parser random access
 /// materializes with, so both number vertices identically and report a
-/// malformed line as the same [`SourceError::Corrupt`]. Passes drop
+/// malformed line as the same [`SourceError::Corrupt`]. Besides the id
+/// table, a pass holds one read block and at most `budget` edges. Passes drop
 /// self-loops but **not** duplicate edges, which a one-pass
 /// bounded-memory stream cannot detect; convert to the binary format first
 /// (`tlp-convert`) for exact parity with the materialized graph.
@@ -195,7 +195,7 @@ impl EdgeSource for TextFileSource {
     }
 
     fn stream_pass(&mut self, sink: &mut dyn FnMut(&[Edge])) -> Result<PassStats, SourceError> {
-        let mut edges = EdgeListReader::new(BufReader::new(FaultFile::open(&self.path)?));
+        let mut edges = EdgeListReader::new(FaultFile::open(&self.path)?);
         let mut out = ChunkedSink::new(sink, self.budget);
         while let Some(edge) = edges.next_edge()? {
             out.push(edge);
@@ -314,6 +314,57 @@ mod tests {
             }
             other => panic!("expected two Corrupt errors, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A text file of a few thousand edges, several of the reader's
+    /// 64 KiB blocks long, so lines straddle block boundaries.
+    fn multi_block_text(tag: &str, budget: usize) -> (PathBuf, PathBuf, TextFileSource) {
+        let g = chung_lu(20_000, 60_000, 2.2, 3);
+        let dir = temp_dir(tag);
+        let path = dir.join("g.txt");
+        let file = std::fs::File::create(&path).expect("create");
+        tlp_graph::io::write_edge_list(&g, std::io::BufWriter::new(file)).expect("write");
+        let len = std::fs::metadata(&path).expect("stat").len();
+        assert!(len > 6 * 64 * 1024, "only {len} bytes");
+        let source = TextFileSource::new(&path, budget);
+        (dir, path, source)
+    }
+
+    #[test]
+    fn text_pass_across_blocks_numbers_vertices_like_random_access() {
+        let _guard = crate::faults::test_lock();
+        let (dir, _, mut source) = multi_block_text("blocks", 1_000);
+        let mut passed = Vec::new();
+        let stats = source
+            .stream_pass(&mut |chunk| passed.extend_from_slice(chunk))
+            .expect("pass");
+        assert!(stats.peak_buffer <= 1_000);
+        passed.sort_unstable();
+        let view = source.random_access().expect("materialize");
+        assert_eq!(passed, view.edge_iter().collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn injected_read_error_fails_a_text_pass_midway() {
+        let _guard = crate::faults::test_lock();
+        let (dir, _, mut source) = multi_block_text("read-fault", 16);
+        // Operation 0 opens the file and 1 reads the first block; the
+        // second block's read fails.
+        crate::faults::arm(crate::faults::FaultSchedule {
+            at_op: 2,
+            kind: crate::faults::FaultKind::Crash,
+            seed: 0,
+        });
+        let mut delivered = 0;
+        let result = source.stream_pass(&mut |chunk| delivered += chunk.len());
+        crate::faults::disarm();
+        let err = result.expect_err("the injected read error must fail the pass");
+        assert!(matches!(err, SourceError::Io(_)), "{err:?}");
+        assert!(delivered > 0, "the first block's edges reach the sink");
+        let view = source.random_access().expect("materialize");
+        assert!(delivered < view.num_edges());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,22 +11,34 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORK=$(mktemp -d)
+# Every process this script started must be gone by exit: a survivor is
+# killed and fails the run.
 cleanup() {
+    local status=$? leaked=0
     if [ -f "$WORK/chaos.pids" ]; then
         while read -r pid; do
-            kill -9 "$pid" 2>/dev/null || true
+            if kill -0 "$pid" 2>/dev/null; then
+                echo "chaos CI: pid $pid still running at exit" >&2
+                kill -9 "$pid" 2>/dev/null || true
+                leaked=1
+            fi
         done < "$WORK/chaos.pids"
     fi
     rm -rf "$WORK"
+    if [ "$leaked" -ne 0 ] && [ "$status" -eq 0 ]; then
+        exit 1
+    fi
 }
 trap cleanup EXIT
 
-cli() { cargo run --release -q --bin tlp-cli -- "$@"; }
-tlp_serve() { cargo run --release -q -p tlp-serve --bin tlp-serve -- "$@"; }
-tlp_chaos() { cargo run --release -q -p tlp-serve --bin tlp-chaos -- "$@"; }
-loadgen() { cargo run --release -q -p tlp-serve --bin tlp-loadgen -- "$@"; }
-
+# Build the bins up front. Background processes launch the built binary
+# itself (not through `cargo run` or a shell function), so `$!` is the
+# server's, proxy's or load generator's own pid and the mid-run `kill -9`
+# hits the server.
 cargo build --release -q -p tlp -p tlp-serve
+BIN="${CARGO_TARGET_DIR:-target}/release"
+cli() { "$BIN/tlp-cli" "$@"; }
+loadgen() { "$BIN/tlp-loadgen" "$@"; }
 
 cli generate --family chung-lu --vertices 10000 --edges 30000 --seed 19 \
     --output "$WORK/graph.txt"
@@ -52,7 +64,7 @@ wait_addr() {
 
 start_server() {
     local out="$1"
-    tlp_serve "$WORK/store" --placer hdrf --addr 127.0.0.1:0 \
+    "$BIN/tlp-serve" "$WORK/store" --placer hdrf --addr 127.0.0.1:0 \
         > "$out" 2> "$out.err" &
     SERVE_PID=$!
     echo "$SERVE_PID" >> "$WORK/chaos.pids"
@@ -62,7 +74,7 @@ start_server() {
 
 # --- 1. Kill -9 during load: acked placements live only in the WAL. ----
 start_server "$WORK/serve1.out"
-tlp_chaos 127.0.0.1:0 "$SERVE_ADDR" --seed 1234 --clean-every 2 --stall-ms 200 \
+"$BIN/tlp-chaos" 127.0.0.1:0 "$SERVE_ADDR" --seed 1234 --clean-every 2 --stall-ms 200 \
     > "$WORK/chaos.out" 2> "$WORK/chaos.err" &
 CHAOS_PID=$!
 echo "$CHAOS_PID" >> "$WORK/chaos.pids"
@@ -71,13 +83,14 @@ PROXY_ADDR=$ADDR
 
 # Write-only single-client stream through the proxy, fsync per ack, no
 # flush — every ack is backed by the WAL and nothing else.
-loadgen "$PROXY_ADDR" --ops 20000 --threads 1 --read-ratio 0.0 --seed 777 \
+"$BIN/tlp-loadgen" "$PROXY_ADDR" --ops 20000 --threads 1 --read-ratio 0.0 --seed 777 \
     --retry-attempts 10 --retry-deadline-ms 30000 \
     > "$WORK/load1.out" 2>&1 &
 LOAD_PID=$!
 echo "$LOAD_PID" >> "$WORK/chaos.pids"
 sleep 2
 kill -9 "$SERVE_PID"        # the machine "dies" mid-run
+wait "$SERVE_PID" 2>/dev/null || true
 kill -9 "$LOAD_PID" 2>/dev/null || true
 wait "$LOAD_PID" 2>/dev/null || true
 
@@ -97,7 +110,7 @@ echo "chaos CI: restart recovered $recovered wal records"
 # new upstream so faulted connections hit a live service.
 kill -9 "$CHAOS_PID" 2>/dev/null || true
 wait "$CHAOS_PID" 2>/dev/null || true
-tlp_chaos 127.0.0.1:0 "$SERVE_ADDR" --seed 4321 --clean-every 2 --stall-ms 200 \
+"$BIN/tlp-chaos" 127.0.0.1:0 "$SERVE_ADDR" --seed 4321 --clean-every 2 --stall-ms 200 \
     > "$WORK/chaos2.out" 2> "$WORK/chaos2.err" &
 CHAOS_PID=$!
 echo "$CHAOS_PID" >> "$WORK/chaos.pids"
